@@ -208,7 +208,13 @@ def cmd_diffuse(cfg, outdir):
     eps = g("diffuse", "eps", float, default=0.0)
     th1 = g("diffuse", "theta1", float, default=2.0)
     th2 = g("diffuse", "theta2", float, default=4.4)
-    path = diffusion.ActionPath(wp, delta)
+    if not all(math.isfinite(v) for v in (eps, th1, th2)):
+        raise ConfigError("non-finite eps, theta1 or theta2 in [diffuse]")
+    try:
+        params.require_diffusion_regime()
+        path = diffusion.stairstep(diffusion.ActionPath(wp, delta))
+    except ValueError as exc:
+        raise ConfigError(f"bad [diffuse] run: {exc}") from None
     if eps <= 0.0:
         eps0, parts = diffusion.epsilon_threshold(path, delta, float(np.abs(wp).max()) + 1.0, params)
         eps = min(0.5 * eps0, 1e-3)
@@ -323,7 +329,10 @@ def cmd_time_estimate(cfg, outdir):
 def _parse_waypoints(raw):
     pts = []
     for chunk in raw.split(";"):
-        xy = [float(v) for v in chunk.split(",")]
+        try:
+            xy = [float(v) for v in chunk.split(",")]
+        except ValueError:
+            raise ConfigError(f"waypoint '{chunk}' is not 'x,y'") from None
         if len(xy) != 2:
             raise ConfigError(f"waypoint '{chunk}' is not 'x,y'")
         pts.append(xy)

@@ -10,6 +10,7 @@ import configparser
 import hashlib
 import io
 import json
+import math
 import os
 import time
 
@@ -85,15 +86,23 @@ class RunConfig:
 
     def model_params(self):
         g = self.get
-        return ModelParams(
+        kw = dict(
             a1=g("model", "a1", float),
             a2=g("model", "a2", float),
             a3=g("model", "a3", float),
             Omega1=g("model", "omega1", float, default=1.0),
             Omega2=g("model", "omega2", float, default=1.0),
             eps=g("model", "eps", float, default=0.0),
-            pendulum_sign=g("model", "pendulum_sign", int, default=1),
         )
+        bad = [k for k, v in kw.items() if not math.isfinite(v)]
+        if bad:
+            raise ConfigError(f"non-finite value for {', '.join(bad)} in [model]")
+        try:
+            return ModelParams(
+                pendulum_sign=g("model", "pendulum_sign", int, default=1), **kw
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad [model] section: {exc}") from None
 
     def integrator(self, **overrides):
         kw = dict(

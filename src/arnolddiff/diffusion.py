@@ -67,23 +67,25 @@ class ActionPath:
         return float(np.sum(np.abs(d).sum(axis=1)))
 
     def distance_to(self, point):
-        """Sup-norm distance from a point to the polyline."""
+        """Sup-norm distance from a point to the polyline.
+
+        All segments are evaluated in one pass: the projection parameter is
+        clipped to [0, 1] (0 on zero-length segments), the sup-norm of the
+        residual is taken per segment and minimised over segments.  The dot
+        products are written out componentwise: on an axis-aligned segment
+        one of the two terms is zero, so no rounding depends on how a dot
+        product would order its sum.
+        """
         p = np.asarray(point, dtype=float)
-        best = math.inf
-        for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
-            best = min(best, _segment_dist_inf(p, a, b))
-        return best
-
-
-def _segment_dist_inf(p, a, b):
-    d = b - a
-    den = float(d @ d)
-    if den == 0.0:
-        u = 0.0
-    else:
-        u = float(np.clip((p - a) @ d / den, 0.0, 1.0))
-    proj = a + u * d
-    return float(np.max(np.abs(p - proj)))
+        a = self.waypoints[:-1]
+        d = self.waypoints[1:] - a
+        pa = p - a
+        den = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        num = pa[:, 0] * d[:, 0] + pa[:, 1] * d[:, 1]
+        u = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+        np.clip(u, 0.0, 1.0, out=u)
+        proj = a + u[:, None] * d
+        return float(np.abs(p - proj).max(axis=1).min())
 
 
 def stairstep(path, resolution=None):
@@ -229,6 +231,10 @@ def build_pseudo_orbit(
     angles; its actions must lie within delta of the path start.  Every
     intermediate action stays within delta (sup-norm) of the path, and the
     orbit terminates within delta of the final waypoint.
+
+    Each jump costs one tau* solve: the L* gradient taken before the window
+    test also supplies the pulled-back angles psi, and it is recomputed only
+    when a rotation wait has moved the angles.
     """
     params.require_diffusion_regime()
     eps = params.eps if eps is None else eps
@@ -248,21 +254,22 @@ def build_pseudo_orbit(
     ]
     orbit = PseudoOrbit(steps, path, eps)
 
+    end = path.end
     k = 0
     target = centers[k]
     guard = max(delta, params.eps**GUARD_EXPONENT)
     for _ in range(max_steps):
-        if np.max(np.abs(z[:2] - path.end)) <= delta and k == len(centers) - 1:
+        if max(abs(z[0] - end[0]), abs(z[1] - end[1])) <= delta and k == len(centers) - 1:
             break  # inside the final ball
         u = target - z[:2]
-        if np.max(np.abs(u)) <= 0.5 * delta and k < len(centers) - 1:
+        if max(abs(u[0]), abs(u[1])) <= 0.5 * delta and k < len(centers) - 1:
             k += 1
             target = centers[k]
             continue
-        if np.max(np.abs(z[:2])) < guard:
+        if max(abs(z[0]), abs(z[1])) < guard:
             raise Stuck(f"entered the origin guard region at state {z}")
         window = _window_for(u, delta, margin, params)
-        ps, ts = melnikov.psi(j, z, params)
+        ps, dI, dTH = _jump_data(j, z, params)
         if not _psi_in(ps, window):
             try:
                 res = inner.ergodize(z, window, j=j, params=params, t_bound=t_bound)
@@ -281,9 +288,7 @@ def build_pseudo_orbit(
                     z = _detour(z, j, params, eps, orbit, steps, path, on_event, margin)
                     continue
                 raise Stuck(f"window unreachable off the resonant line at {z}: {exc}")
-        _val, tau, dI, dTH = melnikov.reduced_poincare_grad(j, z, params)
-        w1, w2 = params.frequencies(z[0], z[1])
-        ps = np.array([z[2] - tau * w1, z[3] - tau * w2])
+            ps, dI, dTH = _jump_data(j, z, params)
         z = np.array(
             [z[0] + eps * dTH[0], z[1] + eps * dTH[1],
              z[2] - eps * dI[0], z[3] - eps * dI[1]]
@@ -299,10 +304,17 @@ def build_pseudo_orbit(
         raise Stuck(f"step budget exhausted before reaching {path.end}")
     orbit.meta.update(
         n_balls=len(centers),
-        final_gap=float(np.max(np.abs(z[:2] - path.end))),
+        final_gap=float(max(abs(z[0] - end[0]), abs(z[1] - end[1]))),
         margin=margin,
     )
     return orbit
+
+
+def _jump_data(j, z, params):
+    """Pulled-back angles psi and the L* gradient (dL/dI, dL/dtheta) at z."""
+    _val, tau, dI, dTH = melnikov.reduced_poincare_grad(j, z, params)
+    w1, w2 = params.frequencies(z[0], z[1])
+    return np.array([z[2] - tau * w1, z[3] - tau * w2]), dI, dTH
 
 
 def _near_resonant_block(z, j, params, margin):

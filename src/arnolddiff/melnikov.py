@@ -179,17 +179,6 @@ def crest_branch(j, i1, i2, phi1, phi2, params):
         raise NotHorizontal(str(exc)) from None
 
 
-def _tangency_f(i1, i2, params, PH1, PH2):
-    w1, w2 = params.frequencies(i1, i2)
-    c1 = w1 * kernels.alpha(w1) * params.mu1
-    c2 = w2 * kernels.alpha(w2) * params.mu2
-    s1 = kernels.alpha(w1) * params.mu1
-    s2 = kernels.alpha(w2) * params.mu2
-    return (c1 * np.cos(PH1) + c2 * np.cos(PH2)) ** 2 + (
-        s1 * np.sin(PH1) + s2 * np.sin(PH2)
-    ) ** 2
-
-
 def tangency_margin(i1, i2, params, grid=256, newton_iters=10):
     """1 - max_phi f_I(phi); positive means lines cross the crest transversally.
 
@@ -329,16 +318,6 @@ def reduced_poincare_grad(j, state, params, guess=None):
     except ArithmeticError as exc:
         raise NoConvergence(str(exc)) from None
     return val, tau, np.array([di1, di2]), np.array([dt1, dt2])
-
-
-def lstar_grid(j, i1, i2, TH1, TH2, params):
-    """Vectorized L*_j over theta arrays at fixed actions."""
-    w1, w2 = params.frequencies(i1, i2)
-    tau = tau_star_grid(j, i1, i2, TH1, TH2, params)
-    A1 = kernels.coeff(w1, params.a1)
-    A2 = kernels.coeff(w2, params.a2)
-    A3 = kernels.coeff(1.0, params.a3)
-    return A1 * np.cos(TH1 - w1 * tau) + A2 * np.cos(TH2 - w2 * tau) + A3 * np.cos(tau), tau
 
 
 def psi(j, state, params, guess=None):

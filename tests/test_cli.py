@@ -73,6 +73,26 @@ class TestConfig:
         rc = main(["crest", str(tmp_path / "nope.ini")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("delta = 0.1", "delta = 2.0"),
+            ("omega1 = 1", "omega1 = -1"),
+            ("a3 = 1", "a3 = 0.5"),  # a1/a3 + a2/a3 = 0.8: outside the safe regime
+            ("a3 = 1", "a3 = nan"),
+        ],
+    )
+    def test_bad_diffuse_input_exit_code(self, cfg_file, tmp_path, capsys, old, new):
+        text = cfg_file.read_text() + (
+            "\n[diffuse]\nwaypoints = 1,1; 1.3,1\ndelta = 0.1\neps = 1e-3\n"
+        )
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new))
+        assert main(["diffuse", str(bad)]) == 2
+        assert any(
+            line.startswith("config error:") for line in capsys.readouterr().err.splitlines()
+        )
+
     def test_env_output_override(self, cfg_file, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("ARNOLDDIFF_OUTDIR", str(target))

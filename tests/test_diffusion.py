@@ -1,13 +1,68 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnolddiff import diffusion, highway, melnikov
 from arnolddiff.errors import DegenerateDirection, RangeNotCovered
 from arnolddiff.model import ModelParams
 
 TWO_PI = 2.0 * math.pi
+
+
+def _reference_distance(path, point):
+    """Scalar segment-by-segment reference for ActionPath.distance_to."""
+    p = np.asarray(point, dtype=float)
+    best = math.inf
+    for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
+        d = b - a
+        den = float(d @ d)
+        if den == 0.0:
+            u = 0.0
+        else:
+            u = float(np.clip((p - a) @ d / den, 0.0, 1.0))
+        proj = a + u * d
+        best = min(best, float(np.max(np.abs(p - proj))))
+    return best
+
+
+_coord = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def _axis_aligned_path(draw):
+    """Axis-aligned polyline; a zero step repeats the previous waypoint."""
+    pts = [np.array([draw(_coord), draw(_coord)])]
+    moves = st.tuples(st.integers(0, 1), st.booleans())
+    for axis, repeat in draw(st.lists(moves, min_size=1, max_size=12)):
+        q = pts[-1].copy()
+        if not repeat:
+            q[axis] = draw(_coord)
+        pts.append(q)
+    return diffusion.ActionPath(np.array(pts), 0.1)
+
+
+@st.composite
+def _oblique_path(draw):
+    """Arbitrary polyline, with some waypoints repeated verbatim."""
+    pts = [np.array([draw(_coord), draw(_coord)])]
+    for repeat in draw(st.lists(st.booleans(), min_size=1, max_size=12)):
+        pts.append(pts[-1].copy() if repeat else np.array([draw(_coord), draw(_coord)]))
+    return diffusion.ActionPath(np.array(pts), 0.1)
+
+
+@st.composite
+def _point_for(draw, path):
+    """A point on one of the path's segments, or anywhere near the path."""
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(path.waypoints) - 2))
+        t = draw(st.floats(0.0, 1.0))
+        a, b = path.waypoints[k], path.waypoints[k + 1]
+        return a + t * (b - a)
+    return np.array([draw(_coord), draw(_coord)])
 
 
 class TestPaths:
@@ -45,6 +100,20 @@ class TestPaths:
         assert p.length() == pytest.approx(3.0)
         assert p.distance_to([2.0, 1.4]) == pytest.approx(0.4)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_distance_exact_on_axis_aligned_paths(self, data):
+        path = data.draw(_axis_aligned_path())
+        point = data.draw(_point_for(path))
+        assert path.distance_to(point) == _reference_distance(path, point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_distance_matches_reference_on_oblique_paths(self, data):
+        path = data.draw(_oblique_path())
+        point = data.draw(_point_for(path))
+        assert abs(path.distance_to(point) - _reference_distance(path, point)) <= 1e-14
+
 
 class TestBuilder:
     def test_short_path_terminates_quickly(self, params):
@@ -64,6 +133,29 @@ class TestBuilder:
         # jumps in the tracked component are positive on average
         rec = orb.scatter_records()
         assert np.mean(np.sin(rec[:, 2])) < 0.0  # psi1 mostly in (pi, 2pi)
+
+    def test_one_gradient_per_jump(self, params, monkeypatch):
+        grad, psi = melnikov.reduced_poincare_grad, melnikov.psi
+        grad_calls, psi_callers = [], set()
+
+        def counting_grad(*args, **kwargs):
+            grad_calls.append(1)
+            return grad(*args, **kwargs)
+
+        def recording_psi(*args, **kwargs):
+            psi_callers.add(sys._getframe(1).f_code.co_name)
+            return psi(*args, **kwargs)
+
+        monkeypatch.setattr(melnikov, "reduced_poincare_grad", counting_grad)
+        monkeypatch.setattr(melnikov, "psi", recording_psi)
+        path = diffusion.ActionPath(np.array([[1.0, 1.0], [1.6, 1.0]]), 0.1)
+        orb = diffusion.build_pseudo_orbit(path, np.array([1.0, 1.0, 2.0, 4.4]), params)
+        assert orb.n_scatter > 100 and orb.n_inner > 0 and orb.n_detour == 0
+        assert orb.n_scatter <= len(grad_calls) <= orb.n_scatter + orb.n_inner
+        # psi is only evaluated inside the rotation waits, never by the builder
+        assert psi_callers and "build_pseudo_orbit" not in psi_callers
+        for s in orb.steps:
+            assert s.dist == _reference_distance(orb.path, s.state[:2])
 
     def test_detour_on_resonant_diagonal(self, params):
         # both window components must be active at the blocked state, so aim
