@@ -77,9 +77,9 @@ def main():
     from arnolddiff.model import ModelParams
 
     params = ModelParams(0.3, 0.1, 1.0, 1.0, 1.0, eps=1e-3)
-    wall, steps = _bench_trace(params)
+    wall, rows = _bench_trace(params)
     print(f"\nintegrated workload with the active backend ({kernels.BACKEND}):")
-    print(f"  Highway trace I2 = -7 -> 0: {wall:.2f} s, {steps} accepted steps")
+    print(f"  Highway trace I2 = -7 -> 0: {wall:.2f} s, {rows} recorded rows")
 
 
 if __name__ == "__main__":

@@ -112,8 +112,12 @@ def cmd_poincare(cfg, outdir):
     params = cfg.model_params()
     g = cfg.get
     j = g("poincare", "branch", int, default=0)
-    lp = [float(x) for x in g("poincare", "level_point", str).split(",")]
-    level = melnikov.reduced_poincare(j, lp, params)
+    try:
+        lp = [float(x) for x in g("poincare", "level_point", str).split(",")]
+    except ValueError:
+        lp = []
+    if len(lp) != 4:
+        raise ConfigError("[poincare] level_point needs four numbers I1,I2,theta1,theta2")
     sec = g("poincare", "section_i1", float, default=0.0)
     lo = g("poincare", "theta2_lo", float)
     hi = g("poincare", "theta2_hi", float)
@@ -123,6 +127,13 @@ def cmd_poincare(cfg, outdir):
     mc = g("poincare", "max_crossings", int, default=60)
     i1s = g("poincare", "seed_i1", float, default=lp[0])
     i2s = g("poincare", "seed_i2", float, default=lp[1])
+    if not all(math.isfinite(v) for v in (*lp, sec, lo, hi, th1g, t_max, i1s, i2s)):
+        raise ConfigError("non-finite value in [poincare]")
+    if n < 1 or mc < 1:
+        raise ConfigError("[poincare] n_seeds and max_crossings must be >= 1")
+    if t_max == 0.0:
+        raise ConfigError("[poincare] t_max must be nonzero")
+    level = melnikov.reduced_poincare(j, lp, params)
     seeds = [(i1s, i2s, th1g, t2) for t2 in np.linspace(lo, hi, n)]
     pts = scattering.poincare_section(
         j, level, sec, seeds, t_max, params, max_crossings=mc, cfg=cfg.integrator(h_max=10.0)
@@ -160,6 +171,14 @@ def cmd_highway(cfg, outdir):
     hi = g("highway", "i1_hi", float, default=9.0)
     n = g("highway", "n_seeds", int, default=5)
     drift_tol = g("highway", "drift_tol", float, default=1e-7)
+    if not all(math.isfinite(v) for v in (i2_from, i2_to, lo, hi, drift_tol)):
+        raise ConfigError("non-finite value in [highway]")
+    if n < 1:
+        raise ConfigError("[highway] n_seeds must be >= 1")
+    if i2_to == i2_from:
+        raise ConfigError("[highway] i2_to must differ from i2_from")
+    if drift_tol <= 0.0:
+        raise ConfigError("[highway] drift_tol must be > 0")
     seeds = np.linspace(lo, hi, n)
     fam = highway.trace_family_between_sections(
         seeds, i2_from, i2_to, params,

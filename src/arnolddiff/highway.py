@@ -9,14 +9,15 @@ which the level is a conserved quantity.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import kernels, melnikov
 from .errors import AsymptoticsUnreliable, EventNotFound, LevelDrift
-from .model import TWO_PI, wrap_angle
-from .ode import EventSpec, IntegratorConfig, integrate, integrate_to_event
+from .model import wrap_angle
+# integrate_to_event is unused here but stays a module attribute: the span
+# tracer in perfbench/spans.py rebinds it by name
+from .ode import IntegratorConfig, Section, integrate, integrate_to_event  # noqa: F401
 from .scattering import flow_rhs
 
 BRANCH_DOWN = "h"   # theta near (pi/2, pi/2): actions decrease along the flow
@@ -139,17 +140,6 @@ class HighwayOrbit:
     def omega1(self, params):
         return params.Omega1 * self.states[:, 0]
 
-    def time_at_i2(self, value):
-        """Interpolated time of the first crossing of I2 = value."""
-        i2 = self.states[:, 1]
-        s = np.sign(i2 - value)
-        idx = np.nonzero(s[:-1] * s[1:] <= 0.0)[0]
-        if idx.size == 0:
-            raise EventNotFound(f"orbit does not cross I2={value}")
-        k = idx[0]
-        f = (value - i2[k]) / (i2[k + 1] - i2[k])
-        return float(self.t[k] + f * (self.t[k + 1] - self.t[k]))
-
 
 def highway_trace(
     seed,
@@ -164,7 +154,9 @@ def highway_trace(
     """Trace a Highway orbit from a seed state with the scattering flow.
 
     Provide either ``t_span`` or ``stop=(component_index, value, direction)``
-    to integrate until a section crossing (component 0 or 1, i.e. I1 or I2).
+    to integrate until a section crossing (component 0 or 1, i.e. I1 or I2);
+    the orbit is then integrated once and its last row is the crossing,
+    landed on the section exactly.
     The level L*_0 is recorded along the orbit; LevelDrift is raised if it
     departs from the seed's nominal level A3 by more than drift_tol.
     """
@@ -173,12 +165,13 @@ def highway_trace(
     cfg = cfg or IntegratorConfig(h_max=5e4, max_steps=4_000_000)
     f = flow_rhs(j, params)
     seed = np.asarray(seed, dtype=float)
+    section = None
     if stop is not None:
-        comp, value, direction = stop
-        ev = EventSpec(fn=lambda y: y[comp] - value, direction=direction, tol=1e-11)
-        y_end, t_end = integrate_to_event(f, seed, ev, cfg, t_span=(0.0, 1e12))
-        t_span = (0.0, t_end)
-    traj = integrate(f, seed, t_span, cfg, record=True)
+        section = Section(*stop)
+        t_span = (0.0, 1e12)
+    traj = integrate(f, seed, t_span, cfg, record=True, section=section)
+    if section is not None and not traj.crossings:
+        raise EventNotFound(f"no crossing of {section} within t = {t_span[1]:g}")
     n = traj.y.shape[0]
     tau = np.empty(n)
     ls = np.empty(n)

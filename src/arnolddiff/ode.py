@@ -1,9 +1,14 @@
-"""Adaptive Runge-Kutta-Fehlberg 7(8) integration with event location.
+"""Adaptive Runge-Kutta-Fehlberg 7(8) integration that stops on sections.
 
 The 13-stage Fehlberg tableau is used with local extrapolation (the
 8th-order solution propagates; the embedded 7th-order value feeds the error
-estimate).  Events are located by bisection on the last accepted step,
-re-stepping from the step start, so no dense-output interpolant is needed.
+estimate).  Every section here is a coordinate hyperplane y[k] = c
+(``Section``).  When an accepted step crosses one, the crossing is landed
+on with Henon's trick: one extra RKF78 step with y[k] as the independent
+variable, from the nearer end of the step to y[k] = c.  No dense-output
+interpolant and no bisection are needed, the crossing state satisfies
+y[k] == c exactly, and the integration goes on from the step end, so one
+pass collects any number of crossings.
 """
 
 import csv
@@ -65,15 +70,25 @@ class IntegratorConfig:
 
 
 @dataclass
-class EventSpec:
-    """Section crossing g(state) = 0 with a direction filter.
+class Section:
+    """The hyperplane y[component] = value, crossed in a given direction.
 
-    direction +1 counts upward (g<0 to g>0) crossings, -1 downward, 0 both.
+    direction +1 counts upward crossings (y[component] rising through value),
+    -1 downward, 0 both.  A step that starts exactly on the hyperplane does
+    not cross it, so an orbit started on a section does not retrigger.
     """
 
-    fn: object
+    component: int
+    value: float
     direction: int = 0
-    tol: float = 1e-12
+
+    def crossed(self, y0, y1):
+        """Whether the step from y0 to y1 crosses the section (end point included)."""
+        g0 = y0[self.component] - self.value
+        g1 = y1[self.component] - self.value
+        if g0 == 0.0 or g0 * g1 > 0.0:
+            return False
+        return self.direction == 0 or (g0 < 0.0) == (self.direction > 0)
 
 
 @dataclass
@@ -82,6 +97,7 @@ class Trajectory:
     y: np.ndarray
     n_accepted: int = 0
     n_rejected: int = 0
+    crossings: list = field(default_factory=list)   # (t, y) landings on a Section
 
     @property
     def final(self):
@@ -110,7 +126,7 @@ def rkf78_step(f, t, y, h):
 
 
 def fixed_step_integrate(f, y0, t0, t1, n_steps):
-    """Fixed-step 8th-order propagation (order tests, event refinement)."""
+    """Fixed-step 8th-order propagation (order tests)."""
     h = (t1 - t0) / n_steps
     y = np.asarray(y0, dtype=float).copy()
     t = t0
@@ -125,22 +141,30 @@ def _error_norm(err, y0, y1, cfg):
     return float(np.max(np.abs(err) / scale))
 
 
-def integrate(f, y0, t_span, cfg=None, record=True, step_hook=None):
+def integrate(f, y0, t_span, cfg=None, record=True, section=None, max_crossings=1):
     """Integrate y' = f(t, y) over t_span (backward if t1 < t0).
 
-    ``step_hook(t_prev, y_prev, t_new, y_new, h)`` runs after each accepted
-    step; returning True stops integration early (used for event scans).
+    With a ``section``, every accepted step that crosses it is landed on the
+    hyperplane (see ``_land``) and the landing ``(t, y)`` is appended to
+    ``crossings``; integration goes on from the step end with the current
+    step size and stops at the ``max_crossings``-th landing, which then
+    replaces the step end as the final (and, if recording, last) row.
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"non-finite integration span {t_span}")
     if t0 == t1:
         raise ValueError("empty integration span")
+    if section is not None and max_crossings < 1:
+        raise ValueError("max_crossings must be >= 1")
     direction = 1.0 if t1 > t0 else -1.0
     y = np.asarray(y0, dtype=float).copy()
     t = t0
     h = direction * min(cfg.h_init, cfg.h_max, abs(t1 - t0))
     ts = [t0]
     ys = [y.copy()]
+    crossings = []
     n_acc = 0
     n_rej = 0
     attempts = 0
@@ -148,100 +172,89 @@ def integrate(f, y0, t_span, cfg=None, record=True, step_hook=None):
         attempts += 1
         if attempts > cfg.max_steps:
             raise MaxStepsExceeded(f"exceeded {cfg.max_steps} step attempts at t={t}")
-        if (t + h - t1) * direction > 0.0:
+        clipped = abs(h) >= abs(t1 - t)
+        if clipped:
             h = t1 - t
         y_new, err = rkf78_step(f, t, y, h)
         enorm = _error_norm(err, y, y_new, cfg)
         if enorm <= 1.0:
             t_prev, y_prev = t, y
-            t = t + h
+            # a step clipped to the span end lands on it exactly: t + (t1 - t)
+            # may round short of t1 and leave a sub-ulp tail step
+            t = t1 if clipped else t + h
             y = y_new
             n_acc += 1
             if record:
                 ts.append(t)
                 ys.append(y.copy())
-            stop = False
-            if step_hook is not None:
-                stop = step_hook(t_prev, y_prev, t, y, h)
+            if section is not None and section.crossed(y_prev, y):
+                crossings.append(_land(f, section, t_prev, y_prev, t, y, cfg))
+                if len(crossings) == max_crossings:
+                    t, y = crossings[-1]
+                    if record:
+                        ts[-1] = t
+                        ys[-1] = y.copy()
+                    break
             factor = _GROW if enorm == 0.0 else min(
                 _GROW, max(_SHRINK, _SAFETY * enorm**_ORDER_EXP)
             )
             h *= factor
             if abs(h) > cfg.h_max:
                 h = direction * cfg.h_max
-            if stop:
-                break
         else:
             n_rej += 1
             h *= max(_SHRINK, _SAFETY * enorm**_ORDER_EXP)
-        if abs(h) < cfg.h_min:
+        if abs(h) < cfg.h_min and (t1 - t) * direction > 0.0:
             raise StepSizeUnderflow(f"step size {abs(h):.3e} below h_min at t={t}")
     if not record:
         ts.append(t)
         ys.append(y.copy())
-    return Trajectory(np.array(ts), np.array(ys), n_acc, n_rej)
+    return Trajectory(np.array(ts), np.array(ys), n_acc, n_rej, crossings)
 
 
-def _crossed(g0, g1, direction):
-    if g0 == 0.0 or g0 * g1 >= 0.0:
-        return False
-    if direction > 0:
-        return g1 > 0.0
-    if direction < 0:
-        return g1 < 0.0
-    return True
+def _land(f, section, t0, y0, t1, y1, cfg):
+    """Land on the section inside the accepted step (t0, y0) -> (t1, y1).
 
-
-def _refine_event(f, event, t0, y0, h):
-    """Bisect the crossing inside an accepted step by re-stepping from its start."""
-    lo, hi = 0.0, h
-    g_lo = event.fn(y0)
-    y_hi, _ = rkf78_step(f, t0, y0, h)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        y_mid, _ = rkf78_step(f, t0, y0, mid) if mid != 0.0 else (y0.copy(), None)
-        g_mid = event.fn(y_mid)
-        if abs(g_mid) <= event.tol:
-            return t0 + mid, y_mid
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo = mid
-            g_lo = g_mid
-        else:
-            hi = mid
-            y_hi = y_mid
-        if abs(hi - lo) <= 1e-15 * max(1.0, abs(h)):
-            break
-    return t0 + hi, y_hi
-
-
-def integrate_to_event(f, y0, event, cfg=None, t_span=(0.0, 1e4), t_skip=0.0):
-    """Run until the event function changes sign in the requested direction.
-
-    Returns (state_at_event, t_event).  Crossings with t < t0 + t_skip are
-    ignored (so orbits started on a section do not immediately retrigger).
-    Raises EventNotFound if the horizon or step budget runs out first.
+    Henon's trick (Physica D 5 (1982) 412-414): with s = y[k] as the
+    independent variable the flow reads dy/ds = f/f_k, dt/ds = 1/f_k, so one
+    RKF78 step of length value - s from the nearer end of the step reaches
+    the hyperplane.  Its embedded error is checked like any step; only if it
+    fails is the same system integrated adaptively in s.  Returns (t, y)
+    with y[k] == value exactly.
     """
-    cfg = cfg or IntegratorConfig()
-    hit = {}
+    k, value = section.component, section.value
+    if abs(y1[k] - value) <= abs(y0[k] - value):
+        t, y = t1, y1
+    else:
+        t, y = t0, y0
+    y_hit = y.copy()
+    if y[k] != value:
 
-    t0 = float(t_span[0])
+        def g(s, z):
+            dy = f(z[-1], z[:-1])
+            out = np.empty(z.size)
+            out[:-1] = dy / dy[k]
+            out[-1] = 1.0 / dy[k]
+            return out
 
-    def hook(t_prev, y_prev, t_new, y_new, h):
-        if abs(t_new - t0) <= t_skip:
-            return False
-        g0 = event.fn(y_prev)
-        g1 = event.fn(y_new)
-        if _crossed(g0, g1, event.direction):
-            te, ye = _refine_event(f, event, t_prev, y_prev, h)
-            if abs(te - t0) > t_skip:
-                hit["t"] = te
-                hit["y"] = ye
-                return True
-        return False
+        z = np.append(y, t)
+        z_hit, err = rkf78_step(g, y[k], z, value - y[k])
+        if not _error_norm(err, z, z_hit, cfg) <= 1.0:
+            z_hit = integrate(g, z, (y[k], value), cfg, record=False).final
+        y_hit = z_hit[:-1].copy()
+        t = float(z_hit[-1])
+    y_hit[k] = value
+    return t, y_hit
 
-    integrate(f, y0, t_span, cfg, record=False, step_hook=hook)
-    if "t" not in hit:
-        raise EventNotFound(
-            f"no qualifying sign change of the event function in t_span={t_span}"
-        )
-    return hit["y"], hit["t"]
+
+def integrate_to_event(f, y0, section, cfg=None, t_span=(0.0, 1e4)):
+    """Run until the first crossing of ``section``; returns (state, t_event).
+
+    The state lies on the section exactly.  Raises EventNotFound if the
+    horizon runs out first.
+    """
+    traj = integrate(f, y0, t_span, cfg, record=False, section=section)
+    if not traj.crossings:
+        raise EventNotFound(f"no qualifying crossing of {section} in t_span={t_span}")
+    t, y = traj.crossings[0]
+    return y, t

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, fsolve
 
-from . import kernels, melnikov
+from . import kernels, melnikov, ode
 from .errors import EventNotFound
 from .model import TWO_PI, wrap_angle
-from .ode import EventSpec, IntegratorConfig, integrate_to_event
+# integrate_to_event is unused here but stays a module attribute: the span
+# tracer in perfbench/spans.py rebinds it by name
+from .ode import IntegratorConfig, Section, integrate_to_event  # noqa: F401
 
 
 @dataclass
@@ -118,32 +120,27 @@ def poincare_section(
     """Crossings of the hyperplane I1 = section_i1 for scattering-flow orbits.
 
     ``seeds`` is a list of (i1, i2, theta1_guess, theta2); each seed is first
-    moved onto the L*_j = level set by a 1D root solve in theta1.  Returns a
-    list of SectionPoint records ordered by orbit then time.  Raises
-    EventNotFound if an orbit never crosses (e.g. a seed at an equilibrium).
+    moved onto the L*_j = level set by a 1D root solve in theta1, then
+    integrated once over (0, t_max), collecting up to ``max_crossings``
+    landings on the section.  Returns a list of SectionPoint records ordered
+    by orbit then time.  Raises EventNotFound if an orbit never crosses
+    (e.g. a seed at an equilibrium).
     """
     cfg = cfg or IntegratorConfig(h_max=10.0)
     f = flow_rhs(j, params)
-    event = EventSpec(fn=lambda y: y[0] - section_i1, direction=direction, tol=1e-12)
+    section = Section(0, section_i1, direction)
     out = []
     for orbit_id, (i1, i2, th1g, th2) in enumerate(seeds):
         y = adjust_seed_to_level(j, i1, i2, th1g, th2, level, params, width=adjust_width)
-        t = 0.0
-        got = 0
-        while got < max_crossings and t < t_max:
-            try:
-                y, te = integrate_to_event(
-                    f, y, event, cfg, t_span=(t, t_max), t_skip=1e-9
-                )
-            except EventNotFound:
-                if got == 0:
-                    raise EventNotFound(
-                        f"orbit {orbit_id} never crossed I1={section_i1}"
-                    ) from None
-                break
-            out.append(SectionPoint(orbit_id, te, y[1], float(wrap_angle(y[3])), y.copy()))
-            t = te
-            got += 1
+        # ode.integrate is looked up on the module, so rebinding it reaches here
+        traj = ode.integrate(
+            f, y, (0.0, t_max), cfg, record=False, section=section,
+            max_crossings=max_crossings,
+        )
+        if not traj.crossings:
+            raise EventNotFound(f"orbit {orbit_id} never crossed I1={section_i1}")
+        for te, ye in traj.crossings:
+            out.append(SectionPoint(orbit_id, te, ye[1], float(wrap_angle(ye[3])), ye))
     return out
 
 

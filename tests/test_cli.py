@@ -93,6 +93,50 @@ class TestConfig:
             line.startswith("config error:") for line in capsys.readouterr().err.splitlines()
         )
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("n_seeds = 2", "n_seeds = 0"),
+            ("max_crossings = 2", "max_crossings = 0"),
+            ("t_max = 50", "t_max = nan"),
+            ("t_max = 50", "t_max = 0"),
+            ("3.9269908169872414,3.9269908169872414\ntheta2_lo", "3.9269908169872414\ntheta2_lo"),
+        ],
+    )
+    def test_bad_poincare_input_exit_code(self, cfg_file, tmp_path, capsys, old, new):
+        text = cfg_file.read_text() + (
+            "\n[poincare]\nlevel_point = 0,0,3.9269908169872414,3.9269908169872414\n"
+            "theta2_lo = 3.8\ntheta2_hi = 4.0\nn_seeds = 2\nt_max = 50\n"
+            "max_crossings = 2\n"
+        )
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new))
+        assert main(["poincare", str(bad)]) == 2
+        assert any(
+            line.startswith("config error:") for line in capsys.readouterr().err.splitlines()
+        )
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("n_seeds = 2", "n_seeds = 0"),
+            ("i2_to = 7", "i2_to = nan"),
+            ("i2_to = 7", "i2_to = -7"),  # equal to i2_from
+            ("drift_tol = 1e-7", "drift_tol = 0"),
+        ],
+    )
+    def test_bad_highway_input_exit_code(self, cfg_file, tmp_path, capsys, old, new):
+        text = cfg_file.read_text() + (
+            "\n[highway]\ni2_from = -7\ni2_to = 7\ni1_lo = 7\ni1_hi = 7.5\n"
+            "n_seeds = 2\ndrift_tol = 1e-7\n"
+        )
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new))
+        assert main(["highway", str(bad)]) == 2
+        assert any(
+            line.startswith("config error:") for line in capsys.readouterr().err.splitlines()
+        )
+
     def test_env_output_override(self, cfg_file, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("ARNOLDDIFF_OUTDIR", str(target))

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from arnolddiff import highway, melnikov, scattering
+from arnolddiff import highway, melnikov, ode, scattering
 from arnolddiff.errors import AsymptoticsUnreliable, LevelDrift
 from arnolddiff.model import ModelParams
-from arnolddiff.ode import EventSpec, IntegratorConfig, integrate_to_event
+from arnolddiff.ode import IntegratorConfig, Section, integrate_to_event
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,15 +116,34 @@ class TestTrace:
         assert np.all(np.diff(orb.states[:, 1]) > -1e-12)
         assert orb.branch_label == highway.BRANCH_UP
 
+    def test_one_integration_per_trace(self, params, monkeypatch):
+        # the stop crossing is landed inside the single recorded pass
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(args[2])
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(highway, "integrate", counting(highway.integrate))
+        monkeypatch.setattr(ode, "integrate", counting(ode.integrate))
+        st, _ = highway.highway_seed(7.0, -7.0, params)
+        orb = highway.highway_trace(st, params, stop=(1, 0.0, +1))
+        assert len(calls) == 1
+        assert orb.states[-1, 1] == 0.0
+        assert orb.states[-2, 1] < 0.0 and orb.t[-2] < orb.t[-1]
+
     def test_forward_backward_glue(self, params):
         # forward to the matching section, then backward to the seed section:
         # the round trip reproduces the seed
         st, _ = highway.highway_seed(7.0, -7.0, params)
         f = scattering.flow_rhs(0, params)
         cfg = IntegratorConfig(h_max=5e4, max_steps=4_000_000)
-        ev0 = EventSpec(fn=lambda y: y[1], direction=+1, tol=1e-12)
+        ev0 = Section(1, 0.0, direction=+1)
         y_mid, t_mid = integrate_to_event(f, st, ev0, cfg, t_span=(0.0, 1e9))
-        ev_back = EventSpec(fn=lambda y: y[1] + 7.0, direction=-1, tol=1e-12)
+        ev_back = Section(1, -7.0, direction=-1)
         y_back, _ = integrate_to_event(f, y_mid, ev_back, cfg, t_span=(0.0, -1e9))
         assert np.abs(y_back - st).max() < 1e-6
 

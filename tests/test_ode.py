@@ -5,9 +5,10 @@ import pytest
 
 from arnolddiff.errors import EventNotFound, MaxStepsExceeded, StepSizeUnderflow
 from arnolddiff.model import ModelParams, rhs, separatrix
+from arnolddiff import ode
 from arnolddiff.ode import (
-    EventSpec,
     IntegratorConfig,
+    Section,
     fixed_step_integrate,
     integrate,
     integrate_to_event,
@@ -83,27 +84,75 @@ class TestIntegrate:
 
 class TestEvents:
     def test_harmonic_quarter_period(self):
-        ev = EventSpec(fn=lambda y: y[0], direction=-1, tol=1e-13)
+        ev = Section(0, 0.0, direction=-1)
         y, t = integrate_to_event(harmonic, [1.0, 0.0], ev, t_span=(0.0, 10.0))
         assert abs(t - math.pi / 2) < 1e-9
         assert abs(y[0]) < 1e-12
 
     def test_direction_filter(self):
         # x crosses zero upward only at t = 3pi/2
-        ev = EventSpec(fn=lambda y: y[0], direction=+1, tol=1e-13)
+        ev = Section(0, 0.0, direction=+1)
         _y, t = integrate_to_event(harmonic, [1.0, 0.0], ev, t_span=(0.0, 10.0))
         assert abs(t - 3 * math.pi / 2) < 1e-9
 
     def test_no_crossing(self):
-        ev = EventSpec(fn=lambda y: 1.0, direction=0)
+        ev = Section(0, 2.0)  # beyond the unit amplitude
         with pytest.raises(EventNotFound):
             integrate_to_event(harmonic, [1.0, 0.0], ev, t_span=(0.0, 5.0))
 
     def test_skip_initial_section(self):
         # starting exactly on the section must not retrigger immediately
-        ev = EventSpec(fn=lambda y: y[0], direction=0, tol=1e-13)
-        _y, t = integrate_to_event(harmonic, [0.0, 1.0], ev, t_span=(0.0, 10.0), t_skip=1e-6)
+        ev = Section(0, 0.0, direction=0)
+        _y, t = integrate_to_event(harmonic, [0.0, 1.0], ev, t_span=(0.0, 10.0))
         assert abs(t - math.pi) < 1e-9
+
+    @pytest.mark.parametrize("t_end, t_cross", [(10.0, math.pi / 2), (-10.0, -math.pi / 2)])
+    def test_landing_exact_on_section(self, t_end, t_cross):
+        # Henon landing: the crossing state lies on the hyperplane exactly
+        y, t = integrate_to_event(harmonic, [1.0, 0.0], Section(0, 0.0), t_span=(0.0, t_end))
+        assert y[0] == 0.0
+        assert abs(t - t_cross) < 1e-12
+        assert abs(abs(y[1]) - 1.0) < 1e-12
+
+    def test_landings_collected_in_one_pass(self, monkeypatch):
+        # every landing costs one RKF78 step beyond the accepted and rejected ones
+        calls = []
+        step = ode.rkf78_step
+
+        def counting(f, t, y, h):
+            calls.append(h)
+            return step(f, t, y, h)
+
+        monkeypatch.setattr(ode, "rkf78_step", counting)
+        traj = integrate(
+            harmonic, [1.0, 0.0], (0.0, 20.0), section=Section(0, 1e-5), max_crossings=5
+        )
+        assert len(calls) == traj.n_accepted + traj.n_rejected + len(traj.crossings)
+        times = [t for t, _y in traj.crossings]
+        c = math.acos(1e-5)
+        expect = [c, 2 * math.pi - c, 2 * math.pi + c, 4 * math.pi - c, 4 * math.pi + c]
+        assert np.abs(np.array(times) - expect).max() < 1e-11
+        # exact even where y_k + (value - y_k) would round off value
+        assert all(y[0] == 1e-5 for _t, y in traj.crossings)
+        # integration stops at the last landing, which is the final row
+        assert traj.t[-1] == times[-1]
+        assert traj.final[0] == 1e-5
+
+
+def test_span_end_without_tail_step():
+    # t0 + (t1 - t0) rounds one ulp short of t1: the clipped step must end
+    # on t1 itself, with no sub-ulp tail step tripping h_min
+    t0, t1 = 0.03369556214824249, 0.09783874819338946
+    traj = integrate(harmonic, [1.0, 0.0], (t0, t1), IntegratorConfig(h_init=t1 - t0))
+    assert traj.t[-1] == t1
+    assert traj.n_accepted == 1
+    dt = t1 - t0
+    assert np.abs(traj.final - [math.cos(dt), -math.sin(dt)]).max() < 1e-15
+
+
+def test_non_finite_span_rejected():
+    with pytest.raises(ValueError):
+        integrate(harmonic, [1.0, 0.0], (0.0, math.nan))
 
 
 def test_single_step_error_estimate():

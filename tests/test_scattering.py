@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from arnolddiff import melnikov, scattering
+from arnolddiff import melnikov, ode, scattering
 from arnolddiff.errors import EventNotFound
 from arnolddiff.model import ModelParams
 from arnolddiff.ode import IntegratorConfig, integrate
@@ -139,6 +139,24 @@ class TestSection:
             assert abs(p.state[0]) < 1e-9  # on the section
             got = melnikov.reduced_poincare(0, p.state, params_fig5)
             assert abs(got - lvl) < 1e-8  # on the level
+
+    def test_one_integration_per_orbit(self, params_fig5, monkeypatch):
+        calls = []
+        real = ode.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ode, "integrate", counting)
+        lvl = self.level(params_fig5)
+        seeds = [(0.0, 0.0, 5 * math.pi / 4, 5 * math.pi / 4 + d) for d in (-0.1, 0.0, 0.1)]
+        pts = scattering.poincare_section(
+            0, lvl, 0.0, seeds, t_max=120.0, params=params_fig5, max_crossings=4
+        )
+        assert calls == [(0.0, 120.0)] * len(seeds)
+        assert [sum(p.orbit == k for p in pts) for k in range(len(seeds))] == [4] * len(seeds)
+        assert all(p.state[0] == 0.0 for p in pts)  # landed exactly on I1 = 0
 
     def test_equilibrium_seed_never_returns(self, params):
         with pytest.raises(EventNotFound):
