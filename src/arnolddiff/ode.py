@@ -5,10 +5,11 @@ The 13-stage Fehlberg tableau is used with local extrapolation (the
 estimate).  Every section here is a coordinate hyperplane y[k] = c
 (``Section``).  When an accepted step crosses one, the crossing is landed
 on with Henon's trick: one extra RKF78 step with y[k] as the independent
-variable, from the nearer end of the step to y[k] = c.  No dense-output
-interpolant and no bisection are needed, the crossing state satisfies
-y[k] == c exactly, and the integration goes on from the step end, so one
-pass collects any number of crossings.
+variable, from the nearer end of the step at which y[k] moves toward c, to
+y[k] = c.  No dense-output interpolant is needed, the crossing state
+satisfies y[k] == c exactly, and the integration goes on from the step end,
+so one pass collects any number of crossings.  Only a step in which y[k]
+turns near the crossing at both ends is halved before landing.
 """
 
 import csv
@@ -158,6 +159,10 @@ def integrate(f, y0, t_span, cfg=None, record=True, section=None, max_crossings=
         raise ValueError("empty integration span")
     if section is not None and max_crossings < 1:
         raise ValueError("max_crossings must be >= 1")
+    return _integrate(f, y0, t0, t1, cfg, record, section, max_crossings)
+
+
+def _integrate(f, y0, t0, t1, cfg, record, section, max_crossings):
     direction = 1.0 if t1 > t0 else -1.0
     y = np.asarray(y0, dtype=float).copy()
     t = t0
@@ -217,34 +222,67 @@ def _land(f, section, t0, y0, t1, y1, cfg):
 
     Henon's trick (Physica D 5 (1982) 412-414): with s = y[k] as the
     independent variable the flow reads dy/ds = f/f_k, dt/ds = 1/f_k, so one
-    RKF78 step of length value - s from the nearer end of the step reaches
-    the hyperplane.  Its embedded error is checked like any step; only if it
-    fails is the same system integrated adaptively in s.  Returns (t, y)
-    with y[k] == value exactly.
+    RKF78 step of length value - s reaches the hyperplane.  It starts from
+    the nearer end of the step at which y[k] moves toward the section (f_k
+    has the sign of (y1[k] - y0[k]) / (t1 - t0)); a landing time outside
+    the step is refused.  If neither end gives a landing, y[k] turns near
+    the crossing at both ends: the step is halved and the half that crosses
+    is landed on.  Returns (t, y) with y[k] == value exactly.
     """
     k, value = section.component, section.value
-    if abs(y1[k] - value) <= abs(y0[k] - value):
-        t, y = t1, y1
-    else:
-        t, y = t0, y0
-    y_hit = y.copy()
-    if y[k] != value:
+    while y1[k] != value:
+        ends = ((t1, y1), (t0, y0))
+        if abs(y0[k] - value) < abs(y1[k] - value):
+            ends = ends[::-1]
+        rate = (y1[k] - y0[k]) * (t1 - t0)
+        for t, y in ends:
+            if f(t, y)[k] * rate > 0.0:
+                hit = _henon_step(f, k, value, t, y, cfg)
+                if hit is not None and min(t0, t1) <= hit[0] <= max(t0, t1):
+                    return hit
+        h = 0.5 * (t1 - t0)
+        if abs(h) < cfg.h_min:
+            raise StepSizeUnderflow(f"cannot land on {section} in a step of {abs(h):.3e}")
+        # a half of an accepted step needs no error check
+        y_mid, _err = rkf78_step(f, t0, y0, h)
+        if (y_mid[k] - value) * (y0[k] - value) <= 0.0:
+            t1, y1 = t0 + h, y_mid
+        else:
+            t0, y0 = t0 + h, y_mid
+    return t1, y1.copy()
 
-        def g(s, z):
-            dy = f(z[-1], z[:-1])
-            out = np.empty(z.size)
-            out[:-1] = dy / dy[k]
-            out[-1] = 1.0 / dy[k]
-            return out
 
-        z = np.append(y, t)
+def _henon_step(f, k, value, t, y, cfg):
+    """(t, y) where the orbit through (t, y) meets y[k] = value, or None.
+
+    One RKF78 step in s = y[k], checked with its embedded error; only if
+    that check fails is the same system integrated adaptively in s.  Those
+    steps are not steps of the orbit, so a trace counting accepted and
+    rejected steps of ``integrate`` sees them as event re-steps.  None if
+    f_k vanishes on the way (the adaptive steps underflow or the state is
+    not finite).
+    """
+
+    def g(s, z):
+        dy = f(z[-1], z[:-1])
+        out = np.empty(z.size)
+        out[:-1] = dy / dy[k]
+        out[-1] = 1.0 / dy[k]
+        return out
+
+    z = np.append(y, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z_hit, err = rkf78_step(g, y[k], z, value - y[k])
         if not _error_norm(err, z, z_hit, cfg) <= 1.0:
-            z_hit = integrate(g, z, (y[k], value), cfg, record=False).final
-        y_hit = z_hit[:-1].copy()
-        t = float(z_hit[-1])
+            try:
+                z_hit = _integrate(g, z, y[k], value, cfg, False, None, 1).final
+            except StepSizeUnderflow:
+                return None
+    if not np.all(np.isfinite(z_hit)):
+        return None
+    y_hit = z_hit[:-1].copy()
     y_hit[k] = value
-    return t, y_hit
+    return float(z_hit[-1]), y_hit
 
 
 def integrate_to_event(f, y0, section, cfg=None, t_span=(0.0, 1e4)):

@@ -20,6 +20,10 @@ def harmonic(t, y):
     return np.array([y[1], -y[0]])
 
 
+def projectile(t, y):
+    return np.array([y[1], -1.0])
+
+
 class TestIntegrate:
     def test_harmonic_period(self):
         traj = integrate(harmonic, [1.0, 0.0], (0.0, 2 * math.pi))
@@ -137,6 +141,107 @@ class TestEvents:
         # integration stops at the last landing, which is the final row
         assert traj.t[-1] == times[-1]
         assert traj.final[0] == 1e-5
+
+    @pytest.mark.parametrize(
+        "f, y0, t_span, value, t_cross",
+        [
+            # x = sin t rises through 0.9999, peaks at pi/2, ends above it
+            (harmonic, [math.sin(1.45), math.cos(1.45)], (1.45, 1.58), 0.9999,
+             math.asin(0.9999)),
+            # x = t - t^2/2 rises through 0.4, peaks at t = 1, ends above it
+            (projectile, [0.0, 1.0], (0.0, 1.3), 0.4, 1.0 - math.sqrt(0.2)),
+        ],
+    )
+    def test_turn_after_crossing_lands_inside_step(
+        self, monkeypatch, f, y0, t_span, value, t_cross
+    ):
+        # one step spans crossing and turn; its end is nearer the section but
+        # y[k] moves away from it there, so the landing starts from the step start
+        starts = []
+        step = ode.rkf78_step
+
+        def recording(g, s, z, h):
+            starts.append(z[-1])   # the landing system carries t last
+            return step(g, s, z, h)
+
+        monkeypatch.setattr(ode, "rkf78_step", recording)
+        cfg = IntegratorConfig(h_init=t_span[1] - t_span[0])
+        traj = integrate(f, y0, t_span, cfg, section=Section(0, value, +1))
+        assert traj.n_accepted == 1 and traj.n_rejected == 0
+        assert starts[1] == t_span[0]
+        t, y = traj.crossings[0]
+        assert t_span[0] < t < t_span[1]
+        assert abs(t - t_cross) < 1e-10
+        assert y[0] == value
+
+    def test_turn_at_both_ends_halves_step(self):
+        # x = -(t^3/3 - 2 t^2 + 3 t) falls, rises through -0.5 on (1, 3) and
+        # falls again: at both ends of the step (0.5, 3.5) x moves away from
+        # the upward crossing, so the step is halved before landing
+        def cubic(t, y):
+            return np.array([-(t - 1.0) * (t - 3.0)])
+
+        def x(t):
+            return -(t**3 / 3 - 2 * t**2 + 3 * t)
+
+        t_cross = 2.0
+        for _ in range(50):
+            t_cross -= (x(t_cross) + 0.5) / cubic(t_cross, None)[0]
+        traj = integrate(
+            cubic, [x(0.5)], (0.5, 3.5), IntegratorConfig(h_init=3.0), section=Section(0, -0.5, +1)
+        )
+        assert traj.n_accepted == 1
+        t, y = traj.crossings[0]
+        assert abs(t - t_cross) < 1e-11
+        assert y[0] == -0.5
+
+    def test_landing_outside_step_refused(self, monkeypatch):
+        # a landing time outside the accepted step is never returned
+        henon = ode._henon_step
+        bad = []
+
+        def outside_once(f, k, value, t, y, cfg):
+            hit = henon(f, k, value, t, y, cfg)
+            if not bad:
+                bad.append(hit)
+                return hit[0] + 100.0, hit[1]
+            return hit
+
+        monkeypatch.setattr(ode, "_henon_step", outside_once)
+        y, t = integrate_to_event(harmonic, [1.0, 0.0], Section(0, 0.0, -1), t_span=(0.0, 10.0))
+        assert bad
+        assert y[0] == 0.0
+        assert abs(t - math.pi / 2) < 1e-12
+
+    def test_adaptive_landing_fallback(self, monkeypatch):
+        # fail the first error check of a landing step (the landing system
+        # carries t, so its state has one more component): the same system
+        # is then integrated adaptively in s, outside the orbit's step counts
+        norm = ode._error_norm
+        failed = []
+
+        def failing_once(err, y0, y1, cfg):
+            if err.size == 3 and not failed:
+                failed.append(True)
+                return math.inf
+            return norm(err, y0, y1, cfg)
+
+        calls = []
+        step = ode.rkf78_step
+
+        def counting(f, t, y, h):
+            calls.append(h)
+            return step(f, t, y, h)
+
+        monkeypatch.setattr(ode, "_error_norm", failing_once)
+        monkeypatch.setattr(ode, "rkf78_step", counting)
+        traj = integrate(harmonic, [1.0, 0.0], (0.0, 10.0), section=Section(0, 0.0, -1))
+        assert failed
+        t, y = traj.crossings[0]
+        assert y[0] == 0.0
+        assert abs(t - math.pi / 2) < 1e-12
+        # the failed landing step plus at least one adaptive step in s
+        assert len(calls) >= traj.n_accepted + traj.n_rejected + 2
 
 
 def test_span_end_without_tail_step():
