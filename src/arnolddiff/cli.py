@@ -10,7 +10,6 @@ Exit codes: 0 ok, 2 config error, 3 domain error, 4 invariant violation.
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -18,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, diffusion, highway, inner, kernels, melnikov, scattering
-from .config import RunConfig, write_metadata
+from .config import RunConfig, write_json, write_metadata
 from .errors import ArnolddiffError, ConfigError, InvariantViolation
 from .model import TWO_PI, ModelParams, hamiltonian, separatrix, vector_field, wrap_angle
 from .ode import IntegratorConfig
@@ -34,10 +33,14 @@ def _row(w, values):
 
 
 def _summary(outdir, command, data):
-    path = os.path.join(outdir, f"{command}_summary.json")
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-    return path
+    return write_json(os.path.join(outdir, f"{command}_summary.json"), command, data)
+
+
+def _require_actions(section, i1, i2, grid):
+    if not (math.isfinite(i1) and math.isfinite(i2)):
+        raise ConfigError(f"non-finite i1 or i2 in [{section}]")
+    if grid < 1:
+        raise ConfigError(f"[{section}] grid must be >= 1")
 
 
 def cmd_crest(cfg, outdir):
@@ -45,6 +48,7 @@ def cmd_crest(cfg, outdir):
     i1 = cfg.get("crest", "i1", float)
     i2 = cfg.get("crest", "i2", float)
     n = cfg.get("crest", "grid", int, default=128)
+    _require_actions("crest", i1, i2, n)
     info = melnikov.classify_crest(i1, i2, params)
     ph = np.linspace(0.0, TWO_PI, n, endpoint=False)
     path = os.path.join(outdir, "crest.csv")
@@ -89,6 +93,7 @@ def cmd_tau(cfg, outdir):
     i1 = cfg.get("tau", "i1", float)
     i2 = cfg.get("tau", "i2", float)
     n = cfg.get("tau", "grid", int, default=64)
+    _require_actions("tau", i1, i2, n)
     th = np.linspace(0.0, TWO_PI, n, endpoint=False)
     path = os.path.join(outdir, "tau.csv")
     fh, w = _writer(path)

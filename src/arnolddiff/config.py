@@ -14,7 +14,7 @@ import math
 import os
 import time
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation
 from .model import ModelParams
 from .ode import IntegratorConfig
 
@@ -147,7 +147,15 @@ def write_metadata(outdir, command, config, extra=None):
     }
     if extra:
         meta.update(extra)
-    path = os.path.join(outdir, f"{command}_metadata.json")
+    return write_json(os.path.join(outdir, f"{command}_metadata.json"), command, meta)
+
+
+def write_json(path, command, data):
+    """Write `data` as strict JSON; a NaN or infinity is an InvariantViolation."""
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantViolation(f"{command}: cannot write {path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write(text)
     return path

@@ -11,6 +11,20 @@ the same signatures; the package picks one at import time.
 Conventions: branch surfaces are indexed by an integer j, with offset
 ``xi_j(phi) = pi*j - (-1)**j * asin(mu1*alpha(w1)*sin(phi1) + mu2*alpha(w2)*sin(phi2))``
 so consecutive branches sit ~pi apart in s and ``tau_star(j) ~ -pi*j``.
+
+Work per right-hand side: ``_coeffs`` returns A and A' of one rotor from a
+single sinh(pi*w/2) (plus a cosh when |pi*w/2| >= 1), and ``coeff`` and
+``coeff_deriv`` are views of it, so the A formula and the A' series exist
+once; A3 = A(1, a3) is ``2*pi*a3 / SINH_HALF_PI`` with the same bits.
+``tau_star`` runs its Newton loop inline and never evaluates g at the low
+end of its bracket: g(lo) = -kappa - 1e-9 + sgn*asin(X) with |X| <= smax and
+kappa = asin(smax), so g(lo) < 0 up to rounding of pi*j (|j| < 2**18), and
+an iterate with g < 0 (or NaN) becomes the new low end.  Both changes keep
+every returned value bit for bit (tests/test_kernels_parity.py); two input
+classes that used to raise now return: 0 < |pi*w/2| < 1.5e-162 (sinh**2
+underflowed in a division) and |lo*w| overflowing (sin(inf) at g(lo)).
+``lstar`` and ``lstar_grad`` look ``tau_star`` up as a module global on
+every call.
 """
 
 import math
@@ -41,18 +55,6 @@ def alpha(w):
     return w * w * SINH_HALF_PI / math.sinh(x)
 
 
-def coeff(w, a):
-    """Splitting coefficient A(w, a) = 2*pi*w*a / sinh(pi*w/2), = 4a at w = 0."""
-    x = 0.5 * math.pi * w
-    if abs(x) > _X_OVERFLOW:
-        return 0.0
-    if abs(x) < 0.1:
-        x2 = x * x
-        s = 1.0 - x2 / 6.0 + 7.0 * x2 * x2 / 360.0 - 31.0 * x2 * x2 * x2 / 15120.0
-        return 4.0 * a * s
-    return 2.0 * math.pi * w * a / math.sinh(x)
-
-
 # Series of x*cosh(x) - sinh(x) = sum_k 2k x^(2k+1) / (2k+1)!, k >= 1.
 _DCOEF = (
     1.0 / 3.0,
@@ -66,24 +68,43 @@ _DCOEF = (
 )
 
 
-def coeff_deriv(w, a):
-    """dA/dw; vanishes at w = 0 and is evaluated by series near it."""
+def _coeffs(w, a):
+    """(A(w, a), dA/dw) from one sinh(pi*w/2), plus one cosh when |pi*w/2| >= 1."""
     x = 0.5 * math.pi * w
     if abs(x) > _X_OVERFLOW:
-        return 0.0
+        return 0.0, 0.0
     sh = math.sinh(x)
     if abs(x) < 1.0:
-        # (sinh x - x cosh x) loses digits for small x; sum the series.
         x2 = x * x
+        if abs(x) < 0.1:
+            s = 1.0 - x2 / 6.0 + 7.0 * x2 * x2 / 360.0 - 31.0 * x2 * x2 * x2 / 15120.0
+            A = 4.0 * a * s
+        else:
+            A = 2.0 * math.pi * w * a / sh
+        # (sinh x - x cosh x) loses digits for small x; sum the series.
         p = 0.0
         for c in reversed(_DCOEF):
             p = (p + c) * x2
         num = -p * x  # = sinh x - x cosh x
     else:
+        A = 2.0 * math.pi * w * a / sh
         num = sh - x * math.cosh(x)
-    if sh == 0.0:
-        return 0.0
-    return 2.0 * math.pi * a * num / (sh * sh)
+    sh2 = sh * sh
+    if sh2 == 0.0:
+        # x == 0, or 0 < |x| < 1.5e-162 where sinh(x)**2 underflows (num
+        # has underflowed to a signed zero too): dA/dw = -2*pi*a*x/3 ~ 0.
+        return A, 0.0
+    return A, 2.0 * math.pi * a * num / sh2
+
+
+def coeff(w, a):
+    """Splitting coefficient A(w, a) = 2*pi*w*a / sinh(pi*w/2), = 4a at w = 0."""
+    return _coeffs(w, a)[0]
+
+
+def coeff_deriv(w, a):
+    """dA/dw; vanishes at w = 0 and is evaluated by series near it."""
+    return _coeffs(w, a)[1]
 
 
 def branch_offset(j, w1, w2, mu1, mu2, p1, p2):
@@ -114,28 +135,30 @@ def tau_star(j, w1, w2, mu1, mu2, t1, t2, tol=1e-14, guess=None):
     lo = -pj - kap - 1e-9
     hi = -pj + kap + 1e-9
 
-    def geval(tau):
-        x = b1 * math.sin(t1 - tau * w1) + b2 * math.sin(t2 - tau * w2)
+    tau = guess if (guess is not None and lo < guess < hi) else 0.5 * (lo + hi)
+    # g(lo) = -kap - 1e-9 + sgn*asin(X) with |X| <= smax and kap = asin(smax),
+    # so g(lo) <= -1e-9 + O(ulp(pi*j)) < 0 for every finite input with
+    # |j| < 2**18: the root lies above any iterate where g < 0.  A NaN g
+    # moves lo, as it did when g(lo) was evaluated and came out NaN too.
+    it = 0
+    for it in range(1, 121):
+        ps1 = t1 - tau * w1
+        ps2 = t2 - tau * w2
+        x = b1 * math.sin(ps1) + b2 * math.sin(ps2)
         if x > 1.0:
             x = 1.0
         elif x < -1.0:
             x = -1.0
         g = tau + pj + sgn * math.asin(x)
-        dx = -(b1 * w1 * math.cos(t1 - tau * w1) + b2 * w2 * math.cos(t2 - tau * w2))
-        den = math.sqrt(max(1.0 - x * x, 1e-30))
-        return g, 1.0 + sgn * dx / den
-
-    tau = guess if (guess is not None and lo < guess < hi) else 0.5 * (lo + hi)
-    glo, _ = geval(lo)
-    it = 0
-    for it in range(1, 121):
-        g, dg = geval(tau)
         if abs(g) <= tol:
             return tau, g, it
-        if (g < 0.0) == (glo < 0.0):
-            lo = tau
-        else:
+        if g >= 0.0:
             hi = tau
+        else:
+            lo = tau
+        dx = -(b1 * w1 * math.cos(ps1) + b2 * w2 * math.cos(ps2))
+        den = math.sqrt(max(1.0 - x * x, 1e-30))
+        dg = 1.0 + sgn * dx / den
         if dg > 0.0:
             cand = tau - g / dg
         else:
@@ -145,7 +168,8 @@ def tau_star(j, w1, w2, mu1, mu2, t1, t2, tol=1e-14, guess=None):
         tau = cand
         if hi - lo < 1e-16 * (1.0 + abs(tau)):
             break
-    g, _ = geval(tau)
+    x = b1 * math.sin(t1 - tau * w1) + b2 * math.sin(t2 - tau * w2)
+    g = tau + pj + sgn * math.asin(min(max(x, -1.0), 1.0))
     if abs(g) > 1e-10:
         raise ArithmeticError("tau_star iteration failed to converge")
     return tau, g, it
@@ -159,9 +183,9 @@ def lstar(j, a1, a2, a3, om1, om2, i1, i2, t1, t2, guess=None):
     mu2 = a2 / a3
     tau, _, _ = tau_star(j, w1, w2, mu1, mu2, t1, t2, guess=guess)
     v = (
-        coeff(w1, a1) * math.cos(t1 - w1 * tau)
-        + coeff(w2, a2) * math.cos(t2 - w2 * tau)
-        + coeff(1.0, a3) * math.cos(tau)
+        _coeffs(w1, a1)[0] * math.cos(t1 - w1 * tau)
+        + _coeffs(w2, a2)[0] * math.cos(t2 - w2 * tau)
+        + 2.0 * math.pi * a3 / SINH_HALF_PI * math.cos(tau)
     )
     return v, tau
 
@@ -184,9 +208,9 @@ def lstar_grad(j, a1, a2, a3, om1, om2, i1, i2, t1, t2, guess=None):
     tau, _, _ = tau_star(j, w1, w2, mu1, mu2, t1, t2, guess=guess)
     ps1 = t1 - w1 * tau
     ps2 = t2 - w2 * tau
-    A1 = coeff(w1, a1)
-    A2 = coeff(w2, a2)
-    A3 = coeff(1.0, a3)
+    A1, dA1 = _coeffs(w1, a1)
+    A2, dA2 = _coeffs(w2, a2)
+    A3 = 2.0 * math.pi * a3 / SINH_HALF_PI  # = coeff(1.0, a3), same bits
     s1 = math.sin(ps1)
     s2 = math.sin(ps2)
     c1 = math.cos(ps1)
@@ -194,8 +218,8 @@ def lstar_grad(j, a1, a2, a3, om1, om2, i1, i2, t1, t2, guess=None):
     val = A1 * c1 + A2 * c2 + A3 * math.cos(tau)
     dth1 = -A1 * s1
     dth2 = -A2 * s2
-    di1 = om1 * (coeff_deriv(w1, a1) * c1 + tau * A1 * s1)
-    di2 = om2 * (coeff_deriv(w2, a2) * c2 + tau * A2 * s2)
+    di1 = om1 * (dA1 * c1 + tau * A1 * s1)
+    di2 = om2 * (dA2 * c2 + tau * A2 * s2)
     return val, tau, di1, di2, dth1, dth2
 
 

@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from arnolddiff.cli import main
-from arnolddiff.config import RunConfig
+from arnolddiff import melnikov
+from arnolddiff.cli import _summary, main
+from arnolddiff.config import RunConfig, write_metadata
+from arnolddiff.errors import InvariantViolation
 
 BASE = """\
 [model]
@@ -136,6 +139,36 @@ class TestConfig:
         assert any(
             line.startswith("config error:") for line in capsys.readouterr().err.splitlines()
         )
+
+    @pytest.mark.parametrize("command", ["tau", "crest"])
+    @pytest.mark.parametrize(
+        "key, value", [("i1", "nan"), ("i1", "inf"), ("i2", "-inf"), ("grid", "0")]
+    )
+    def test_bad_action_input_exit_code(self, cfg_file, tmp_path, capsys, command, key, value):
+        head, sec, tail = cfg_file.read_text().partition(f"[{command}]\n")
+        tail = re.sub(rf"^{key} = .*$", f"{key} = {value}", tail, count=1, flags=re.M)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(head + sec + tail)
+        assert main([command, str(bad)]) == 2
+        assert any(
+            line.startswith("config error:") for line in capsys.readouterr().err.splitlines()
+        )
+
+    def test_summary_rejects_nan(self, tmp_path):
+        with pytest.raises(InvariantViolation, match="crest: .*crest_summary.json"):
+            _summary(str(tmp_path), "crest", {"tangency_margin": math.nan})
+        assert not (tmp_path / "crest_summary.json").exists()
+
+    def test_metadata_rejects_nan(self, cfg_file, tmp_path):
+        cfg = RunConfig.load(cfg_file)
+        with pytest.raises(InvariantViolation, match="tau: .*tau_metadata.json"):
+            write_metadata(str(tmp_path), "tau", cfg, extra={"x": math.inf})
+
+    def test_nan_summary_exits_4(self, cfg_file, capsys, monkeypatch):
+        monkeypatch.setattr(melnikov, "tangency_margin", lambda *a, **k: math.nan)
+        assert main(["crest", str(cfg_file)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: crest: ") and "crest_summary.json" in err
 
     def test_env_output_override(self, cfg_file, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
