@@ -581,7 +581,9 @@ def verify_scattering_jump(state, j, eps, params, T=None, cfg=None):
     raw = np.array([yf[2] - yb[2], yf[3] - yb[3]])
     _val, _tau, _dI, dTH = melnikov.reduced_poincare_grad(j, state, params)
     predicted = eps * dTH
-    disc = float(np.linalg.norm(measured - predicted))
+    # written out: np.linalg.norm is a BLAS dot whose rounding depends on the CPU kernel
+    d0, d1 = measured - predicted
+    disc = math.sqrt(d0 * d0 + d1 * d1)
     return JumpCheck(measured, predicted, disc, raw, T, d_end)
 
 
@@ -595,9 +597,7 @@ def _augmented_rhs(params):
     def f(t, y):
         d = frhs(sign, a1, a2, a3, om1, om2, eps, y[0], y[1], y[2], y[3], y[4], y[5], y[6])
         cqm1 = math.cos(y[1]) - 1.0
-        return np.array(
-            d + (eps * a1 * math.sin(y[4]) * cqm1, eps * a2 * math.sin(y[5]) * cqm1)
-        )
+        return d + (eps * a1 * math.sin(y[4]) * cqm1, eps * a2 * math.sin(y[5]) * cqm1)
 
     return f
 

@@ -70,7 +70,7 @@ def polish_seed_to_level(state, params, j=0, iters=8):
     for _ in range(iters):
         val, _tau, _dI, dTH = melnikov.reduced_poincare_grad(j, z, params)
         r = val - A3
-        n2 = float(dTH @ dTH)
+        n2 = float(dTH[0] * dTH[0] + dTH[1] * dTH[1])   # not a BLAS dot: same bits on every CPU
         if n2 == 0.0 or abs(r) < 1e-13:
             break
         z[2] -= r * dTH[0] / n2
@@ -176,10 +176,10 @@ def highway_trace(
     tau = np.empty(n)
     ls = np.empty(n)
     guess = None
-    for k in range(n):
+    for k, (i1, i2, t1, t2) in enumerate(traj.y.tolist()):
         val, tk = kernels.lstar(
             j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
-            traj.y[k, 0], traj.y[k, 1], traj.y[k, 2], traj.y[k, 3], guess,
+            i1, i2, t1, t2, guess,
         )
         tau[k] = tk
         ls[k] = val

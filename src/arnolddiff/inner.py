@@ -24,14 +24,12 @@ def inner_rhs(params):
     om1, om2, eps = params.Omega1, params.Omega2, params.eps
 
     def f(t, y):
-        return np.array(
-            [
-                eps * a1 * math.sin(y[2]),
-                eps * a2 * math.sin(y[3]),
-                om1 * y[0],
-                om2 * y[1],
-                1.0,
-            ]
+        return (
+            eps * a1 * math.sin(y[2]),
+            eps * a2 * math.sin(y[3]),
+            om1 * y[0],
+            om2 * y[1],
+            1.0,
         )
 
     return f

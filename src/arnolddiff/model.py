@@ -117,9 +117,7 @@ def rhs(params):
     frhs = kernels.full_rhs
 
     def f(t, y):
-        return np.array(
-            frhs(sign, a1, a2, a3, om1, om2, eps, y[0], y[1], y[2], y[3], y[4], y[5], y[6])
-        )
+        return frhs(sign, a1, a2, a3, om1, om2, eps, y[0], y[1], y[2], y[3], y[4], y[5], y[6])
 
     return f
 

@@ -10,9 +10,21 @@ y[k] = c.  No dense-output interpolant is needed, the crossing state
 satisfies y[k] == c exactly, and the integration goes on from the step end,
 so one pass collects any number of crossings.  Only a step in which y[k]
 turns near the crossing at both ends is halved before landing.
+
+The step runs on Python floats: states are lists, right-hand sides return
+tuples, and ``rkf78_step`` is straight-line code generated at import from
+the tableau (``_STEP_SOURCE``).  Every stage is summed left to right,
+``v + h * (a0*k0 + a1*k1 + ...)``, with no FMA and with the zero
+coefficients kept, so ``0 * inf`` still gives NaN.  A numpy matrix-vector
+product would leave the order of that sum to the BLAS kernel OpenBLAS picks
+for the CPU, and different kernels round differently; a fixed order makes
+every number a function of the inputs alone (it equals what numpy gives
+under ``OPENBLAS_CORETYPE=Sandybridge``).  Plain float arithmetic is also
+about twice as fast as numpy scalars on four- to nine-component states.
 """
 
 import csv
+import linecache
 import math
 from dataclasses import dataclass, field
 
@@ -66,7 +78,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0.0 < self.h_min <= self.h_init <= self.h_max):
             raise ValueError("need 0 < h_min <= h_init <= h_max")
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
+        # written so that NaN fails too
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be > 0")
 
 
@@ -115,31 +128,69 @@ class Trajectory:
                 w.writerow([f"{ti:.17g}"] + [f"{v:.17g}" for v in yi])
 
 
-def rkf78_step(f, t, y, h):
-    """One raw step; returns (y8, error_estimate_vector)."""
-    k = np.empty((13, y.size))
-    k[0] = f(t, y)
+def _step_source():
+    """Source of ``rkf78_step``: one line per stage, written out from the tableau.
+
+    Stage i sums a_i0*k0 + a_i1*k1 + ... left to right, zero coefficients
+    included; coefficients are float literals (repr round-trips exactly).
+    """
+
+    def stage(row, n):
+        xs = ", ".join(f"x{r}" for r in range(n))
+        ks = ", ".join(f"k{r}" for r in range(n))
+        terms = " + ".join(f"{float(row[r])!r} * x{r}" for r in range(n))
+        return f"[v + h * ({terms}) for v, {xs} in zip(y, {ks})]"
+
+    lines = [
+        "def rkf78_step(f, t, y, h):",
+        '    """One raw step; returns (y8, error estimate) as lists of floats."""',
+        "    k0 = f(t, y)",
+    ]
     for i in range(1, 13):
-        k[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ k[:i]))
-    y8 = y + h * (_B8 @ k)
-    err = (h * _ERRW) * (k[0] + k[10] - k[11] - k[12])
-    return y8, err
+        lines.append(f"    k{i} = f(t + {float(_C[i])!r} * h, {stage(_A[i], i)})")
+    lines += [
+        f"    y8 = {stage(_B8, 13)}",
+        f"    he = h * {_ERRW!r}",
+        "    err = [he * (x0 + x10 - x11 - x12) for x0, x10, x11, x12 in zip(k0, k10, k11, k12)]",
+        "    return y8, err",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+_STEP_SOURCE = _step_source()
+_STEP_FILE = "<arnolddiff.ode.rkf78_step>"
+# registered so that tracebacks and inspect.getsource show the generated lines
+linecache.cache[_STEP_FILE] = (len(_STEP_SOURCE), None, _STEP_SOURCE.splitlines(True), _STEP_FILE)
+exec(compile(_STEP_SOURCE, _STEP_FILE, "exec"))
 
 
 def fixed_step_integrate(f, y0, t0, t1, n_steps):
     """Fixed-step 8th-order propagation (order tests)."""
     h = (t1 - t0) / n_steps
-    y = np.asarray(y0, dtype=float).copy()
+    y = list(map(float, y0))
     t = t0
     for _ in range(n_steps):
         y, _err = rkf78_step(f, t, y, h)
         t += h
-    return y
+    return np.array(y)
 
 
 def _error_norm(err, y0, y1, cfg):
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.max(np.abs(err) / scale))
+    """max_i |err_i| / (abs_tol + rel_tol * max(|y0_i|, |y1_i|)).
+
+    NaN whenever any component of err, y0 or y1 is NaN (as np.max and
+    np.maximum give), so a step that produced a NaN is rejected.
+    """
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    worst = 0.0
+    for e, a, b in zip(err, y0, y1):
+        a, b = abs(a), abs(b)
+        r = abs(e) / (atol + rtol * (a if a > b else b))
+        if r != r or a != a:
+            return math.nan
+        if r > worst:
+            worst = r
+    return worst
 
 
 def integrate(f, y0, t_span, cfg=None, record=True, section=None, max_crossings=1):
@@ -164,11 +215,11 @@ def integrate(f, y0, t_span, cfg=None, record=True, section=None, max_crossings=
 
 def _integrate(f, y0, t0, t1, cfg, record, section, max_crossings):
     direction = 1.0 if t1 > t0 else -1.0
-    y = np.asarray(y0, dtype=float).copy()
+    y = list(map(float, y0))
     t = t0
     h = direction * min(cfg.h_init, cfg.h_max, abs(t1 - t0))
     ts = [t0]
-    ys = [y.copy()]
+    ys = [y]
     crossings = []
     n_acc = 0
     n_rej = 0
@@ -191,14 +242,14 @@ def _integrate(f, y0, t0, t1, cfg, record, section, max_crossings):
             n_acc += 1
             if record:
                 ts.append(t)
-                ys.append(y.copy())
+                ys.append(y)
             if section is not None and section.crossed(y_prev, y):
                 crossings.append(_land(f, section, t_prev, y_prev, t, y, cfg))
                 if len(crossings) == max_crossings:
                     t, y = crossings[-1]
                     if record:
                         ts[-1] = t
-                        ys[-1] = y.copy()
+                        ys[-1] = y
                     break
             factor = _GROW if enorm == 0.0 else min(
                 _GROW, max(_SHRINK, _SAFETY * enorm**_ORDER_EXP)
@@ -213,7 +264,7 @@ def _integrate(f, y0, t0, t1, cfg, record, section, max_crossings):
             raise StepSizeUnderflow(f"step size {abs(h):.3e} below h_min at t={t}")
     if not record:
         ts.append(t)
-        ys.append(y.copy())
+        ys.append(y)
     return Trajectory(np.array(ts), np.array(ys), n_acc, n_rej, crossings)
 
 
@@ -249,7 +300,7 @@ def _land(f, section, t0, y0, t1, y1, cfg):
             t1, y1 = t0 + h, y_mid
         else:
             t0, y0 = t0 + h, y_mid
-    return t1, y1.copy()
+    return t1, np.array(y1)
 
 
 def _henon_step(f, k, value, t, y, cfg):
@@ -264,13 +315,14 @@ def _henon_step(f, k, value, t, y, cfg):
     """
 
     def g(s, z):
-        dy = f(z[-1], z[:-1])
-        out = np.empty(z.size)
+        # numpy division: f_k may vanish on the way (inf, NaN, no exception)
+        dy = np.asarray(f(z[-1], z[:-1]))
+        out = np.empty(len(z))
         out[:-1] = dy / dy[k]
         out[-1] = 1.0 / dy[k]
         return out
 
-    z = np.append(y, t)
+    z = [*y, t]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z_hit, err = rkf78_step(g, y[k], z, value - y[k])
         if not _error_norm(err, z, z_hit, cfg) <= 1.0:
@@ -280,7 +332,7 @@ def _henon_step(f, k, value, t, y, cfg):
                 return None
     if not np.all(np.isfinite(z_hit)):
         return None
-    y_hit = z_hit[:-1].copy()
+    y_hit = np.array(z_hit[:-1])
     y_hit[k] = value
     return float(z_hit[-1]), y_hit
 

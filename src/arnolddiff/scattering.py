@@ -69,8 +69,7 @@ def flow_rhs(j, params):
     frhs = kernels.flow_rhs
 
     def f(t, y):
-        d1, d2, d3, d4, _ = frhs(j, a1, a2, a3, om1, om2, y[0], y[1], y[2], y[3])
-        return np.array([d1, d2, d3, d4])
+        return frhs(j, a1, a2, a3, om1, om2, y[0], y[1], y[2], y[3])[:4]
 
     return f
 

@@ -154,6 +154,15 @@ class TestConfig:
             line.startswith("config error:") for line in capsys.readouterr().err.splitlines()
         )
 
+    @pytest.mark.parametrize("key", ["abs_tol", "rel_tol"])
+    def test_nan_tolerance_exit_code(self, cfg_file, tmp_path, capsys, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(cfg_file.read_text().replace(f"{key} = 1e-12", f"{key} = nan"))
+        assert main(["crest", str(bad)]) == 2
+        assert any(
+            line.startswith("config error:") for line in capsys.readouterr().err.splitlines()
+        )
+
     def test_summary_rejects_nan(self, tmp_path):
         with pytest.raises(InvariantViolation, match="crest: .*crest_summary.json"):
             _summary(str(tmp_path), "crest", {"tangency_margin": math.nan})

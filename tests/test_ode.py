@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from arnolddiff.errors import EventNotFound, MaxStepsExceeded, StepSizeUnderflow
 from arnolddiff.model import ModelParams, rhs, separatrix
+from arnolddiff.scattering import flow_rhs as scattering_flow_rhs
 from arnolddiff import ode
 from arnolddiff.ode import (
     IntegratorConfig,
@@ -221,7 +225,7 @@ class TestEvents:
         failed = []
 
         def failing_once(err, y0, y1, cfg):
-            if err.size == 3 and not failed:
+            if len(err) == 3 and not failed:
                 failed.append(True)
                 return math.inf
             return norm(err, y0, y1, cfg)
@@ -272,6 +276,104 @@ def test_config_validation():
         IntegratorConfig(h_min=1.0, h_init=0.1)
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=0.0)
+    with pytest.raises(ValueError):
+        IntegratorConfig(abs_tol=math.nan)
+    with pytest.raises(ValueError):
+        IntegratorConfig(rel_tol=math.nan)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def reference_step(f, t, y, h):
+    """RKF78 from the tableau arrays, every stage summed left to right."""
+
+    def combo(coeffs, k, c):
+        s = float(coeffs[0]) * k[0][c]
+        for r in range(1, len(k)):
+            s = s + float(coeffs[r]) * k[r][c]
+        return s
+
+    k = [f(t, y)]
+    for i in range(1, 13):
+        stage = [y[c] + h * combo(ode._A[i], k, c) for c in range(len(y))]
+        k.append(f(t + float(ode._C[i]) * h, stage))
+    y8 = [y[c] + h * combo(ode._B8, k, c) for c in range(len(y))]
+    he = h * ode._ERRW
+    err = [he * (k[0][c] + k[10][c] - k[11][c] - k[12][c]) for c in range(len(y))]
+    return y8, err
+
+
+def test_step_bits_equal_left_to_right_reference(params, rng):
+    f = scattering_flow_rhs(0, params)
+    cases = [(harmonic, [1.0, 0.0], 0.3), (harmonic, [0.3, -0.9], -1.7)]
+    for _ in range(40):
+        z = [*rng.uniform(-3, 3, 2), *rng.uniform(0, 2 * math.pi, 2)]
+        cases.append((f, [float(v) for v in z], float(rng.uniform(-2.0, 2.0))))
+    for g, y, h in cases:
+        y8, err = rkf78_step(g, 0.25, y, h)
+        r8, rerr = reference_step(g, 0.25, y, h)
+        assert _bits(y8) == _bits(r8)
+        assert _bits(err) == _bits(rerr)
+
+
+def test_step_keeps_zero_coefficient_products():
+    # k1 = inf: stages whose row has a1 = 0 must see 0 * inf = NaN, as the
+    # matrix-vector product gives, instead of dropping the term
+    states = []
+
+    def f(t, y):
+        states.append(list(y))
+        return (math.inf,) if len(states) == 2 else (1.0,)
+
+    y8, err = rkf78_step(f, 0.0, [0.5], 0.1)
+    zero_a1 = [i for i in range(2, 13) if ode._A[i, 1] == 0.0]
+    assert zero_a1 == [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+    for i in zero_a1:
+        assert math.isnan(states[i][0])
+    assert math.isinf(states[2][0])       # a_21 = 1/12
+    assert ode._B8[1] == 0.0 and math.isnan(y8[0])
+    assert err == [0.0]                   # k1 is not in the error estimate
+    assert math.isnan(ode._error_norm(err, [0.5], y8, IntegratorConfig()))
+
+
+@pytest.mark.parametrize("where", ["err", "y0", "y1"])
+@pytest.mark.parametrize("component", [0, 1, 2])
+def test_error_norm_nan_in_any_component(where, component):
+    cfg = IntegratorConfig()
+    args = {"err": [1e-20, 5e-13, 1e-30], "y0": [1.0, 2.0, 3.0], "y1": [1.0, 2.0, 3.0]}
+    assert ode._error_norm(args["err"], args["y0"], args["y1"], cfg) == 5e-13 / (1e-12 + 2e-12)
+    args[where][component] = math.nan
+    assert math.isnan(ode._error_norm(args["err"], args["y0"], args["y1"], cfg))
+
+
+_SECTION_SCRIPT = """
+from arnolddiff import melnikov
+from arnolddiff.model import ModelParams
+from arnolddiff.scattering import poincare_section
+p = ModelParams(0.2, 0.3, 1.0, 1.0, 1.0, eps=1e-3)
+c = 3.9269908169872414
+level = melnikov.reduced_poincare(0, (0.0, 0.0, c, c), p)
+seeds = [(0.0, 0.0, c, 3.8), (0.0, 0.0, c, 4.0)]
+for pt in poincare_section(0, level, 0.0, seeds, 50.0, p, max_crossings=2):
+    print(pt.orbit, pt.t.hex(), *(float(v).hex() for v in pt.state))
+"""
+
+
+def test_section_bits_independent_of_blas_core():
+    # numpy's BLAS kernel is chosen per CPU; no integration result may depend on it
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outs = []
+    for core in ("Haswell", "Sandybridge"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        res = subprocess.run(
+            [sys.executable, "-c", _SECTION_SCRIPT],
+            env=env, capture_output=True, check=True, timeout=300,
+        )
+        outs.append(res.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_against_independent_integrator():
