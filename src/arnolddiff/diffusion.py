@@ -37,22 +37,37 @@ WINDOW_MARGIN = 0.3           # angular margin inside the (pi, 2pi) windows
 DEADBAND_FACTOR = 0.25        # cross-track slack (times delta) before constraining
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionPath:
-    """Piecewise-linear target curve in the action plane."""
+    """Piecewise-linear target curve in the action plane.
+
+    Immutable: ``waypoints`` is a read-only copy of the input, and the
+    segment table that ``distance_to`` scans is built from it once.
+    """
 
     waypoints: np.ndarray
     delta: float
     stairstepped: bool = False
+    _segments: tuple = field(init=False, repr=False, compare=False)
+    _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.waypoints = np.asarray(self.waypoints, dtype=float).reshape(-1, 2)
-        if len(self.waypoints) < 2:
+        wp = np.array(self.waypoints, dtype=float).reshape(-1, 2)
+        if len(wp) < 2:
             raise ValueError("a path needs at least two waypoints")
-        if not np.all(np.isfinite(self.waypoints)):
+        if not np.all(np.isfinite(wp)):
             raise ValueError("waypoints must be finite")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must be in (0, 1)")
+        wp.flags.writeable = False
+        segments = []
+        for (a0, a1), (b0, b1) in zip(wp[:-1].tolist(), wp[1:].tolist()):
+            d0, d1 = b0 - a0, b1 - a1
+            segments.append((a0, a1, d0, d1, d0 * d0 + d1 * d1,
+                             min(a0, b0), max(a0, b0), min(a1, b1), max(a1, b1)))
+        object.__setattr__(self, "waypoints", wp)
+        object.__setattr__(self, "_segments", tuple(segments))
+        object.__setattr__(self, "_scale", float(np.abs(wp).max()))
 
     @property
     def start(self):
@@ -69,23 +84,67 @@ class ActionPath:
     def distance_to(self, point):
         """Sup-norm distance from a point to the polyline.
 
-        All segments are evaluated in one pass: the projection parameter is
-        clipped to [0, 1] (0 on zero-length segments), the sup-norm of the
-        residual is taken per segment and minimised over segments.  The dot
-        products are written out componentwise: on an axis-aligned segment
-        one of the two terms is zero, so no rounding depends on how a dot
-        product would order its sum.
+        Per segment a -> a + d: the projection parameter
+        u = ((p - a) . d) / (d . d) is clipped to [0, 1] (0 on zero-length
+        segments), and the residual is the sup-norm of p - (a + u*d); the
+        distance is the least residual, NaN if any residual is NaN.  The dot
+        products are written out componentwise, so no rounding depends on
+        how a dot product would order its sum.
+
+        Pruning bound: a segment is skipped only when its bounding box is
+        farther (sup-norm) from p than the best residual so far plus
+        ``_SKIP_ULPS`` ulps of m, the largest |coordinate| of p and the
+        waypoints; then its residual cannot be below the best, so the result
+        is bit for bit that of evaluating every segment.  Nothing is skipped
+        when m >= ``_PRUNE_LIMIT`` or p is not finite.
         """
-        p = np.asarray(point, dtype=float)
-        a = self.waypoints[:-1]
-        d = self.waypoints[1:] - a
-        pa = p - a
-        den = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-        num = pa[:, 0] * d[:, 0] + pa[:, 1] * d[:, 1]
-        u = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-        np.clip(u, 0.0, 1.0, out=u)
-        proj = a + u[:, None] * d
-        return float(np.abs(p - proj).max(axis=1).min())
+        p0, p1 = map(float, point)
+        m = max(self._scale, abs(p0), abs(p1))
+        margin = _SKIP_ULPS * math.ulp(m) if m < _PRUNE_LIMIT else math.inf
+        best = math.inf
+        for a0, a1, d0, d1, den, lo0, hi0, lo1, hi1 in self._segments:
+            lim = best + margin
+            if lo0 - p0 > lim or p0 - hi0 > lim or lo1 - p1 > lim or p1 - hi1 > lim:
+                continue
+            if den != 0.0:
+                u = ((p0 - a0) * d0 + (p1 - a1) * d1) / den
+                if u <= 0.0:    # as np.clip: -0.0 becomes 0.0, NaN stays
+                    u = 0.0
+                elif u > 1.0:
+                    u = 1.0
+            else:
+                u = 0.0
+            r0 = abs(p0 - (a0 + u * d0))
+            r1 = abs(p1 - (a1 + u * d1))
+            if r0 != r0 or r1 != r1:
+                return math.nan
+            r = r0 if r0 >= r1 else r1
+            if r < best:
+                best = r
+        return best
+
+
+# Rounding slack of the bounding-box test in ActionPath.distance_to.  Let
+# every |coordinate| be <= m; every quantity below is then below 4m, and
+# rounding it errs by at most ulp(4m)/2 <= 2 ulp(m).
+#   - The computed a + u*d rounds b - a, u*d and the sum, and u*d also
+#     carries the error of b - a: it lies within 8 ulp(m) of the exact
+#     point a + u(b - a) of the segment (u is the clipped computed value,
+#     in [0, 1]), which is inside the box.  It can land outside the box,
+#     towards p, so its true residual is >= gap - 8 ulp(m).
+#   - The threshold lim = best + margin rounds once: lim >= best + margin
+#     - 2 ulp(m).
+#   - Rounding is monotone and lim is a float, so a computed gap > lim
+#     means the true gap > lim; likewise a true residual > best (a float)
+#     rounds to a computed residual >= best.
+# So a computed gap > lim with margin = 16 ulp(m) leaves a true residual
+# > best + 6 ulp(m), and the skipped segment cannot lower the minimum.  A
+# NaN coordinate fails every comparison and an infinite one makes the
+# margin infinite, so then no segment is skipped and NaN still propagates.
+_SKIP_ULPS = 16.0
+# Beyond this |coordinate| d . d can overflow and make u = inf/inf = NaN for
+# a finite point; such paths are scanned whole.
+_PRUNE_LIMIT = 2.0**500
 
 
 def stairstep(path, resolution=None):
@@ -228,9 +287,10 @@ def build_pseudo_orbit(
 
     ``path`` should be axis-aligned (run stairstep() first; oblique segments
     are stairstepped here as a convenience).  ``start`` supplies the initial
-    angles; its actions must lie within delta of the path start.  Every
-    intermediate action stays within delta (sup-norm) of the path, and the
-    orbit terminates within delta of the final waypoint.
+    angles; it must be finite (else ValueError) and its actions must lie
+    within delta of the path start.  Every intermediate action stays within
+    delta (sup-norm) of the path, and the orbit terminates within delta of
+    the final waypoint.
 
     Each jump costs one tau* solve: the L* gradient taken before the window
     test also supplies the pulled-back angles psi, and it is recomputed only
@@ -240,46 +300,51 @@ def build_pseudo_orbit(
     eps = params.eps if eps is None else eps
     if eps <= 0.0:
         raise EpsilonTooLarge("eps must be positive to move the actions")
+    start = np.asarray(start, dtype=float)
+    if not np.all(np.isfinite(start)):
+        raise ValueError(f"start must be finite, got {start}")
     if not path.stairstepped:
         path = stairstep(path)
     delta = path.delta
 
-    z = np.asarray(start, dtype=float).copy()
-    if np.max(np.abs(z[:2] - path.start)) > delta:
+    # the state z is a tuple of four Python floats, which the kernels take
+    # fastest; arrays are built only for the recorded steps
+    z = tuple(start.tolist())
+    if max(abs(z[0] - path.start[0]), abs(z[1] - path.start[1])) > delta:
         raise ValueError("start actions are not within delta of the path start")
 
-    centers = _ball_centers(path)
+    centers = [tuple(c.tolist()) for c in _ball_centers(path)]
     steps: List[PseudoStep] = [
-        PseudoStep("I", z.copy(), 0.0, None, path.distance_to(z[:2]))
+        PseudoStep("I", np.array(z), 0.0, None, path.distance_to(z[:2]))
     ]
     orbit = PseudoOrbit(steps, path, eps)
 
-    end = path.end
+    end = tuple(path.end.tolist())
     k = 0
     target = centers[k]
     guard = max(delta, params.eps**GUARD_EXPONENT)
     for _ in range(max_steps):
         if max(abs(z[0] - end[0]), abs(z[1] - end[1])) <= delta and k == len(centers) - 1:
             break  # inside the final ball
-        u = target - z[:2]
+        u = (target[0] - z[0], target[1] - z[1])
         if max(abs(u[0]), abs(u[1])) <= 0.5 * delta and k < len(centers) - 1:
             k += 1
             target = centers[k]
             continue
         if max(abs(z[0]), abs(z[1])) < guard:
-            raise Stuck(f"entered the origin guard region at state {z}")
+            raise Stuck(f"entered the origin guard region at state {np.array(z)}")
         window = _window_for(u, delta, margin, params)
         ps, dI, dTH = _jump_data(j, z, params)
         if not _psi_in(ps, window):
             try:
                 res = inner.ergodize(z, window, j=j, params=params, t_bound=t_bound)
-                z = res.state
+                z = tuple(res.state.tolist())
                 orbit.n_inner += 1
                 orbit.inner_time += res.t_star
                 d = path.distance_to(z[:2])
-                steps.append(PseudoStep("I", z.copy(), res.t_star, None, d))
+                steps.append(PseudoStep("I", res.state, res.t_star, None, d))
                 if on_event:
-                    on_event("inner", z, res.t_star)
+                    on_event("inner", res.state, res.t_star)
             except UseScatteringDetour:
                 z = _detour(z, j, params, eps, orbit, steps, path, on_event, margin)
                 continue
@@ -287,34 +352,35 @@ def build_pseudo_orbit(
                 if _near_resonant_block(z, j, params, margin):
                     z = _detour(z, j, params, eps, orbit, steps, path, on_event, margin)
                     continue
-                raise Stuck(f"window unreachable off the resonant line at {z}: {exc}")
+                raise Stuck(f"window unreachable off the resonant line at {np.array(z)}: {exc}")
             ps, dI, dTH = _jump_data(j, z, params)
-        z = np.array(
-            [z[0] + eps * dTH[0], z[1] + eps * dTH[1],
-             z[2] - eps * dI[0], z[3] - eps * dI[1]]
-        )
+        z = (z[0] + eps * dTH[0], z[1] + eps * dTH[1], z[2] - eps * dI[0], z[3] - eps * dI[1])
         orbit.n_scatter += 1
         d = path.distance_to(z[:2])
-        steps.append(PseudoStep("S", z.copy(), 0.0, ps, d))
-        if d > delta:
+        steps.append(PseudoStep("S", np.array(z), 0.0, np.array(ps), d))
+        if not d <= delta:
             raise Stuck(
-                f"tracking contract violated: deviation {d:.4f} > delta={delta} at {z}"
+                f"tracking contract violated: deviation {d:.4f} > delta={delta} "
+                f"at {np.array(z)}"
             )
     else:
         raise Stuck(f"step budget exhausted before reaching {path.end}")
     orbit.meta.update(
         n_balls=len(centers),
-        final_gap=float(max(abs(z[0] - end[0]), abs(z[1] - end[1]))),
+        final_gap=max(abs(z[0] - end[0]), abs(z[1] - end[1])),
         margin=margin,
     )
     return orbit
 
 
 def _jump_data(j, z, params):
-    """Pulled-back angles psi and the L* gradient (dL/dI, dL/dtheta) at z."""
+    """Pulled-back angles psi and the L* gradient (dL/dI, dL/dtheta) at z.
+
+    z is a tuple of four floats; the three results are pairs of floats.
+    """
     _val, tau, dI, dTH = melnikov.reduced_poincare_grad(j, z, params)
     w1, w2 = params.frequencies(z[0], z[1])
-    return np.array([z[2] - tau * w1, z[3] - tau * w2]), dI, dTH
+    return (z[2] - tau * w1, z[3] - tau * w2), dI.tolist(), dTH.tolist()
 
 
 def _near_resonant_block(z, j, params, margin):
@@ -337,6 +403,7 @@ def _detour(z, j, params, eps, orbit, steps, path, on_event, margin):
     Each jump there leaves the actions fixed (both jump components vanish)
     but shifts the line offset by O(eps); repeat until the offset is far
     enough from pi that the margin-shrunk window intersects the line.
+    Returns the final state as a tuple of floats.
     """
     exit_gap = 2.0 * margin + 0.35
     for _ in range(200_000):
@@ -352,7 +419,7 @@ def _detour(z, j, params, eps, orbit, steps, path, on_event, margin):
         ps, _ = melnikov.psi(j, z, params)
         off = (ps[1] - ps[0] - math.pi) % TWO_PI
         if min(off, TWO_PI - off) > exit_gap:
-            return z
+            return tuple(z.tolist())
     raise Stuck("resonant detour failed to clear the blocked window")
 
 

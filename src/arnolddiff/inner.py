@@ -110,14 +110,14 @@ def ergodize(
     default window), WindowUnreachable when the budget t_bound runs out.
     """
     params.require_diffusion_regime()
-    state = np.asarray(state, dtype=float)
-    i1, i2 = state[0], state[1]
+    # probes are tuples of Python floats; only the returned state is an array
+    i1, i2, th1, th2 = map(float, state)
     w1, w2 = params.frequencies(i1, i2)
     win1, win2 = window
 
-    ps, tau = _psi_of(j, state, params)
+    ps, tau = _psi_of(j, (i1, i2, th1, th2), params)
     if _in_interval(ps[0], win1) and _in_interval(ps[1], win2):
-        return ErgodizeResult(0.0, state.copy(), ps, 0)
+        return ErgodizeResult(0.0, np.array([i1, i2, th1, th2]), ps, 0)
 
     # degenerate resonant line: psi2 - psi1 is constant when w1 == w2
     rtol, otol = degenerate_tol
@@ -145,11 +145,11 @@ def ergodize(
     guess = tau
     while t < t_bound:
         t += dt
-        cand = np.array([i1, i2, state[2] + t * w1, state[3] + t * w2])
+        cand = (i1, i2, th1 + t * w1, th2 + t * w2)
         ps, guess = _psi_of(j, cand, params, guess=guess)
         probes += 1
         if _in_interval(ps[0], win1) and _in_interval(ps[1], win2):
-            return ErgodizeResult(t, cand, ps, probes)
+            return ErgodizeResult(t, np.array(cand), ps, probes)
     raise WindowUnreachable(f"no window entry within t_bound={t_bound:.3g}")
 
 
@@ -158,18 +158,18 @@ def rotate_to_psi1(state, target, j=0, params=None, tol=1e-10):
 
     Returns (t, new_state).  Assumes omega_1 != 0.
     """
-    state = np.asarray(state, dtype=float)
-    i1, i2 = state[0], state[1]
+    # probes are tuples of Python floats; only the returned state is an array
+    i1, i2, th1, th2 = map(float, state)
     w1, w2 = params.frequencies(i1, i2)
     if w1 == 0.0:
         raise WindowUnreachable("psi1 frozen: omega1 = 0")
     drift = 1.0 if w1 > 0.0 else -1.0
 
-    _ps0, tau = _psi_of(j, state, params)
+    _ps0, tau = _psi_of(j, (i1, i2, th1, th2), params)
 
     def gap(t, guess):
         # signed phase still to travel, folded to [0, 2pi); decreasing in t
-        cand = np.array([i1, i2, state[2] + t * w1, state[3] + t * w2])
+        cand = (i1, i2, th1 + t * w1, th2 + t * w2)
         ps, g = _psi_of(j, cand, params, guess=guess)
         d = (drift * (target - ps[0])) % TWO_PI
         return d, cand, g
@@ -181,7 +181,7 @@ def rotate_to_psi1(state, target, j=0, params=None, tol=1e-10):
     t = 0.0
     d_prev, cand, guess = gap(0.0, tau)
     if d_prev < tol:
-        return 0.0, cand
+        return 0.0, np.array(cand)
     for _ in range(int(40.0 * TWO_PI / (abs(w1) * dt)) + 10):
         t_next = t + dt
         d, cand, guess = gap(t_next, guess)
@@ -195,14 +195,14 @@ def rotate_to_psi1(state, target, j=0, params=None, tol=1e-10):
                     lo = mid
                     best = (mid, cand)
                     if dm < tol:
-                        return mid, cand
+                        return mid, np.array(cand)
                 else:
                     hi = mid
                 if hi - lo < 1e-16 * max(1.0, abs(hi)):
                     break
             if best is not None:
-                return best
+                return best[0], np.array(best[1])
             dm, cand, guess = gap(lo, guess)
-            return lo, cand
+            return lo, np.array(cand)
         t, d_prev = t_next, d
     raise WindowUnreachable("psi1 target not reached")

@@ -241,10 +241,10 @@ class TauStar:
 def solve_tau_star(j, state, params, guess=None):
     """Crossing time of the frequency line through (I, theta) with branch j."""
     i1, i2, t1, t2 = state
-    w1, w2 = params.frequencies(i1, i2)
+    w1, w2 = params.frequencies(float(i1), float(i2))
     try:
         tau, res, it = kernels.tau_star(
-            j, w1, w2, params.mu1, params.mu2, t1, t2, guess=guess
+            j, w1, w2, params.mu1, params.mu2, float(t1), float(t2), guess=guess
         )
     except ValueError as exc:
         raise NotHorizontal(str(exc)) from None
@@ -296,7 +296,7 @@ def reduced_poincare(j, state, params, guess=None):
     try:
         val, _tau = kernels.lstar(
             j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
-            i1, i2, t1, t2, guess,
+            float(i1), float(i2), float(t1), float(t2), guess,
         )
     except ValueError as exc:
         raise NotHorizontal(str(exc)) from None
@@ -311,7 +311,7 @@ def reduced_poincare_grad(j, state, params, guess=None):
     try:
         val, tau, di1, di2, dt1, dt2 = kernels.lstar_grad(
             j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
-            i1, i2, t1, t2, guess,
+            float(i1), float(i2), float(t1), float(t2), guess,
         )
     except ValueError as exc:
         raise NotHorizontal(str(exc)) from None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arnolddiff import diffusion, highway, melnikov
-from arnolddiff.errors import DegenerateDirection, RangeNotCovered
+from arnolddiff import diffusion, highway, kernels, melnikov
+from arnolddiff.errors import DegenerateDirection, RangeNotCovered, Stuck
 from arnolddiff.model import ModelParams
 
 TWO_PI = 2.0 * math.pi
@@ -27,6 +28,25 @@ def _reference_distance(path, point):
         proj = a + u * d
         best = min(best, float(np.max(np.abs(p - proj))))
     return best
+
+
+def _numpy_distance(path, point):
+    """The former numpy body of ActionPath.distance_to, all segments at once."""
+    with np.errstate(all="ignore"):
+        p = np.asarray(point, dtype=float)
+        a = path.waypoints[:-1]
+        d = path.waypoints[1:] - a
+        pa = p - a
+        den = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        num = pa[:, 0] * d[:, 0] + pa[:, 1] * d[:, 1]
+        u = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+        np.clip(u, 0.0, 1.0, out=u)
+        proj = a + u[:, None] * d
+        return float(np.abs(p - proj).max(axis=1).min())
+
+
+def _same_bits(path, point):
+    return repr(path.distance_to(point)) == repr(_numpy_distance(path, point))
 
 
 _coord = st.floats(-4.0, 4.0, allow_nan=False)
@@ -115,6 +135,112 @@ class TestPaths:
         assert abs(path.distance_to(point) - _reference_distance(path, point)) <= 1e-14
 
 
+class TestDistanceBits:
+    """The pruned scalar distance against the former numpy pass, by repr."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_axis_aligned_paths(self, data):
+        path = data.draw(_axis_aligned_path())
+        point = data.draw(_point_for(path))
+        assert _same_bits(path, point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_oblique_paths(self, data):
+        path = data.draw(_oblique_path())
+        point = data.draw(_point_for(path))
+        assert _same_bits(path, point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=2, max_size=8),
+        st.tuples(st.floats(), st.floats()),
+    )
+    def test_any_floats(self, waypoints, point):
+        # tiny, huge, subnormal and non-finite values
+        assert _same_bits(diffusion.ActionPath(np.array(waypoints), 0.1), point)
+
+    @pytest.mark.parametrize("point", [
+        (1.0, 1.0), (3.0, 1.0), (3.0, 2.0), (2.0, 1.0), (3.0, 1.5), (0.1, 0.7),
+        (2.0, 1.4), (1.0 + 1e-17, 1.0), (3.0, 1.0 + 2.0**-52),
+    ])
+    def test_on_path_and_at_waypoints(self, point):
+        path = diffusion.ActionPath(np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0]]), 0.1)
+        assert _same_bits(path, point)
+        oblique = diffusion.ActionPath(np.array([[0.1, 0.7], [1.0, 1.0], [3.0, 2.0]]), 0.1)
+        assert _same_bits(oblique, point)
+
+    @pytest.mark.parametrize("point", [(1.0, 1.0), (1.0, 1.3), (2.5, 0.0), (-1.0, 1.0)])
+    def test_zero_length_segments(self, point):
+        path = diffusion.ActionPath(
+            np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 1.0], [2.0, 1.0], [2.0, 1.0]]), 0.1)
+        assert _same_bits(path, point)
+        single = diffusion.ActionPath(np.array([[1.0, 1.0], [1.0, 1.0]]), 0.1)
+        assert _same_bits(single, point)
+
+    def test_equidistant_from_two_segments(self):
+        path = diffusion.ActionPath(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]]), 0.1)
+        assert path.distance_to((1.0, 1.0)) == 1.0
+        for point in [(1.0, 1.0), (1.5, 0.5), (0.3, 0.3), (2.25, -0.25)]:
+            assert _same_bits(path, point)
+        parallel = diffusion.ActionPath(
+            np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 0.2], [0.0, 0.2]]), 0.1)
+        assert parallel.distance_to((1.5, 0.1)) == 0.1
+        assert _same_bits(parallel, (1.5, 0.1))
+
+    @pytest.mark.parametrize("waypoints, point", [
+        ([[-1e300, 0.0], [1e300, 0.0]], (0.0, 0.0)),                     # d.d overflows
+        ([[-1e300, 1e300], [1e300, -1e300], [1.0, 1.0]], (2.0, 1.0)),
+        ([[1.0, 1.0], [2.0, 1.0]], (1e300, 1.0)),
+        ([[1.0, 1.0], [2.0, 1.0]], (-1e300, -1e300)),
+        ([[1e300, 1.0], [1e300, 2.0], [-1e300, 2.0]], (1e300, 1.5)),
+        ([[1.7e308, 0.0], [-1.7e308, 0.0]], (0.0, 1.0)),                 # b - a overflows
+        ([[1e-300, 0.0], [3e-300, 1e-310]], (2e-300, 5e-324)),
+    ])
+    def test_huge_and_tiny_coordinates(self, waypoints, point):
+        assert _same_bits(diffusion.ActionPath(np.array(waypoints), 0.1), point)
+
+    @pytest.mark.parametrize("point", [
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.inf, 1.0),
+        (-math.inf, 1.0), (1.0, math.inf), (1.0, -math.inf), (math.inf, -math.inf),
+        (math.inf, math.inf), (math.nan, math.inf),
+    ])
+    def test_non_finite_points(self, point):
+        for wp in ([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0]],
+                   [[0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [-1.0, 0.5]],
+                   [[1.0, 1.0], [2.0, 1.0]]):
+            assert _same_bits(diffusion.ActionPath(np.array(wp), 0.1), point)
+        axis = diffusion.ActionPath(np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0]]), 0.1)
+        assert math.isnan(axis.distance_to(point))
+
+    def test_pruning_keeps_a_projection_outside_its_box(self):
+        # The first segment (horizontal at height h) gives best = h.  The
+        # second ends at b = (0.1, 0); p lies beyond b, so u clips to 1 and
+        # the computed a + u*d = -3.0 + (0.1 + 3.0) rounds to 0.1 + 6 ulps,
+        # out of the segment's box and towards p.  Its residual is below h
+        # although the box is farther than h: without a rounding margin the
+        # segment would be skipped and h returned.
+        h = 1e-16
+        p = (0.1 + 1.5e-16, 0.0)
+        path = diffusion.ActionPath(np.array([[p[0], h], [-3.0, h], [0.1, 0.0]]), 0.1)
+        box_gap = p[0] - 0.1
+        assert _numpy_distance(path, p) < h < box_gap
+        assert _same_bits(path, p)
+
+    def test_waypoints_are_immutable(self):
+        wp = np.array([[1.0, 1.0], [3.0, 1.0]])
+        path = diffusion.ActionPath(wp, 0.1)
+        with pytest.raises(ValueError):
+            path.waypoints[0, 0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.waypoints = np.array([[0.0, 0.0], [5.0, 0.0]])
+        wp[0, 0] = 2.0   # the caller's array is copied, not frozen
+        assert path.waypoints[0, 0] == 1.0 and path.distance_to((1.0, 1.0)) == 0.0
+
+
 class TestBuilder:
     def test_short_path_terminates_quickly(self, params):
         path = diffusion.ActionPath(np.array([[1.0, 1.0], [1.05, 1.0]]), 0.1)
@@ -169,6 +295,46 @@ class TestBuilder:
         assert orb.n_detour > 0
         assert "detour" in events
         assert orb.meta["final_gap"] <= 0.1
+
+    @pytest.mark.parametrize("start", [
+        [1.0, 1.0, math.nan, 4.4], [1.0, 1.0, 2.0, math.inf], [math.nan, 1.0, 2.0, 4.4],
+        [1.0, -math.inf, 2.0, 4.4],
+    ])
+    def test_rejects_non_finite_start(self, params, start):
+        path = diffusion.ActionPath(np.array([[1.0, 1.0], [1.6, 1.0]]), 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            diffusion.build_pseudo_orbit(path, np.array(start), params)
+
+    def test_nan_distance_is_stuck(self, params, monkeypatch):
+        monkeypatch.setattr(diffusion.ActionPath, "distance_to", lambda self, p: math.nan)
+        path = diffusion.ActionPath(np.array([[1.0, 1.0], [1.6, 1.0]]), 0.1)
+        with pytest.raises(Stuck, match="deviation nan"):
+            diffusion.build_pseudo_orbit(path, np.array([1.0, 1.0, 2.0, 4.4]), params)
+
+    def test_kernels_get_python_floats(self, params, monkeypatch):
+        # jumps, rotation waits and detours all hand plain floats to the
+        # kernels, which run about twice as fast on them as on np.float64
+        tau_star, lstar_grad = kernels.tau_star, kernels.lstar_grad
+        seen = []
+
+        def floats_only(values):
+            assert all(type(x) is float for x in values), [type(x) for x in values]
+            seen.append(1)
+
+        def checked_tau_star(j, w1, w2, mu1, mu2, t1, t2, *args, **kwargs):
+            floats_only((w1, w2, t1, t2))
+            return tau_star(j, w1, w2, mu1, mu2, t1, t2, *args, **kwargs)
+
+        def checked_lstar_grad(j, a1, a2, a3, om1, om2, i1, i2, t1, t2, *args, **kwargs):
+            floats_only((i1, i2, t1, t2))
+            return lstar_grad(j, a1, a2, a3, om1, om2, i1, i2, t1, t2, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "tau_star", checked_tau_star)
+        monkeypatch.setattr(kernels, "lstar_grad", checked_lstar_grad)
+        path = diffusion.ActionPath(np.array([[1.0, 1.08], [1.45, 1.08]]), 0.1)
+        orb = diffusion.build_pseudo_orbit(path, np.array([1.0, 1.0, 0.3, 0.3 + math.pi]), params)
+        assert orb.n_scatter > 0 and orb.n_inner > 0 and orb.n_detour > 0
+        assert len(seen) > orb.n_scatter
 
     def test_requires_safe_regime(self):
         p = ModelParams(0.5, 0.3, 1.0, eps=1e-3)
