@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from . import inner, kernels, melnikov
 from .errors import (
@@ -29,6 +27,7 @@ from .errors import (
     WindowUnreachable,
 )
 from .model import TWO_PI, separatrix
+from .numerics import quad
 from .ode import IntegratorConfig, integrate
 from .scattering import scattering_map
 
@@ -37,19 +36,21 @@ WINDOW_MARGIN = 0.3           # angular margin inside the (pi, 2pi) windows
 DEADBAND_FACTOR = 0.25        # cross-track slack (times delta) before constraining
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionPath:
     """Piecewise-linear target curve in the action plane.
 
     Immutable: ``waypoints`` is a read-only copy of the input, and the
     segment table that ``distance_to`` scans is built from it once.
+    Equality and hashing are by identity: the generated ``__eq__`` would
+    compare the waypoint arrays, whose truth value is ambiguous.
     """
 
     waypoints: np.ndarray
     delta: float
     stairstepped: bool = False
-    _segments: tuple = field(init=False, repr=False, compare=False)
-    _scale: float = field(init=False, repr=False, compare=False)
+    _segments: tuple = field(init=False, repr=False)
+    _scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         wp = np.array(self.waypoints, dtype=float).reshape(-1, 2)
@@ -541,6 +542,10 @@ def time_estimate(omega_range, orbit, eps, params, ergodize_a=0.125, ergodize_c=
     homoclinic-window constant built from the amplitude ratios and
     M(w) = max |w - alpha(w)| over the swept range.
     """
+    # scipy is imported here, not at module level, so that loading the
+    # package does not load it
+    from scipy.interpolate import CubicSpline
+
     w0, wf = omega_range
     w1 = orbit.omega1(params)
     lo, hi = float(np.min(w1)), float(np.max(w1))

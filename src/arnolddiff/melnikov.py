@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import kernels
 from .errors import NoConvergence, NotHorizontal
 from .model import TWO_PI
+from .numerics import quad
 
 SINH_HALF_PI = kernels.SINH_HALF_PI
 ALPHA_SUP = kernels.ALPHA_SUP

@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, fsolve
 
 from . import kernels, melnikov, ode
 from .errors import EventNotFound
 from .model import TWO_PI, wrap_angle
+from .numerics import brentq
 # integrate_to_event is unused here but stays a module attribute: the span
 # tracer in perfbench/spans.py rebinds it by name
 from .ode import IntegratorConfig, Section, integrate_to_event  # noqa: F401
@@ -87,7 +87,8 @@ def adjust_seed_to_level(j, i1, i2, theta1_guess, theta2, level, params, width=1
     """Root-solve in theta1 so the seed sits on the prescribed L*_j level.
 
     The interval [guess - width, guess + width] is scanned for sign changes
-    and the root nearest the guess is polished with brentq.
+    and the root nearest the guess is polished with Brent's method
+    (``numerics.brentq``, the same bits as scipy's).
     """
 
     def f(th1):
@@ -173,6 +174,10 @@ def find_equilibria(j, params, box=5.0, grid_i=17, grid_th=16, norm_tol=1e-10):
     runs Newton (via fsolve) from every local minimum below a loose cut, and
     returns the distinct converged zeros inside the box.
     """
+    # scipy is imported here, not at module level: loading it costs every
+    # CLI command ~0.45 s, and only this scan needs it
+    from scipy.optimize import fsolve
+
     iv = np.linspace(-box, box, grid_i)
     tv = np.linspace(0.0, TWO_PI, grid_th, endpoint=False)
     I1g, I2g, T1g, T2g = np.meshgrid(iv, iv, tv, tv, indexing="ij")

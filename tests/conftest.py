@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import arnolddiff
 from arnolddiff.model import ModelParams
 
 
@@ -19,3 +23,17 @@ def params_fig5():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250810)
+
+
+@pytest.fixture
+def subprocess_env():
+    """Environment for a child interpreter that imports the arnolddiff under test.
+
+    pyproject's ``pythonpath`` setting reaches only the pytest process, so a
+    child started by plain ``pytest`` would not find the package; this puts
+    the directory holding the imported package first on PYTHONPATH.
+    """
+    env = dict(os.environ)
+    src = str(Path(arnolddiff.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

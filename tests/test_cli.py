@@ -223,12 +223,45 @@ class TestRuns:
         rc = main(["tau", str(bad)])
         assert rc == 3
 
-    def test_console_entry_point(self, cfg_file):
+    def test_console_entry_point(self, cfg_file, subprocess_env):
         proc = subprocess.run(
             [sys.executable, "-m", "arnolddiff.cli", "tau", str(cfg_file)],
-            capture_output=True,
+            capture_output=True, env=subprocess_env,
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    def test_commands_do_not_import_scipy(self, cfg_file, tmp_path, subprocess_env):
+        # importing scipy.integrate and scipy.optimize costs ~0.45 s per
+        # command: a stray top-level import must fail here, not go unseen
+        sections = {
+            "poincare": "[poincare]\nlevel_point = 0,0,3.9269908169872414,3.9269908169872414\n"
+                        "theta2_lo = 3.8\ntheta2_hi = 4.0\nn_seeds = 2\nt_max = 50\n"
+                        "max_crossings = 2\n",
+            "diffuse": "[diffuse]\nwaypoints = 1,1; 1.3,1\ndelta = 0.1\neps = 1e-3\n"
+                       "theta1 = 2.0\ntheta2 = 4.4\n",
+            "highway": "[highway]\ni2_from = -7\ni2_to = 7\ni1_lo = 7\ni1_hi = 7.5\n"
+                       "n_seeds = 2\ndrift_tol = 1e-7\n",
+        }
+        argv = []
+        for command, section in sections.items():
+            ini = tmp_path / f"{command}.ini"
+            ini.write_text(cfg_file.read_text() + "\n" + section)
+            argv += [command, str(ini)]
+        script = (
+            "import sys\n"
+            "from arnolddiff.cli import main\n"
+            "for command, ini in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    rc = main([command, ini])\n"
+            "    if rc != 0:\n"
+            "        sys.exit(f'{command} exited {rc}')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=subprocess_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_crest_vertical_parametrization_csv(self, cfg_file, tmp_path):
         text = cfg_file.read_text().replace("a1 = 0.3", "a1 = 1.7").replace(

@@ -115,6 +115,17 @@ class TestPaths:
         with pytest.raises(ValueError):
             diffusion.stairstep(diffusion.ActionPath(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.1))
 
+    def test_identity_equality_and_hash(self):
+        p = diffusion.ActionPath(np.array([[1.0, 1.0], [3.0, 1.0]]), 0.1)
+        q = diffusion.ActionPath(np.array([[1.0, 1.0], [3.0, 1.0]]), 0.1)
+        assert p == p
+        assert p != q
+        assert {p, p, q} == {p, q}
+        r = dataclasses.replace(p, delta=0.2)
+        assert r != p and r.delta == 0.2 and p.delta == 0.1
+        assert np.array_equal(r.waypoints, p.waypoints)
+        assert r.distance_to([2.0, 1.4]) == p.distance_to([2.0, 1.4])
+
     def test_length_and_distance(self):
         p = diffusion.ActionPath(np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0]]), 0.1)
         assert p.length() == pytest.approx(3.0)
