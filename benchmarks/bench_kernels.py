@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel core against the pure-Python twin.
+"""Per-call timer for the scalar kernels (``arnolddiff.kernels.pure``).
 
 Usage: python benchmarks/bench_kernels.py [n_iterations]
 
 Times the three hot entry points (crossing-time solve, reduced-function
-gradient, scattering-flow right-hand side) plus one integrated workload
-(a Highway trace between action sections) on both backends.
+gradient, scattering-flow right-hand side) over random states, then one
+integrated workload (a Highway trace between action sections).  The
+per-call figures quoted in the README come from this script.
 """
 
 import math
@@ -54,31 +55,17 @@ def main():
 
     from arnolddiff.kernels import pure
 
-    rows = {"python": _bench_scalar(pure, n, states)}
-    try:
-        from arnolddiff.kernels import _speedups
-
-        rows["cython"] = _bench_scalar(_speedups, n, states)
-    except ImportError:
-        print("compiled backend not available; benchmarking the fallback only")
-
+    vals = _bench_scalar(pure, n, states)
     print(f"\nper-call times over {n} random states (microseconds):")
-    names = sorted(rows["python"])
-    header = "backend    " + "".join(f"{k:>14}" for k in names)
-    print(header)
-    for backend, vals in rows.items():
-        print(f"{backend:<11}" + "".join(f"{vals[k] * 1e6:>13.2f} " for k in names))
-    if "cython" in rows:
-        print("speedup    " + "".join(
-            f"{rows['python'][k] / rows['cython'][k]:>12.1f}x " for k in names
-        ))
+    names = sorted(vals)
+    print("".join(f"{k:>14}" for k in names))
+    print("".join(f"{vals[k] * 1e6:>13.2f} " for k in names))
 
-    from arnolddiff import kernels
     from arnolddiff.model import ModelParams
 
     params = ModelParams(0.3, 0.1, 1.0, 1.0, 1.0, eps=1e-3)
     wall, rows = _bench_trace(params)
-    print(f"\nintegrated workload with the active backend ({kernels.BACKEND}):")
+    print("\nintegrated workload:")
     print(f"  Highway trace I2 = -7 -> 0: {wall:.2f} s, {rows} recorded rows")
 
 

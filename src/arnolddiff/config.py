@@ -10,7 +10,6 @@ import configparser
 import hashlib
 import io
 import json
-import math
 import os
 import time
 
@@ -94,9 +93,6 @@ class RunConfig:
             Omega2=g("model", "omega2", float, default=1.0),
             eps=g("model", "eps", float, default=0.0),
         )
-        bad = [k for k, v in kw.items() if not math.isfinite(v)]
-        if bad:
-            raise ConfigError(f"non-finite value for {', '.join(bad)} in [model]")
         try:
             return ModelParams(
                 pendulum_sign=g("model", "pendulum_sign", int, default=1), **kw

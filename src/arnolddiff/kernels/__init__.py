@@ -1,36 +1,27 @@
-"""Kernel backend selection.
+"""Scalar kernels of the crest/scattering hot path.
 
-Imports the compiled extension when it is available, otherwise the
-pure-Python twin.  Set ARNOLDDIFF_PURE_PYTHON=1 to force the fallback
-(useful for benchmarking and for debugging kernel-level issues).
+A re-export of ``kernels.pure``, the one implementation.  ``pure`` stays a
+module of its own, and ``lstar`` and ``lstar_grad`` reach ``tau_star``
+through its module global, because the span tracer in ``perfbench/spans.py``
+counts the solves made inside them by rebinding ``kernels.pure.tau_star``.
+``BACKEND`` stays, as the constant ``"python"``, because run metadata
+(``kernel_backend``) and the benchmark report record it.
 """
 
-import os
-
 from . import pure
+from .pure import (
+    ALPHA_SUP,
+    OMEGA_ALPHA_SUP,
+    SINH_HALF_PI,
+    alpha,
+    branch_offset,
+    coeff,
+    coeff_deriv,
+    flow_rhs,
+    full_rhs,
+    lstar,
+    lstar_grad,
+    tau_star,
+)
 
-if os.environ.get("ARNOLDDIFF_PURE_PYTHON", "") == "1":
-    _impl = pure
-    BACKEND = "python"
-else:
-    try:
-        from . import _speedups as _impl
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = pure
-        BACKEND = "python"
-
-SINH_HALF_PI = pure.SINH_HALF_PI
-ALPHA_SUP = pure.ALPHA_SUP
-OMEGA_ALPHA_SUP = pure.OMEGA_ALPHA_SUP
-
-alpha = _impl.alpha
-coeff = _impl.coeff
-coeff_deriv = _impl.coeff_deriv
-branch_offset = _impl.branch_offset
-tau_star = _impl.tau_star
-lstar = _impl.lstar
-lstar_grad = _impl.lstar_grad
-flow_rhs = _impl.flow_rhs
-full_rhs = _impl.full_rhs
+BACKEND = "python"

@@ -1,12 +1,15 @@
 """Pure-Python scalar kernels for the crest/scattering hot path.
 
-These are the reference implementations of the functions that sit inside
-every integrator right-hand side and every pseudo-orbit step: the crest
-weight ``alpha``, the splitting coefficients ``A(w, a)`` and their
-w-derivative, the crest-line intersection time ``tau_star``, the reduced
-generating function ``lstar`` with its gradient, and the scattering-flow
-right-hand side.  ``arnolddiff.kernels._speedups`` is a compiled twin with
-the same signatures; the package picks one at import time.
+The one implementation of the functions that sit inside every integrator
+right-hand side and every pseudo-orbit step: the crest weight ``alpha``,
+the splitting coefficients ``A(w, a)`` and their w-derivative, the
+crest-line intersection time ``tau_star``, the reduced generating function
+``lstar`` with its gradient, and the scattering-flow right-hand side.
+Callers import them from ``arnolddiff.kernels``, which re-exports this
+module; it stays a module of its own so that the span tracer in
+``perfbench/spans.py`` can rebind ``pure.tau_star`` (see the last line
+below).  Grid scans (``scattering.find_equilibria``) call these scalar
+functions point by point rather than keeping a numpy copy of A, A' or tau*.
 
 Conventions: branch surfaces are indexed by an integer j, with offset
 ``xi_j(phi) = pi*j - (-1)**j * asin(mu1*alpha(w1)*sin(phi1) + mu2*alpha(w2)*sin(phi2))``

@@ -43,6 +43,9 @@ def alpha(w):
     w = np.asarray(w, dtype=float)
     if w.ndim == 0:
         return kernels.alpha(float(w))
+    # the array branch stays numpy: np.sinh rounds differently from libm's
+    # sinh, so a loop over kernels.alpha would move the dense scans that
+    # read it (diffusion's window constant C, scan_alpha_bounds)
     x = 0.5 * np.pi * w
     small = np.abs(x) < 0.1
     big = np.abs(x) > 700.0
@@ -56,23 +59,6 @@ def alpha(w):
     )
     rest = ~small & ~big
     out[rest] = w[rest] ** 2 * SINH_HALF_PI / np.sinh(x[rest])
-    out[big] = 0.0
-    return out
-
-
-def coeff_array(w, a):
-    """A(w, a) vectorized over w."""
-    w = np.asarray(w, dtype=float)
-    x = 0.5 * np.pi * w
-    out = np.empty_like(w)
-    small = np.abs(x) < 0.1
-    big = np.abs(x) > 700.0
-    xs = x[small]
-    out[small] = 4.0 * a * (
-        1.0 - xs**2 / 6.0 + 7.0 * xs**4 / 360.0 - 31.0 * xs**6 / 15120.0
-    )
-    rest = ~small & ~big
-    out[rest] = 2.0 * np.pi * w[rest] * a / np.sinh(x[rest])
     out[big] = 0.0
     return out
 
@@ -251,43 +237,6 @@ def solve_tau_star(j, state, params, guess=None):
     except ArithmeticError as exc:
         raise NoConvergence(str(exc)) from None
     return TauStar(tau, j, res, it)
-
-
-def tau_star_grid(j, i1, i2, TH1, TH2, params, tol=1e-13, iters=70):
-    """Vectorized branch crossing times over theta arrays (fixed actions or arrays)."""
-    w1, w2 = params.frequencies(np.asarray(i1, float), np.asarray(i2, float))
-    b1 = params.mu1 * alpha(w1)
-    b2 = params.mu2 * alpha(w2)
-    smax = np.abs(b1) + np.abs(b2)
-    if np.any(smax >= 1.0):
-        raise NotHorizontal("crest is not a horizontal graph somewhere on the grid")
-    kap = np.arcsin(smax)
-    sgn = -1.0 if j % 2 == 0 else 1.0
-    pj = np.pi * j
-    lo = np.broadcast_to(-pj - kap - 1e-9, np.broadcast(TH1, TH2, kap).shape).copy()
-    hi = np.broadcast_to(-pj + kap + 1e-9, lo.shape).copy()
-
-    def g(tau):
-        x = np.clip(b1 * np.sin(TH1 - tau * w1) + b2 * np.sin(TH2 - tau * w2), -1.0, 1.0)
-        return tau + pj + sgn * np.arcsin(x)
-
-    glo = g(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        same = (gm < 0.0) == (glo < 0.0)
-        lo = np.where(same, mid, lo)
-        glo = np.where(same, gm, glo)
-        hi = np.where(same, hi, mid)
-    tau = 0.5 * (lo + hi)
-    # Newton polish
-    for _ in range(3):
-        x = np.clip(b1 * np.sin(TH1 - tau * w1) + b2 * np.sin(TH2 - tau * w2), -1.0, 1.0)
-        gv = tau + pj + sgn * np.arcsin(x)
-        dx = -(b1 * w1 * np.cos(TH1 - tau * w1) + b2 * w2 * np.cos(TH2 - tau * w2))
-        dg = 1.0 + sgn * dx / np.sqrt(np.maximum(1.0 - x * x, 1e-30))
-        tau = tau - gv / np.where(np.abs(dg) < 1e-12, 1e-12, dg)
-    return tau
 
 
 def reduced_poincare(j, state, params, guess=None):

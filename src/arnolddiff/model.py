@@ -45,9 +45,15 @@ class ModelParams:
     horizontal_safe: bool = field(init=False)
 
     def __post_init__(self):
-        if self.Omega1 <= 0.0 or self.Omega2 <= 0.0:
+        bad = [
+            k for k in ("a1", "a2", "a3", "Omega1", "Omega2", "eps")
+            if not math.isfinite(getattr(self, k))
+        ]
+        if bad:
+            raise ValueError(f"non-finite value for {', '.join(bad)}")
+        if not (self.Omega1 > 0.0 and self.Omega2 > 0.0):
             raise ValueError("rotor coefficients Omega1, Omega2 must be > 0")
-        if self.eps < 0.0:
+        if not self.eps >= 0.0:
             raise ValueError("eps must be >= 0")
         if self.pendulum_sign not in (1, -1):
             raise ValueError("pendulum_sign must be +1 or -1")

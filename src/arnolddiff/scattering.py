@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, melnikov, ode
-from .errors import EventNotFound
+from .errors import EventNotFound, NotHorizontal
 from .model import TWO_PI, wrap_angle
 from .numerics import brentq
 # integrate_to_event is unused here but stays a module attribute: the span
@@ -170,32 +170,34 @@ def transversality_certificate(j, state, params, eps=None):
 def find_equilibria(j, params, box=5.0, grid_i=17, grid_th=16, norm_tol=1e-10):
     """Certified zero scan of the scattering flow field over a 4D box.
 
-    Evaluates ||field|| on a grid over I in [-box, box]^2, theta in [0, 2pi)^2,
-    runs Newton (via fsolve) from every local minimum below a loose cut, and
-    returns the distinct converged zeros inside the box.
+    Evaluates ||field|| with the scalar kernel ``kernels.flow_rhs`` at each
+    point of a grid over I in [-box, box]^2, theta in [0, 2pi)^2, runs Newton
+    (via fsolve) from every local minimum, and returns the distinct converged
+    zeros inside the box.  Raises NotHorizontal if the crest is not a
+    horizontal graph at some grid point.
     """
     # scipy is imported here, not at module level: loading it costs every
     # CLI command ~0.45 s, and only this scan needs it
     from scipy.optimize import fsolve
 
+    a1, a2, a3 = params.a1, params.a2, params.a3
+    om1, om2 = params.Omega1, params.Omega2
+    frhs = kernels.flow_rhs
+
+    def norm_at(i1, i2, t1, t2):
+        f1, f2, f3, f4, _tau = frhs(j, a1, a2, a3, om1, om2, i1, i2, t1, t2)
+        return math.sqrt(f1 * f1 + f2 * f2 + f3 * f3 + f4 * f4)
+
     iv = np.linspace(-box, box, grid_i)
     tv = np.linspace(0.0, TWO_PI, grid_th, endpoint=False)
-    I1g, I2g, T1g, T2g = np.meshgrid(iv, iv, tv, tv, indexing="ij")
-
-    w1 = params.Omega1 * I1g
-    w2 = params.Omega2 * I2g
-    tau = _tau_grid_4d(j, w1, w2, T1g, T2g, params)
-    A1 = melnikov.coeff_array(w1, params.a1)
-    A2 = melnikov.coeff_array(w2, params.a2)
-    dA1 = _coeff_deriv_array(w1, params.a1)
-    dA2 = _coeff_deriv_array(w2, params.a2)
-    ps1 = T1g - w1 * tau
-    ps2 = T2g - w2 * tau
-    f1 = -A1 * np.sin(ps1)
-    f2 = -A2 * np.sin(ps2)
-    f3 = -params.Omega1 * (dA1 * np.cos(ps1) + tau * A1 * np.sin(ps1))
-    f4 = -params.Omega2 * (dA2 * np.cos(ps2) + tau * A2 * np.sin(ps2))
-    norm = np.sqrt(f1**2 + f2**2 + f3**2 + f4**2)
+    ivl = iv.tolist()
+    tvl = tv.tolist()
+    try:
+        norm = np.array(
+            [norm_at(i1, i2, t1, t2) for i1 in ivl for i2 in ivl for t1 in tvl for t2 in tvl]
+        ).reshape(grid_i, grid_i, grid_th, grid_th)
+    except ValueError as exc:
+        raise NotHorizontal(f"{exc} (find_equilibria grid, box={box})") from None
 
     # local minima of ||field|| over the grid: wrap in the angle axes,
     # one-sided comparison at the action-box faces
@@ -218,9 +220,7 @@ def find_equilibria(j, params, box=5.0, grid_i=17, grid_th=16, norm_tol=1e-10):
 
     zeros = []
     for idx in cand_idx:
-        z0 = np.array(
-            [I1g[tuple(idx)], I2g[tuple(idx)], T1g[tuple(idx)], T2g[tuple(idx)]]
-        )
+        z0 = np.array([iv[idx[0]], iv[idx[1]], tv[idx[2]], tv[idx[3]]])
         z, info, ok, _msg = fsolve(field, z0, full_output=True, xtol=1e-13)
         if ok != 1:
             continue
@@ -243,59 +243,8 @@ def _same_point(a, b, tol=1e-6):
     return di < tol and dt1 < tol and dt2 < tol
 
 
-def _tau_grid_4d(j, w1, w2, TH1, TH2, params):
-    b1 = params.mu1 * melnikov.alpha(w1)
-    b2 = params.mu2 * melnikov.alpha(w2)
-    smax = np.abs(b1) + np.abs(b2)
-    kap = np.arcsin(np.minimum(smax, 1.0 - 1e-12))
-    sgn = -1.0 if j % 2 == 0 else 1.0
-    pj = np.pi * j
-    lo = -pj - kap - 1e-9
-    hi = -pj + kap + 1e-9
-
-    def g(tau):
-        x = np.clip(b1 * np.sin(TH1 - tau * w1) + b2 * np.sin(TH2 - tau * w2), -1.0, 1.0)
-        return tau + pj + sgn * np.arcsin(x)
-
-    glo = g(lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        same = (gm < 0.0) == (glo < 0.0)
-        lo = np.where(same, mid, lo)
-        glo = np.where(same, gm, glo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _coeff_deriv_array(w, a):
-    w = np.asarray(w, dtype=float)
-    x = 0.5 * np.pi * w
-    out = np.empty_like(w)
-    small = np.abs(x) < 1.0
-    xs = x[small]
-    x2 = xs * xs
-    p = np.zeros_like(xs)
-    for c in (
-        1.1221229687119662e-13, 1.6059043836821613e-11, 1.9270852604185938e-09,
-        1.0 / 3991680.0, 1.0 / 45360.0, 1.0 / 840.0, 1.0 / 30.0, 1.0 / 3.0,
-    ):
-        p = (p + c) * x2
-    sh_s = np.sinh(xs)
-    out[small] = 2.0 * np.pi * a * (-p * xs) / np.where(sh_s == 0.0, 1.0, sh_s) ** 2
-    out[small] = np.where(xs == 0.0, 0.0, out[small])
-    big = np.abs(x) > 700.0
-    rest = ~small & ~big
-    xr = x[rest]
-    shr = np.sinh(xr)
-    out[rest] = 2.0 * np.pi * a * (shr - xr * np.cosh(xr)) / shr**2
-    out[big] = 0.0
-    return out
-
-
-def calibrate_remainder(j, params, eps, box=5.0, n=6, rng=None):
+def calibrate_remainder(j, params, eps, box=5.0, n=6):
     """Empirical constant K with |L*_j(S_j z) - L*_j(z)| <= K eps^2 on a grid."""
-    rng = rng or np.random.default_rng(0)
     worst = 0.0
     iv = np.linspace(-box, box, n)
     tv = np.linspace(0.1, TWO_PI, n, endpoint=False)

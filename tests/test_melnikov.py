@@ -64,14 +64,6 @@ class TestCoeffs:
             cm = melnikov.melnikov_coeffs(-w, 0.0, params)
             assert cm.A1 == pytest.approx(cp.A1, rel=1e-14)
 
-    def test_coeff_array_matches(self, params, rng):
-        w = rng.uniform(-6, 6, 50)
-        arr = melnikov.coeff_array(w, params.a1)
-        from arnolddiff import kernels
-
-        for wi, vi in zip(w, arr):
-            assert vi == pytest.approx(kernels.coeff(float(wi), params.a1), rel=1e-14)
-
 
 class TestPotential:
     def test_global_max(self, params):
@@ -261,15 +253,6 @@ class TestTauStar:
             for a, b in zip(taus[:-1], taus[1:]):
                 assert math.pi - 2 * kap < abs(b - a) < math.pi + 2 * kap
                 assert b < a  # crossing times decrease with the branch index
-
-    def test_grid_solver_matches_scalar(self, params, rng):
-        TH1 = rng.uniform(0, TWO_PI, (6, 6))
-        TH2 = rng.uniform(0, TWO_PI, (6, 6))
-        tau = melnikov.tau_star_grid(0, 1.3, -0.8, TH1, TH2, params)
-        for a in range(6):
-            for b in range(6):
-                ref = melnikov.solve_tau_star(0, (1.3, -0.8, TH1[a, b], TH2[a, b]), params)
-                assert tau[a, b] == pytest.approx(ref.value, abs=1e-11)
 
 
 class TestReducedFunction:

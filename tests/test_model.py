@@ -34,6 +34,10 @@ class TestParams:
             ModelParams(0.3, 0.1, 1.0, eps=-1.0)
         with pytest.raises(ValueError):
             ModelParams(0.3, 0.1, 1.0, pendulum_sign=2)
+        # non-finite fields, NaN included, are rejected at construction
+        for kw in (dict(Omega1=math.nan), dict(eps=math.nan), dict(a1=math.inf)):
+            with pytest.raises(ValueError, match="non-finite"):
+                ModelParams(**{"a1": 0.3, "a2": 0.1, "a3": 1.0, **kw})
 
     def test_diffusion_regime_guard(self):
         ModelParams(0.3, 0.1, 1.0).require_diffusion_regime()

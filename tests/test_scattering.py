@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arnolddiff import melnikov, ode, scattering
-from arnolddiff.errors import EventNotFound
+from arnolddiff.errors import EventNotFound, NotHorizontal
 from arnolddiff.model import ModelParams
 from arnolddiff.ode import IntegratorConfig, integrate
 
@@ -101,14 +101,31 @@ class TestFlow:
             worst = max(worst, np.abs(f - expect).max() / max(1.0, np.abs(f).max()))
         assert worst < 1e-6
 
-    def test_certified_zero_scan(self, params):
-        eq = scattering.find_equilibria(0, params, box=5.0)
-        assert len(eq) == 4
-        got = sorted((round(z[2], 6), round(z[3], 6)) for z in eq)
-        pi6 = round(math.pi, 6)
-        assert got == [(0.0, 0.0), (0.0, pi6), (pi6, 0.0), (pi6, pi6)]
-        for z in eq:
-            assert abs(z[0]) < 1e-8 and abs(z[1]) < 1e-8
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ModelParams(0.3, 0.1, 1.0, 1.0, 1.0),
+            ModelParams(0.2, 0.25, 1.0, 1.3, 0.7),
+            ModelParams(-0.3, 0.1, 1.0, 1.0, 1.0),
+        ],
+        ids=["ref", "unequal-omega", "negative-a1"],
+    )
+    def test_certified_zero_scan(self, p):
+        eq = scattering.find_equilibria(0, p, box=5.0)
+        got = [tuple(float(v) for v in z) for z in eq]
+        pi = math.pi
+        assert got == [
+            (0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, pi),
+            (0.0, 0.0, pi, 0.0),
+            (0.0, 0.0, pi, pi),
+        ]
+
+    def test_zero_scan_off_horizontal_regime(self):
+        # |mu1| + |mu2| = 1.2: alpha(1.25) ~ 1.03 puts the crest off the
+        # horizontal regime at grid actions I1 = I2 = 1.25
+        with pytest.raises(NotHorizontal):
+            scattering.find_equilibria(0, ModelParams(0.7, 0.5, 1.0), box=5.0)
 
     def test_level_conservation(self, params, rng):
         f = scattering.flow_rhs(0, params)
