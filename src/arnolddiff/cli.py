@@ -3,7 +3,9 @@
 Every subcommand takes a run-configuration file (INI sections, see
 config.RunConfig) and writes deterministic artifacts into the output
 directory: data CSVs with 17-significant-digit values, a JSON summary, and
-a metadata record with the config hash.
+a metadata record with the config hash.  The file is checked against
+config.SCHEMA before the output directory is created, and each command
+reads its section's typed values with ``cfg.values(section)``.
 
 Exit codes: 0 ok, 2 config error, 3 domain error, 4 invariant violation.
 """
@@ -36,19 +38,10 @@ def _summary(outdir, command, data):
     return write_json(os.path.join(outdir, f"{command}_summary.json"), command, data)
 
 
-def _require_actions(section, i1, i2, grid):
-    if not (math.isfinite(i1) and math.isfinite(i2)):
-        raise ConfigError(f"non-finite i1 or i2 in [{section}]")
-    if grid < 1:
-        raise ConfigError(f"[{section}] grid must be >= 1")
-
-
 def cmd_crest(cfg, outdir):
     params = cfg.model_params()
-    i1 = cfg.get("crest", "i1", float)
-    i2 = cfg.get("crest", "i2", float)
-    n = cfg.get("crest", "grid", int, default=128)
-    _require_actions("crest", i1, i2, n)
+    v = cfg.values("crest")
+    i1, i2, n = v["i1"], v["i2"], v["grid"]
     info = melnikov.classify_crest(i1, i2, params)
     ph = np.linspace(0.0, TWO_PI, n, endpoint=False)
     path = os.path.join(outdir, "crest.csv")
@@ -90,10 +83,8 @@ def cmd_crest(cfg, outdir):
 
 def cmd_tau(cfg, outdir):
     params = cfg.model_params()
-    i1 = cfg.get("tau", "i1", float)
-    i2 = cfg.get("tau", "i2", float)
-    n = cfg.get("tau", "grid", int, default=64)
-    _require_actions("tau", i1, i2, n)
+    v = cfg.values("tau")
+    i1, i2, n = v["i1"], v["i2"], v["grid"]
     th = np.linspace(0.0, TWO_PI, n, endpoint=False)
     path = os.path.join(outdir, "tau.csv")
     fh, w = _writer(path)
@@ -115,33 +106,18 @@ def cmd_tau(cfg, outdir):
 
 def cmd_poincare(cfg, outdir):
     params = cfg.model_params()
-    g = cfg.get
-    j = g("poincare", "branch", int, default=0)
-    try:
-        lp = [float(x) for x in g("poincare", "level_point", str).split(",")]
-    except ValueError:
-        lp = []
-    if len(lp) != 4:
-        raise ConfigError("[poincare] level_point needs four numbers I1,I2,theta1,theta2")
-    sec = g("poincare", "section_i1", float, default=0.0)
-    lo = g("poincare", "theta2_lo", float)
-    hi = g("poincare", "theta2_hi", float)
-    n = g("poincare", "n_seeds", int, default=20)
-    th1g = g("poincare", "theta1_guess", float, default=lp[2])
-    t_max = g("poincare", "t_max", float, default=600.0)
-    mc = g("poincare", "max_crossings", int, default=60)
-    i1s = g("poincare", "seed_i1", float, default=lp[0])
-    i2s = g("poincare", "seed_i2", float, default=lp[1])
-    if not all(math.isfinite(v) for v in (*lp, sec, lo, hi, th1g, t_max, i1s, i2s)):
-        raise ConfigError("non-finite value in [poincare]")
-    if n < 1 or mc < 1:
-        raise ConfigError("[poincare] n_seeds and max_crossings must be >= 1")
-    if t_max == 0.0:
-        raise ConfigError("[poincare] t_max must be nonzero")
+    v = cfg.values("poincare")
+    j, lp = v["branch"], v["level_point"]
+    th1g = lp[2] if v["theta1_guess"] is None else v["theta1_guess"]
+    i1s = lp[0] if v["seed_i1"] is None else v["seed_i1"]
+    i2s = lp[1] if v["seed_i2"] is None else v["seed_i2"]
     level = melnikov.reduced_poincare(j, lp, params)
-    seeds = [(i1s, i2s, th1g, t2) for t2 in np.linspace(lo, hi, n)]
+    seeds = [
+        (i1s, i2s, th1g, t2) for t2 in np.linspace(v["theta2_lo"], v["theta2_hi"], v["n_seeds"])
+    ]
     pts = scattering.poincare_section(
-        j, level, sec, seeds, t_max, params, max_crossings=mc, cfg=cfg.integrator(h_max=10.0)
+        j, level, v["section_i1"], seeds, v["t_max"], params,
+        max_crossings=v["max_crossings"], cfg=cfg.integrator(h_max=10.0),
     )
     path = os.path.join(outdir, "poincare.csv")
     fh, w = _writer(path)
@@ -169,25 +145,13 @@ def cmd_poincare(cfg, outdir):
 
 def cmd_highway(cfg, outdir):
     params = cfg.model_params()
-    g = cfg.get
-    i2_from = g("highway", "i2_from", float, default=-7.0)
-    i2_to = g("highway", "i2_to", float, default=7.0)
-    lo = g("highway", "i1_lo", float, default=7.0)
-    hi = g("highway", "i1_hi", float, default=9.0)
-    n = g("highway", "n_seeds", int, default=5)
-    drift_tol = g("highway", "drift_tol", float, default=1e-7)
-    if not all(math.isfinite(v) for v in (i2_from, i2_to, lo, hi, drift_tol)):
-        raise ConfigError("non-finite value in [highway]")
-    if n < 1:
-        raise ConfigError("[highway] n_seeds must be >= 1")
-    if i2_to == i2_from:
+    v = cfg.values("highway")
+    if v["i2_to"] == v["i2_from"]:
         raise ConfigError("[highway] i2_to must differ from i2_from")
-    if drift_tol <= 0.0:
-        raise ConfigError("[highway] drift_tol must be > 0")
-    seeds = np.linspace(lo, hi, n)
+    seeds = np.linspace(v["i1_lo"], v["i1_hi"], v["n_seeds"])
     fam = highway.trace_family_between_sections(
-        seeds, i2_from, i2_to, params,
-        cfg=cfg.integrator(h_max=5e4, max_steps=4_000_000), drift_tol=drift_tol,
+        seeds, v["i2_from"], v["i2_to"], params,
+        cfg=cfg.integrator(h_max=5e4, max_steps=4_000_000), drift_tol=v["drift_tol"],
     )
     p_orb = os.path.join(outdir, "highway_orbits.csv")
     fh, w = _writer(p_orb)
@@ -226,14 +190,8 @@ def cmd_highway(cfg, outdir):
 
 def cmd_diffuse(cfg, outdir):
     params = cfg.model_params()
-    g = cfg.get
-    wp = _parse_waypoints(g("diffuse", "waypoints", str))
-    delta = g("diffuse", "delta", float, default=0.1)
-    eps = g("diffuse", "eps", float, default=0.0)
-    th1 = g("diffuse", "theta1", float, default=2.0)
-    th2 = g("diffuse", "theta2", float, default=4.4)
-    if not all(math.isfinite(v) for v in (eps, th1, th2)):
-        raise ConfigError("non-finite eps, theta1 or theta2 in [diffuse]")
+    v = cfg.values("diffuse")
+    wp, delta, eps = v["waypoints"], v["delta"], v["eps"]
     try:
         params.require_diffusion_regime()
         path = diffusion.stairstep(diffusion.ActionPath(wp, delta))
@@ -242,7 +200,7 @@ def cmd_diffuse(cfg, outdir):
     if eps <= 0.0:
         eps0, parts = diffusion.epsilon_threshold(path, delta, float(np.abs(wp).max()) + 1.0, params)
         eps = min(0.5 * eps0, 1e-3)
-    start = np.array([wp[0][0], wp[0][1], th1, th2])
+    start = np.array([wp[0][0], wp[0][1], v["theta1"], v["theta2"]])
     orb = diffusion.build_pseudo_orbit(path, start, params, eps=eps)
     pa = os.path.join(outdir, "diffuse_orbit.csv")
     fh, w = _writer(pa)
@@ -285,10 +243,8 @@ def cmd_diffuse(cfg, outdir):
 
 def cmd_melnikov_verify(cfg, outdir):
     params = cfg.model_params()
-    g = cfg.get
-    st = [float(x) for x in g("verify", "state", str).split(",")]
-    j = g("verify", "branch", int, default=0)
-    eps_list = [float(x) for x in g("verify", "eps_list", str, default="1e-3,5e-4").split(",")]
+    v = cfg.values("verify")
+    st, j, eps_list = v["state"], v["branch"], v["eps_list"]
     rows = []
     for eps in eps_list:
         c = diffusion.verify_scattering_jump(st, j, eps, params)
@@ -322,13 +278,11 @@ def cmd_melnikov_verify(cfg, outdir):
 
 def cmd_time_estimate(cfg, outdir):
     params = cfg.model_params()
-    g = cfg.get
-    i1 = g("time", "seed_i1", float, default=7.0)
-    i2 = g("time", "seed_i2", float, default=-7.0)
-    i1_stop = g("time", "i1_stop", float, default=i1 + 1.3)
-    w0 = g("time", "omega_lo", float, default=params.Omega1 * (i1 + 0.02))
-    wf = g("time", "omega_hi", float, default=params.Omega1 * (i1_stop - 0.05))
-    eps = g("time", "eps", float, default=1e-3)
+    v = cfg.values("time")
+    i1, i2, eps = v["seed_i1"], v["seed_i2"], v["eps"]
+    i1_stop = i1 + 1.3 if v["i1_stop"] is None else v["i1_stop"]
+    w0 = params.Omega1 * (i1 + 0.02) if v["omega_lo"] is None else v["omega_lo"]
+    wf = params.Omega1 * (i1_stop - 0.05) if v["omega_hi"] is None else v["omega_hi"]
     st, _res = highway.highway_seed(i1, i2, params)
     orb = highway.highway_trace(
         st, params, stop=(0, i1_stop, +1),
@@ -348,19 +302,6 @@ def cmd_time_estimate(cfg, outdir):
          "b_exponent": est.b_exponent, **est.meta},
     )
     return 0
-
-
-def _parse_waypoints(raw):
-    pts = []
-    for chunk in raw.split(";"):
-        try:
-            xy = [float(v) for v in chunk.split(",")]
-        except ValueError:
-            raise ConfigError(f"waypoint '{chunk}' is not 'x,y'") from None
-        if len(xy) != 2:
-            raise ConfigError(f"waypoint '{chunk}' is not 'x,y'")
-        pts.append(xy)
-    return np.array(pts)
 
 
 def cmd_check(cfg, outdir):
@@ -479,21 +420,26 @@ def cmd_check(cfg, outdir):
     return 0
 
 
+# command -> (function, the run-file section it reads besides [model],
+# [integrator] and [run])
 COMMANDS = {
-    "crest": cmd_crest,
-    "tau": cmd_tau,
-    "poincare": cmd_poincare,
-    "highway": cmd_highway,
-    "diffuse": cmd_diffuse,
-    "melnikov-verify": cmd_melnikov_verify,
-    "time-estimate": cmd_time_estimate,
-    "check": cmd_check,
+    "crest": (cmd_crest, "crest"),
+    "tau": (cmd_tau, "tau"),
+    "poincare": (cmd_poincare, "poincare"),
+    "highway": (cmd_highway, "highway"),
+    "diffuse": (cmd_diffuse, "diffuse"),
+    "melnikov-verify": (cmd_melnikov_verify, "verify"),
+    "time-estimate": (cmd_time_estimate, "time"),
+    "check": (cmd_check, None),
 }
 
 
 def run(command, cfg, outdir_override=None):
+    """Validate cfg for the command, then run it in the output directory."""
+    fn, section = COMMANDS[command]
+    cfg.validate(section)
     outdir = cfg.output_dir(outdir_override)
-    rc = COMMANDS[command](cfg, outdir)
+    rc = fn(cfg, outdir)
     write_metadata(outdir, command, cfg)
     return rc
 

@@ -626,8 +626,8 @@ def verify_scattering_jump(state, j, eps, params, T=None, cfg=None):
     whose limit is the first-order prediction eps dL*/dtheta.  Also returns
     the raw I(T) - I(-T) (which includes the plain rotor drift).
     """
-    if eps > 1e-2:
-        raise ValueError("oracle calibrated for eps <= 1e-2")
+    if not 0.0 <= eps <= 1e-2:
+        raise EpsilonTooLarge(f"oracle calibrated for 0 <= eps <= 1e-2, got {eps:g}")
     if T is None:
         T = default_excursion_time(eps) if eps > 0.0 else 10.0
     cfg = cfg or IntegratorConfig(h_max=0.5)

@@ -1,7 +1,10 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, InvariantViolation -> 4,
-any other ArnolddiffError -> 3.
+any other ArnolddiffError -> 3.  A ConfigError is raised before any work
+starts, when the run file fails its check against config.SCHEMA (the
+cross-key and regime checks of a few commands come later); the domain
+errors are facts about the dynamics that the library finds while it runs.
 """
 
 
@@ -26,7 +29,8 @@ class MaxStepsExceeded(ArnolddiffError):
 
 
 class EventNotFound(ArnolddiffError):
-    """No section crossing within the integration horizon."""
+    """A sought crossing does not occur: no section crossing within the
+    integration horizon, or no level crossing in a seed's search interval."""
 
 
 class NotHorizontal(ArnolddiffError):
@@ -58,7 +62,9 @@ class RangeNotCovered(ArnolddiffError):
 
 
 class EpsilonTooLarge(ArnolddiffError):
-    """Perturbation size above the tracking threshold for this path."""
+    """Perturbation size outside the range a computation is valid for: above
+    the tracking threshold of a path or the jump oracle's calibration, or
+    not positive where the actions must move."""
 
 
 class Stuck(ArnolddiffError):

@@ -69,11 +69,6 @@ class ModelParams:
         object.__setattr__(self, "mu2", mu2)
         object.__setattr__(self, "horizontal_safe", safe)
 
-    @property
-    def diffusion_ready(self):
-        """Drift-mechanism hypotheses: all three harmonics present, safe regime."""
-        return self.a1 * self.a2 * self.a3 != 0.0 and self.horizontal_safe
-
     def require_diffusion_regime(self):
         if self.a1 * self.a2 * self.a3 == 0.0:
             raise ValueError("diffusion regime needs a1*a2*a3 != 0")
@@ -144,8 +139,3 @@ def separatrix(tau, branch=1):
 def wrap_angle(x):
     """Reduce an angle (or array of angles) to [0, 2pi)."""
     return np.mod(x, TWO_PI)
-
-
-def wrap_symmetric(x):
-    """Reduce an angle difference to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(x), TWO_PI)

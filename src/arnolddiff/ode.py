@@ -23,7 +23,6 @@ under ``OPENBLAS_CORETYPE=Sandybridge``).  Plain float arithmetic is also
 about twice as fast as numpy scalars on four- to nine-component states.
 """
 
-import csv
 import linecache
 import math
 from dataclasses import dataclass, field
@@ -80,7 +79,7 @@ class IntegratorConfig:
             raise ValueError("need 0 < h_min <= h_init <= h_max")
         # written so that NaN fails too
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be > 0")
+            raise ValueError("tolerances abs_tol and rel_tol must be > 0")
 
 
 @dataclass
@@ -116,16 +115,6 @@ class Trajectory:
     @property
     def final(self):
         return self.y[-1]
-
-    def to_csv(self, path, columns=None):
-        """One row per accepted step: t plus the state components."""
-        dim = self.y.shape[1]
-        names = columns or ["t"] + [f"y{i}" for i in range(dim)]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(names)
-            for ti, yi in zip(self.t, self.y):
-                w.writerow([f"{ti:.17g}"] + [f"{v:.17g}" for v in yi])
 
 
 def _step_source():

@@ -98,7 +98,8 @@ def adjust_seed_to_level(j, i1, i2, theta1_guess, theta2, level, params, width=1
     vals = np.array([f(t) for t in grid])
     sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
     if sign_change.size == 0:
-        raise ValueError("no level crossing in the theta1 search interval")
+        raise EventNotFound(f"no crossing of L*_{j} = {level!r} for theta1 in "
+                            f"{theta1_guess:g} +- {width:g}")
     mids = 0.5 * (grid[sign_change] + grid[sign_change + 1])
     k = sign_change[np.argmin(np.abs(mids - theta1_guess))]
     th1 = brentq(f, grid[k], grid[k + 1], xtol=1e-14)

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from arnolddiff import melnikov
-from arnolddiff.cli import _summary, main
+from arnolddiff import config, melnikov
+from arnolddiff.cli import COMMANDS, _summary, main
 from arnolddiff.config import RunConfig, write_metadata
 from arnolddiff.errors import InvariantViolation
 
@@ -43,6 +43,17 @@ grid = 6
 state = 1.0,1.0,3.9269908169872414,3.9269908169872414
 eps_list = 1e-3,5e-4
 """
+
+# run-file sections of the commands BASE leaves out
+SECTIONS = {
+    "poincare": "[poincare]\nlevel_point = 0,0,3.9269908169872414,3.9269908169872414\n"
+                "theta2_lo = 3.8\ntheta2_hi = 4.0\nn_seeds = 2\nt_max = 50\n"
+                "max_crossings = 2\n",
+    "diffuse": "[diffuse]\nwaypoints = 1,1; 1.3,1\ndelta = 0.1\neps = 1e-3\n"
+               "theta1 = 2.0\ntheta2 = 4.4\n",
+    "highway": "[highway]\ni2_from = -7\ni2_to = 7\ni1_lo = 7\ni1_hi = 7.5\n"
+               "n_seeds = 2\ndrift_tol = 1e-7\n",
+}
 
 
 @pytest.fixture
@@ -86,9 +97,7 @@ class TestConfig:
         ],
     )
     def test_bad_diffuse_input_exit_code(self, cfg_file, tmp_path, capsys, old, new):
-        text = cfg_file.read_text() + (
-            "\n[diffuse]\nwaypoints = 1,1; 1.3,1\ndelta = 0.1\neps = 1e-3\n"
-        )
+        text = cfg_file.read_text() + "\n" + SECTIONS["diffuse"]
         bad = tmp_path / "bad.ini"
         bad.write_text(text.replace(old, new))
         assert main(["diffuse", str(bad)]) == 2
@@ -107,11 +116,7 @@ class TestConfig:
         ],
     )
     def test_bad_poincare_input_exit_code(self, cfg_file, tmp_path, capsys, old, new):
-        text = cfg_file.read_text() + (
-            "\n[poincare]\nlevel_point = 0,0,3.9269908169872414,3.9269908169872414\n"
-            "theta2_lo = 3.8\ntheta2_hi = 4.0\nn_seeds = 2\nt_max = 50\n"
-            "max_crossings = 2\n"
-        )
+        text = cfg_file.read_text() + "\n" + SECTIONS["poincare"]
         bad = tmp_path / "bad.ini"
         bad.write_text(text.replace(old, new))
         assert main(["poincare", str(bad)]) == 2
@@ -129,10 +134,7 @@ class TestConfig:
         ],
     )
     def test_bad_highway_input_exit_code(self, cfg_file, tmp_path, capsys, old, new):
-        text = cfg_file.read_text() + (
-            "\n[highway]\ni2_from = -7\ni2_to = 7\ni1_lo = 7\ni1_hi = 7.5\n"
-            "n_seeds = 2\ndrift_tol = 1e-7\n"
-        )
+        text = cfg_file.read_text() + "\n" + SECTIONS["highway"]
         bad = tmp_path / "bad.ini"
         bad.write_text(text.replace(old, new))
         assert main(["highway", str(bad)]) == 2
@@ -178,6 +180,16 @@ class TestConfig:
         assert main(["crest", str(cfg_file)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("invariant violation: crest: ") and "crest_summary.json" in err
+
+    @pytest.mark.parametrize("outdir", ["", "run.ini/out"])
+    def test_unusable_output_dir_exit_code(self, cfg_file, tmp_path, capsys, monkeypatch,
+                                           outdir):
+        monkeypatch.delenv("ARNOLDDIFF_OUTDIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        cfg_file.write_text(re.sub(r"^output_dir = .*$", f"output_dir = {outdir}",
+                                   cfg_file.read_text(), flags=re.M))
+        assert main(["tau", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot create output directory")
 
     def test_env_output_override(self, cfg_file, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
@@ -233,17 +245,8 @@ class TestRuns:
     def test_commands_do_not_import_scipy(self, cfg_file, tmp_path, subprocess_env):
         # importing scipy.integrate and scipy.optimize costs ~0.45 s per
         # command: a stray top-level import must fail here, not go unseen
-        sections = {
-            "poincare": "[poincare]\nlevel_point = 0,0,3.9269908169872414,3.9269908169872414\n"
-                        "theta2_lo = 3.8\ntheta2_hi = 4.0\nn_seeds = 2\nt_max = 50\n"
-                        "max_crossings = 2\n",
-            "diffuse": "[diffuse]\nwaypoints = 1,1; 1.3,1\ndelta = 0.1\neps = 1e-3\n"
-                       "theta1 = 2.0\ntheta2 = 4.4\n",
-            "highway": "[highway]\ni2_from = -7\ni2_to = 7\ni1_lo = 7\ni1_hi = 7.5\n"
-                       "n_seeds = 2\ndrift_tol = 1e-7\n",
-        }
         argv = []
-        for command, section in sections.items():
+        for command, section in SECTIONS.items():
             ini = tmp_path / f"{command}.ini"
             ini.write_text(cfg_file.read_text() + "\n" + section)
             argv += [command, str(ini)]
@@ -277,10 +280,7 @@ class TestRuns:
         assert summary["vertical_component"] == 1
 
     def test_diffuse_short_run(self, cfg_file, tmp_path):
-        text = cfg_file.read_text() + (
-            "\n[diffuse]\nwaypoints = 1,1; 1.3,1\ndelta = 0.1\neps = 1e-3\n"
-            "theta1 = 2.0\ntheta2 = 4.4\n"
-        )
+        text = cfg_file.read_text() + "\n" + SECTIONS["diffuse"]
         f = tmp_path / "diff.ini"
         f.write_text(text)
         assert main(["diffuse", str(f)]) == 0
@@ -303,3 +303,112 @@ class TestRuns:
         lines = (tmp_path / "out" / "crest.csv").read_text().splitlines()
         assert len(lines) == 128 * 128 + 1
         assert all(row.endswith(",1") for row in lines[1:])  # fully horizontal
+
+
+# Invalid raw values for each parser in config.SCHEMA.  Plain floats are the
+# [model] and [integrator] fields: ModelParams and IntegratorConfig reject
+# NaN and -inf in every one of them.  `[verify] state` has the `_floats`
+# parser, so a state of the wrong length is not enumerated here;
+# test_verify_state_length_exit_code keeps that open gap visible.
+NON_FINITE = ["nan", "inf", "-inf"]
+FLOAT_LISTS = ["x", "1,x", *NON_FINITE, "1,nan", "1,", ",1", "1,,2"]
+INVALID = {
+    float: ["x", "nan", "-inf"],
+    int: ["x", "1.5"],
+    str: [],
+    config._finite: ["x", *NON_FINITE],
+    config._count: ["x", "1.5", "0", "-1", str(config.MAX_COUNT + 1)],
+    config._natural: ["x", "1.5", "-1"],
+    config._positive: ["x", *NON_FINITE, "0", "-1e-3"],
+    config._nonzero: ["x", *NON_FINITE, "0"],
+    config._floats: FLOAT_LISTS,
+    config._four: [*FLOAT_LISTS, "1,2,3", "1,2,3,4,5"],
+    config._waypoints: ["1,1; x,2", "1,1; nan,2", "1,1; 2,inf", "1,1;", "1,1; 2",
+                        "1,1; 2,2,2", "1,1 2,2"],
+}
+
+
+def _schema_cases():
+    """(command, section, key, raw, name): one run-file edit per case.
+
+    raw None deletes a required key; `name` is what the error must name.
+    """
+    for command, (_fn, own) in COMMANDS.items():
+        for sec in ("model", "integrator", "run", own):
+            for key, (parse, default) in config.SCHEMA.get(sec, {}).items():
+                bad = INVALID[parse] + ([None] if default is config.REQUIRED else [])
+                for raw in bad:
+                    yield pytest.param(command, sec, key, raw, key,
+                                       id=f"{command}-{sec}.{key}={raw}")
+        yield pytest.param(command, own or "run", "typo", "1", "typo",
+                           id=f"{command}-unknown-key")
+        yield pytest.param(command, "typo", "x", "1", "typo", id=f"{command}-unknown-section")
+
+
+def _sections(out):
+    text = BASE.format(out=out) + "".join("\n" + v for v in SECTIONS.values())
+    return RunConfig.parse(text).sections
+
+
+@pytest.mark.parametrize("command, section, key, raw, name", _schema_cases())
+def test_schema_rejects_before_work(tmp_path, capsys, monkeypatch, command, section, key,
+                                    raw, name):
+    monkeypatch.delenv("ARNOLDDIFF_OUTDIR", raising=False)
+    out = tmp_path / "out"
+    sections = _sections(out)
+    if raw is None:
+        del sections[section][key]
+    else:
+        sections.setdefault(section, {})[key] = raw
+    ini = tmp_path / "run.ini"
+    ini.write_text(RunConfig(sections).emit())
+    assert main([command, str(ini)]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), err
+    assert name in lines[0].lower()
+    assert not out.exists()
+
+
+def test_schema_base_file_is_valid(tmp_path):
+    cfg = RunConfig(_sections(tmp_path / "out"))
+    for _fn, section in COMMANDS.values():
+        cfg.validate(section)
+    assert not (tmp_path / "out").exists()
+
+
+# Inputs that once escaped main() or exited with the wrong code, each run on
+# BASE's [model] and [run] sections.
+STATE = "state = 1.0,1.0,3.9269908169872414,3.9269908169872414\n"
+PROBES = [
+    ("melnikov-verify", "[verify]\n" + STATE + "eps_list = 1e-3,\n", 2, "config error:"),
+    ("melnikov-verify", "[verify]\n" + STATE + "eps_list = nan\n", 2, "config error:"),
+    ("melnikov-verify", "[verify]\nstate = nan,1,3.9,3.9\n", 2, "config error:"),
+    ("time-estimate", "[time]\neps = 0\n", 2, "config error:"),
+    ("time-estimate", "[time]\neps = nan\n", 2, "config error:"),
+    ("time-estimate", "[time]\nseed_i1 = inf\n", 2, "config error:"),
+    ("crest", "[crest]\ni1 = 1\ni2 = 1\ngrid = 100000000000\n", 2, "config error:"),
+    ("tau", "[tau]\ni1 = 1\ni2 = 1\nbranch = x\n", 2, "config error:"),
+    ("melnikov-verify", "[verify]\n" + STATE + "eps_list = 0.5\n", 3, "EpsilonTooLarge:"),
+    ("poincare", SECTIONS["poincare"] + "seed_i1 = 30\ntheta1_guess = 0\n", 3,
+     "EventNotFound:"),
+]
+
+
+@pytest.mark.parametrize("command, section, code, prefix", PROBES)
+def test_probe_exit_code(tmp_path, capsys, command, section, code, prefix):
+    base = RunConfig.parse(BASE.format(out=tmp_path / "out")).sections
+    ini = tmp_path / "run.ini"
+    ini.write_text(RunConfig({k: base[k] for k in ("model", "run")}).emit() + section)
+    assert main([command, str(ini)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="[verify] state has no length check; perfbench's failure-capture "
+                          "test injects its fault through state = 1,1,1")
+def test_verify_state_length_exit_code(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(BASE.format(out=tmp_path / "out").replace(STATE, "state = 1,1,1\n"))
+    assert main(["melnikov-verify", str(ini)]) == 2

@@ -9,7 +9,6 @@ from arnolddiff.model import (
     rhs,
     separatrix,
     vector_field,
-    wrap_symmetric,
 )
 from arnolddiff.ode import IntegratorConfig, integrate
 
@@ -139,9 +138,3 @@ class TestSeparatrix:
             pm, qm = separatrix(-tau)
             assert pm == pytest.approx(pp, rel=1e-15)
             assert qm == pytest.approx(TWO_PI - qp, rel=1e-14)
-
-
-def test_wrap_symmetric():
-    assert wrap_symmetric(3 * math.pi) == pytest.approx(math.pi)
-    assert wrap_symmetric(-0.1) == pytest.approx(-0.1)
-    assert float(wrap_symmetric(math.pi + 0.2)) == pytest.approx(-math.pi + 0.2)

@@ -79,16 +79,6 @@ class TestIntegrate:
         traj = integrate(harmonic, [1.0, 0.0], (0.0, 10.0), IntegratorConfig(h_init=1e-2))
         assert traj.n_accepted == len(traj.t) - 1
 
-    def test_csv_export(self, tmp_path):
-        traj = integrate(harmonic, [1.0, 0.0], (0.0, 1.0))
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path, columns=["t", "x", "v"])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,x,v"
-        assert len(lines) == len(traj.t) + 1
-        first = [float(v) for v in lines[1].split(",")]
-        assert first == [0.0, 1.0, 0.0]
-
 
 class TestEvents:
     def test_harmonic_quarter_period(self):
