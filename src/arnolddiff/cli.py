@@ -200,7 +200,7 @@ def cmd_diffuse(cfg, outdir):
     if eps <= 0.0:
         eps0, parts = diffusion.epsilon_threshold(path, delta, float(np.abs(wp).max()) + 1.0, params)
         eps = min(0.5 * eps0, 1e-3)
-    start = np.array([wp[0][0], wp[0][1], v["theta1"], v["theta2"]])
+    start = (*wp[0], v["theta1"], v["theta2"])
     orb = diffusion.build_pseudo_orbit(path, start, params, eps=eps)
     pa = os.path.join(outdir, "diffuse_orbit.csv")
     fh, w = _writer(pa)
@@ -208,11 +208,7 @@ def cmd_diffuse(cfg, outdir):
         w.writerow(["step", "kind", "I1[action]", "I2[action]", "theta1[rad]",
                     "theta2[rad]", "dt[time]", "dist_to_path[action]"])
         for k, s in enumerate(orb.steps):
-            _row(
-                w,
-                [k, s.kind, float(s.state[0]), float(s.state[1]),
-                 float(s.state[2]), float(s.state[3]), float(s.dt), float(s.dist)],
-            )
+            _row(w, [k, s.kind, *s.state, s.dt, s.dist])
     waits = [s.dt for s in orb.steps if s.kind == "I" and s.dt > 0.0]
     ph = os.path.join(outdir, "diffuse_wait_hist.csv")
     fh, w = _writer(ph)
@@ -376,7 +372,7 @@ def cmd_check(cfg, outdir):
         z = np.array([*rng.uniform(-4, 4, 2), *rng.uniform(0, TWO_PI, 2)])
         _v, _tau, dI, dTH = melnikov.reduced_poincare_grad(0, z, params)
         h = 1e-6
-        for k, an in enumerate((dI[0], dI[1], dTH[0], dTH[1])):
+        for k, an in enumerate((*dI, *dTH)):
             zp, zm = z.copy(), z.copy()
             zp[k] += h
             zm[k] -= h
@@ -391,7 +387,7 @@ def cmd_check(cfg, outdir):
     for _ in range(20):
         z = np.array([*rng.uniform(-4, 4, 2), *rng.uniform(0, TWO_PI, 2)])
         ps, _ts = melnikov.psi(0, z, params)
-        back = melnikov.psi_inverse(0, z[0], z[1], ps[0], ps[1], params)
+        back = melnikov.psi_inverse(0, z[0], z[1], *ps, params)
         d = np.abs(np.mod(back - z[2:] + np.pi, TWO_PI) - np.pi).max()
         worst = max(worst, d)
     gate("psi inversion round-trip", worst < 1e-10, f"max={worst:.1e}")

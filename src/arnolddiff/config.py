@@ -25,7 +25,8 @@ from .model import ModelParams
 from .ode import IntegratorConfig
 
 ENV_OUTDIR = "ARNOLDDIFF_OUTDIR"
-MAX_COUNT = 2**16   # upper bound on grid sizes, seed counts and crossing budgets
+MAX_COUNT = 2**16   # upper bound on seed counts, crossing budgets and grid points
+MAX_GRID = math.isqrt(MAX_COUNT)  # per axis of a grid x grid scan
 REQUIRED = object()  # the default of a key that must be given
 
 
@@ -46,6 +47,7 @@ def _floats(raw):
 
 _finite = _checked(float, math.isfinite, "must be finite")
 _count = _checked(int, lambda v: 1 <= v <= MAX_COUNT, f"must be in [1, {MAX_COUNT}]")
+_grid = _checked(int, lambda v: 1 <= v <= MAX_GRID, f"must be in [1, {MAX_GRID}]")
 _natural = _checked(int, lambda v: v >= 0, "must be >= 0")
 _positive = _checked(_finite, lambda v: v > 0.0, "must be > 0")
 _nonzero = _checked(_finite, lambda v: v != 0.0, "must be nonzero")
@@ -62,8 +64,8 @@ SCHEMA = {
     "integrator": dict(abs_tol=(float, 1e-12), rel_tol=(float, 1e-12), h_init=(float, 1e-2),
                        h_min=(float, 1e-13), h_max=(float, 1e3), max_steps=(int, 2_000_000)),
     "run": dict(output_dir=(str, "out"), seed=(_natural, 0)),
-    "crest": dict(i1=(_finite, REQUIRED), i2=(_finite, REQUIRED), grid=(_count, 128)),
-    "tau": dict(i1=(_finite, REQUIRED), i2=(_finite, REQUIRED), grid=(_count, 64)),
+    "crest": dict(i1=(_finite, REQUIRED), i2=(_finite, REQUIRED), grid=(_grid, 128)),
+    "tau": dict(i1=(_finite, REQUIRED), i2=(_finite, REQUIRED), grid=(_grid, 64)),
     # theta1_guess, seed_i1 and seed_i2 default to level_point's theta1, I1 and I2
     "poincare": dict(branch=(int, 0), level_point=(_four, REQUIRED), section_i1=(_finite, 0.0),
                      theta2_lo=(_finite, REQUIRED), theta2_hi=(_finite, REQUIRED),

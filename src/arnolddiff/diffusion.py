@@ -211,9 +211,9 @@ def _reroute_guard(pts, delta):
 @dataclass
 class PseudoStep:
     kind: str                  # 'S' jump, 'I' rotation wait, 'D' detour jump
-    state: np.ndarray          # state after the step
+    state: tuple               # (I1, I2, theta1, theta2) after the step, floats
     dt: float                  # rotation time (0 for jumps)
-    psi: Optional[np.ndarray]  # pulled-back angles used for a jump
+    psi: Optional[tuple]       # pulled-back angles (psi1, psi2) used for a jump
     dist: float                # sup-norm distance to the target path
 
 
@@ -264,15 +264,6 @@ def _window_for(u, delta, margin, params):
     return tuple(win)
 
 
-def _psi_in(ps, window):
-    for x, w in zip(ps, window):
-        if w is not None:
-            lo, hi = w
-            if not (lo < (x - lo) % TWO_PI + lo < hi):
-                return False
-    return True
-
-
 def build_pseudo_orbit(
     path,
     start,
@@ -301,22 +292,20 @@ def build_pseudo_orbit(
     eps = params.eps if eps is None else eps
     if eps <= 0.0:
         raise EpsilonTooLarge("eps must be positive to move the actions")
-    start = np.asarray(start, dtype=float)
-    if not np.all(np.isfinite(start)):
-        raise ValueError(f"start must be finite, got {start}")
+    # the state z is a tuple of four Python floats, as every step records it
+    z = tuple(map(float, start))
+    if not all(map(math.isfinite, z)):
+        raise ValueError(f"start must be finite, got {z}")
     if not path.stairstepped:
         path = stairstep(path)
     delta = path.delta
 
-    # the state z is a tuple of four Python floats, which the kernels take
-    # fastest; arrays are built only for the recorded steps
-    z = tuple(start.tolist())
     if max(abs(z[0] - path.start[0]), abs(z[1] - path.start[1])) > delta:
         raise ValueError("start actions are not within delta of the path start")
 
     centers = [tuple(c.tolist()) for c in _ball_centers(path)]
     steps: List[PseudoStep] = [
-        PseudoStep("I", np.array(z), 0.0, None, path.distance_to(z[:2]))
+        PseudoStep("I", z, 0.0, None, path.distance_to(z[:2]))
     ]
     orbit = PseudoOrbit(steps, path, eps)
 
@@ -333,19 +322,19 @@ def build_pseudo_orbit(
             target = centers[k]
             continue
         if max(abs(z[0]), abs(z[1])) < guard:
-            raise Stuck(f"entered the origin guard region at state {np.array(z)}")
+            raise Stuck(f"entered the origin guard region at state {z}")
         window = _window_for(u, delta, margin, params)
         ps, dI, dTH = _jump_data(j, z, params)
-        if not _psi_in(ps, window):
+        if not inner.in_window(ps, window):
             try:
                 res = inner.ergodize(z, window, j=j, params=params, t_bound=t_bound)
-                z = tuple(res.state.tolist())
+                z = res.state
                 orbit.n_inner += 1
                 orbit.inner_time += res.t_star
                 d = path.distance_to(z[:2])
-                steps.append(PseudoStep("I", res.state, res.t_star, None, d))
+                steps.append(PseudoStep("I", z, res.t_star, None, d))
                 if on_event:
-                    on_event("inner", res.state, res.t_star)
+                    on_event("inner", z, res.t_star)
             except UseScatteringDetour:
                 z = _detour(z, j, params, eps, orbit, steps, path, on_event, margin)
                 continue
@@ -353,16 +342,16 @@ def build_pseudo_orbit(
                 if _near_resonant_block(z, j, params, margin):
                     z = _detour(z, j, params, eps, orbit, steps, path, on_event, margin)
                     continue
-                raise Stuck(f"window unreachable off the resonant line at {np.array(z)}: {exc}")
+                raise Stuck(f"window unreachable off the resonant line at {z}: {exc}")
             ps, dI, dTH = _jump_data(j, z, params)
         z = (z[0] + eps * dTH[0], z[1] + eps * dTH[1], z[2] - eps * dI[0], z[3] - eps * dI[1])
         orbit.n_scatter += 1
         d = path.distance_to(z[:2])
-        steps.append(PseudoStep("S", np.array(z), 0.0, np.array(ps), d))
+        steps.append(PseudoStep("S", z, 0.0, ps, d))
         if not d <= delta:
             raise Stuck(
                 f"tracking contract violated: deviation {d:.4f} > delta={delta} "
-                f"at {np.array(z)}"
+                f"at {z}"
             )
     else:
         raise Stuck(f"step budget exhausted before reaching {path.end}")
@@ -381,7 +370,7 @@ def _jump_data(j, z, params):
     """
     _val, tau, dI, dTH = melnikov.reduced_poincare_grad(j, z, params)
     w1, w2 = params.frequencies(z[0], z[1])
-    return (z[2] - tau * w1, z[3] - tau * w2), dI.tolist(), dTH.tolist()
+    return (z[2] - tau * w1, z[3] - tau * w2), dI, dTH
 
 
 def _near_resonant_block(z, j, params, margin):
@@ -394,8 +383,7 @@ def _near_resonant_block(z, j, params, margin):
     if w1 == 0.0 or abs(w2 / w1 - 1.0) > 1e-3:
         return False
     ps, _ = melnikov.psi(j, z, params)
-    off = (ps[1] - ps[0] - math.pi) % TWO_PI
-    return min(off, TWO_PI - off) <= 2.0 * margin + 0.3
+    return inner.resonant_gap(ps) <= 2.0 * margin + 0.3
 
 
 def _detour(z, j, params, eps, orbit, steps, path, on_event, margin):
@@ -410,17 +398,15 @@ def _detour(z, j, params, eps, orbit, steps, path, on_event, margin):
     for _ in range(200_000):
         t_rot, z = inner.rotate_to_psi1(z, 0.0, j=j, params=params)
         orbit.inner_time += t_rot
-        step = scattering_map(j, z, params, eps=eps)
-        z = step.after
+        z = scattering_map(j, z, params, eps=eps).after
         orbit.n_detour += 1
         d = path.distance_to(z[:2])
-        steps.append(PseudoStep("D", z.copy(), t_rot, None, d))
+        steps.append(PseudoStep("D", z, t_rot, None, d))
         if on_event:
             on_event("detour", z, t_rot)
         ps, _ = melnikov.psi(j, z, params)
-        off = (ps[1] - ps[0] - math.pi) % TWO_PI
-        if min(off, TWO_PI - off) > exit_gap:
-            return tuple(z.tolist())
+        if inner.resonant_gap(ps) > exit_gap:
+            return z
     raise Stuck("resonant detour failed to clear the blocked window")
 
 
@@ -652,7 +638,7 @@ def verify_scattering_jump(state, j, eps, params, T=None, cfg=None):
     measured = np.array([yf[7] - yb[7], yf[8] - yb[8]])
     raw = np.array([yf[2] - yb[2], yf[3] - yb[3]])
     _val, _tau, _dI, dTH = melnikov.reduced_poincare_grad(j, state, params)
-    predicted = eps * dTH
+    predicted = np.array([eps * dTH[0], eps * dTH[1]])
     # written out: np.linalg.norm is a BLAS dot whose rounding depends on the CPU kernel
     d0, d1 = measured - predicted
     disc = math.sqrt(d0 * d0 + d1 * d1)

@@ -56,23 +56,29 @@ def first_integrals(x, params):
     return f1, f2
 
 
-def first_integrals_theta(state, params):
-    """Slow-angle form: F_i = Omega_i I_i^2/2 + eps a_i cos theta_i."""
-    f1 = 0.5 * params.Omega1 * state[0] ** 2 + params.eps * params.a1 * math.cos(state[2])
-    f2 = 0.5 * params.Omega2 * state[1] ** 2 + params.eps * params.a2 * math.cos(state[3])
-    return f1, f2
+def in_window(ps, window):
+    """Whether each angle of ps lies in its window (lo, hi) mod 2pi.
+
+    ``window`` holds one interval per angle, or None for an angle that is
+    unconstrained.  Each angle is shifted by multiples of 2pi into
+    [lo, lo + 2pi) before the test.
+    """
+    for x, interval in zip(ps, window):
+        if interval is not None:
+            lo, hi = interval
+            if not lo < lo + (x - lo) % TWO_PI < hi:
+                return False
+    return True
 
 
-def _lift_into(x, lo):
-    """Shift x by multiples of 2pi into [lo, lo + 2pi)."""
-    return lo + (x - lo) % TWO_PI
+def resonant_gap(ps):
+    """Distance on the circle of the line offset psi2 - psi1 from pi.
 
-
-def _in_interval(x, interval):
-    if interval is None:
-        return True
-    lo, hi = interval
-    return lo < _lift_into(x, lo) < hi
+    On the resonant line (equal frequencies) rotation leaves the offset
+    fixed, and at gap 0 it never meets the default window.
+    """
+    off = (ps[1] - ps[0] - math.pi) % TWO_PI
+    return min(off, TWO_PI - off)
 
 
 DEFAULT_WINDOW = ((math.pi, TWO_PI), (math.pi, TWO_PI))
@@ -81,14 +87,9 @@ DEFAULT_WINDOW = ((math.pi, TWO_PI), (math.pi, TWO_PI))
 @dataclass
 class ErgodizeResult:
     t_star: float
-    state: np.ndarray
-    psi: np.ndarray
+    state: tuple      # (I1, I2, theta1, theta2) at window entry, floats
+    psi: tuple        # (psi1, psi2) there
     probes: int
-
-
-def _psi_of(j, state, params, guess=None):
-    ps, ts = melnikov.psi(j, state, params, guess=guess)
-    return ps, ts.value
 
 
 def ergodize(
@@ -110,20 +111,17 @@ def ergodize(
     default window), WindowUnreachable when the budget t_bound runs out.
     """
     params.require_diffusion_regime()
-    # probes are tuples of Python floats; only the returned state is an array
-    i1, i2, th1, th2 = map(float, state)
+    state = i1, i2, th1, th2 = tuple(map(float, state))
     w1, w2 = params.frequencies(i1, i2)
-    win1, win2 = window
 
-    ps, tau = _psi_of(j, (i1, i2, th1, th2), params)
-    if _in_interval(ps[0], win1) and _in_interval(ps[1], win2):
-        return ErgodizeResult(0.0, np.array([i1, i2, th1, th2]), ps, 0)
+    ps, ts = melnikov.psi(j, state, params)
+    if in_window(ps, window):
+        return ErgodizeResult(0.0, state, ps, 0)
 
     # degenerate resonant line: psi2 - psi1 is constant when w1 == w2
     rtol, otol = degenerate_tol
     if w1 != 0.0 and abs(w2 / w1 - 1.0) < rtol:
-        offset = (ps[1] - ps[0] - math.pi) % TWO_PI
-        if min(offset, TWO_PI - offset) < otol and win1 is not None and win2 is not None:
+        if resonant_gap(ps) < otol and None not in window:
             raise UseScatteringDetour(
                 "equal frequencies with angle offset pi: rotation cannot reach the window"
             )
@@ -142,46 +140,45 @@ def ergodize(
 
     t = 0.0
     probes = 0
-    guess = tau
     while t < t_bound:
         t += dt
         cand = (i1, i2, th1 + t * w1, th2 + t * w2)
-        ps, guess = _psi_of(j, cand, params, guess=guess)
+        ps, ts = melnikov.psi(j, cand, params, guess=ts.value)
         probes += 1
-        if _in_interval(ps[0], win1) and _in_interval(ps[1], win2):
-            return ErgodizeResult(t, np.array(cand), ps, probes)
+        if in_window(ps, window):
+            return ErgodizeResult(t, cand, ps, probes)
     raise WindowUnreachable(f"no window entry within t_bound={t_bound:.3g}")
 
 
 def rotate_to_psi1(state, target, j=0, params=None, tol=1e-10):
     """Inner-rotate until psi_1 = target (mod 2pi); used by the detour step.
 
-    Returns (t, new_state).  Assumes omega_1 != 0.
+    Returns (t, new_state), the state a tuple of floats.  Assumes
+    omega_1 != 0.
     """
-    # probes are tuples of Python floats; only the returned state is an array
-    i1, i2, th1, th2 = map(float, state)
+    state = i1, i2, th1, th2 = tuple(map(float, state))
     w1, w2 = params.frequencies(i1, i2)
     if w1 == 0.0:
         raise WindowUnreachable("psi1 frozen: omega1 = 0")
     drift = 1.0 if w1 > 0.0 else -1.0
 
-    _ps0, tau = _psi_of(j, (i1, i2, th1, th2), params)
+    _ps0, ts = melnikov.psi(j, state, params)
 
     def gap(t, guess):
         # signed phase still to travel, folded to [0, 2pi); decreasing in t
         cand = (i1, i2, th1 + t * w1, th2 + t * w2)
-        ps, g = _psi_of(j, cand, params, guess=guess)
+        ps, ts = melnikov.psi(j, cand, params, guess=guess)
         d = (drift * (target - ps[0])) % TWO_PI
-        return d, cand, g
+        return d, cand, ts.value
 
     musum = abs(params.mu1) + abs(params.mu2)
     fbar = min(0.995, (melnikov.OMEGA_ALPHA_SUP * musum) ** 2)
     rate = abs(w1) / (1.0 - math.sqrt(fbar))
     dt = 0.05 / rate
     t = 0.0
-    d_prev, cand, guess = gap(0.0, tau)
+    d_prev, cand, guess = gap(0.0, ts.value)
     if d_prev < tol:
-        return 0.0, np.array(cand)
+        return 0.0, cand
     for _ in range(int(40.0 * TWO_PI / (abs(w1) * dt)) + 10):
         t_next = t + dt
         d, cand, guess = gap(t_next, guess)
@@ -195,14 +192,14 @@ def rotate_to_psi1(state, target, j=0, params=None, tol=1e-10):
                     lo = mid
                     best = (mid, cand)
                     if dm < tol:
-                        return mid, np.array(cand)
+                        return mid, cand
                 else:
                     hi = mid
                 if hi - lo < 1e-16 * max(1.0, abs(hi)):
                     break
             if best is not None:
-                return best[0], np.array(best[1])
+                return best
             dm, cand, guess = gap(lo, guess)
-            return lo, np.array(cand)
+            return lo, cand
         t, d_prev = t_next, d
     raise WindowUnreachable("psi1 target not reached")

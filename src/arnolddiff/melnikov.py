@@ -224,64 +224,67 @@ class TauStar:
     iterations: int
 
 
-def solve_tau_star(j, state, params, guess=None):
-    """Crossing time of the frequency line through (I, theta) with branch j."""
-    i1, i2, t1, t2 = state
-    w1, w2 = params.frequencies(float(i1), float(i2))
+def _kernel(fn, *args, **kwargs):
+    """Call a scalar kernel, translating its failures into typed errors.
+
+    A ValueError (the crest is not a horizontal graph there) becomes
+    NotHorizontal, an ArithmeticError (the tau* solve did not converge)
+    NoConvergence.
+    """
     try:
-        tau, res, it = kernels.tau_star(
-            j, w1, w2, params.mu1, params.mu2, float(t1), float(t2), guess=guess
-        )
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise NotHorizontal(str(exc)) from None
     except ArithmeticError as exc:
         raise NoConvergence(str(exc)) from None
+
+
+def solve_tau_star(j, state, params, guess=None):
+    """Crossing time of the frequency line through (I, theta) with branch j."""
+    i1, i2, t1, t2 = map(float, state)
+    w1, w2 = params.frequencies(i1, i2)
+    tau, res, it = _kernel(
+        kernels.tau_star, j, w1, w2, params.mu1, params.mu2, t1, t2, guess=guess
+    )
     return TauStar(tau, j, res, it)
 
 
 def reduced_poincare(j, state, params, guess=None):
     """Value of the reduced generating function L*_j at a reduced state."""
-    i1, i2, t1, t2 = state
-    try:
-        val, _tau = kernels.lstar(
-            j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
-            float(i1), float(i2), float(t1), float(t2), guess,
-        )
-    except ValueError as exc:
-        raise NotHorizontal(str(exc)) from None
-    except ArithmeticError as exc:
-        raise NoConvergence(str(exc)) from None
+    i1, i2, t1, t2 = map(float, state)
+    val, _tau = _kernel(
+        kernels.lstar, j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
+        i1, i2, t1, t2, guess,
+    )
     return val
 
 
 def reduced_poincare_grad(j, state, params, guess=None):
-    """(value, tau*, dL/dI (2,), dL/dtheta (2,)) at a reduced state."""
-    i1, i2, t1, t2 = state
-    try:
-        val, tau, di1, di2, dt1, dt2 = kernels.lstar_grad(
-            j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
-            float(i1), float(i2), float(t1), float(t2), guess,
-        )
-    except ValueError as exc:
-        raise NotHorizontal(str(exc)) from None
-    except ArithmeticError as exc:
-        raise NoConvergence(str(exc)) from None
-    return val, tau, np.array([di1, di2]), np.array([dt1, dt2])
+    """(value, tau*, (dL/dI1, dL/dI2), (dL/dtheta1, dL/dtheta2)), all floats."""
+    i1, i2, t1, t2 = map(float, state)
+    val, tau, di1, di2, dt1, dt2 = _kernel(
+        kernels.lstar_grad, j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
+        i1, i2, t1, t2, guess,
+    )
+    return val, tau, (di1, di2), (dt1, dt2)
 
 
 def psi(j, state, params, guess=None):
-    """Slow angles pulled back to the crest: psi_j = theta - tau*_j * omega."""
-    i1, i2, t1, t2 = state
+    """Slow angles pulled back to the crest: psi_j = theta - tau*_j * omega.
+
+    Returns ((psi1, psi2), TauStar).
+    """
+    i1, i2, t1, t2 = map(float, state)
     ts = solve_tau_star(j, state, params, guess=guess)
     w1, w2 = params.frequencies(i1, i2)
-    return np.array([t1 - ts.value * w1, t2 - ts.value * w2]), ts
+    return (t1 - ts.value * w1, t2 - ts.value * w2), ts
 
 
 def psi_inverse(j, i1, i2, psi1, psi2, params):
-    """Invert psi: theta = psi - xi_j(I, psi) * omega."""
+    """Invert psi: theta = psi - xi_j(I, psi) * omega, as a pair of floats."""
     w1, w2 = params.frequencies(i1, i2)
     xi = crest_branch(j, i1, i2, psi1, psi2, params)
-    return np.array([psi1 - xi * w1, psi2 - xi * w2])
+    return (float(psi1 - xi * w1), float(psi2 - xi * w2))
 
 
 def scan_alpha_bounds(span=20.0, step=1e-4):

@@ -1,12 +1,18 @@
 """The pendulum + two-rotor Hamiltonian: parameters, energy, vector fields.
 
-State layout conventions (plain float arrays everywhere):
+State layout conventions:
 
 * full state: ``[p, q, I1, I2, phi1, phi2, s]`` -- pendulum momentum/angle,
   actions, rotor angles and the time angle ``s`` (kept on the real lift
   inside integrations, reduced mod 2pi only for presentation);
-* reduced state: ``[I1, I2, theta1, theta2]`` with the slow angles
+* reduced state: ``(I1, I2, theta1, theta2)`` with the slow angles
   ``theta = phi - s*omega``.
+
+The scalar layers (melnikov, scattering_map, inner's rotation waits, the
+pseudo-orbit builder) take any 4-sequence and return reduced states, angle
+pairs and gradient pairs as tuples of Python floats.  numpy arrays are
+used where array work is done: trajectories, grids, Highway orbits and
+the stacked CSV/summary columns.
 """
 
 import math

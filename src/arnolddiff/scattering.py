@@ -24,10 +24,10 @@ from .ode import IntegratorConfig, Section, integrate_to_event  # noqa: F401
 
 @dataclass
 class ScatteringStep:
-    before: np.ndarray
-    after: np.ndarray
+    before: tuple             # (I1, I2, theta1, theta2), floats
+    after: tuple              # S_j(before)
     branch: int
-    jump: np.ndarray          # eps * dL*/dtheta
+    jump: tuple               # eps * dL*/dtheta, the action change
     tau: float
     lstar_before: float
     lstar_after: float
@@ -41,15 +41,11 @@ def scattering_map(j, state, params, eps=None, guess=None):
     """Apply the first-order branch map S_j once."""
     eps = params.eps if eps is None else eps
     val, tau, dI, dTH = melnikov.reduced_poincare_grad(j, state, params, guess=guess)
-    state = np.asarray(state, dtype=float)
-    after = state.copy()
-    jump = eps * dTH
-    after[0] += jump[0]
-    after[1] += jump[1]
-    after[2] -= eps * dI[0]
-    after[3] -= eps * dI[1]
+    i1, i2, t1, t2 = before = tuple(map(float, state))
+    jump = (eps * dTH[0], eps * dTH[1])
+    after = (i1 + jump[0], i2 + jump[1], t1 - eps * dI[0], t2 - eps * dI[1])
     val_after = melnikov.reduced_poincare(j, after, params, guess=tau)
-    return ScatteringStep(state, after, j, jump, tau, val, val_after)
+    return ScatteringStep(before, after, j, jump, tau, val, val_after)
 
 
 def scattering_flow_field(j, state, params, guess=None):

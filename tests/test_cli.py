@@ -318,6 +318,7 @@ INVALID = {
     str: [],
     config._finite: ["x", *NON_FINITE],
     config._count: ["x", "1.5", "0", "-1", str(config.MAX_COUNT + 1)],
+    config._grid: ["x", "1.5", "0", "-1", "257", str(config.MAX_COUNT + 1)],
     config._natural: ["x", "1.5", "-1"],
     config._positive: ["x", *NON_FINITE, "0", "-1e-3"],
     config._nonzero: ["x", *NON_FINITE, "0"],
@@ -370,6 +371,15 @@ def test_schema_rejects_before_work(tmp_path, capsys, monkeypatch, command, sect
     assert not out.exists()
 
 
+def test_grid_bound_keeps_scans_within_max_count(tmp_path):
+    # a grid x grid scan has at most MAX_COUNT points
+    assert config.MAX_GRID**2 <= config.MAX_COUNT < (config.MAX_GRID + 1) ** 2
+    sections = _sections(tmp_path / "out")
+    for section in ("crest", "tau"):
+        sections[section]["grid"] = str(config.MAX_GRID)
+        assert RunConfig(sections).values(section)["grid"] == config.MAX_GRID
+
+
 def test_schema_base_file_is_valid(tmp_path):
     cfg = RunConfig(_sections(tmp_path / "out"))
     for _fn, section in COMMANDS.values():
@@ -388,6 +398,8 @@ PROBES = [
     ("time-estimate", "[time]\neps = nan\n", 2, "config error:"),
     ("time-estimate", "[time]\nseed_i1 = inf\n", 2, "config error:"),
     ("crest", "[crest]\ni1 = 1\ni2 = 1\ngrid = 100000000000\n", 2, "config error:"),
+    ("crest", "[crest]\ni1 = 1\ni2 = 1\ngrid = 257\n", 2, "config error:"),
+    ("tau", "[tau]\ni1 = 1\ni2 = 1\ngrid = 257\n", 2, "config error:"),
     ("tau", "[tau]\ni1 = 1\ni2 = 1\nbranch = x\n", 2, "config error:"),
     ("melnikov-verify", "[verify]\n" + STATE + "eps_list = 0.5\n", 3, "EpsilonTooLarge:"),
     ("poincare", SECTIONS["poincare"] + "seed_i1 = 30\ntheta1_guess = 0\n", 3,

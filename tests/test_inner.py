@@ -51,14 +51,6 @@ class TestFirstIntegrals:
         assert f1 == pytest.approx(0.7)
         assert f2 == pytest.approx(0.3)
 
-    def test_theta_form_matches_phi_form_shift(self, params):
-        # the two forms differ by the constant eps*a_i
-        z = np.array([1.2, -0.5, 0.7, 2.2])
-        t1, t2 = inner.first_integrals_theta(z, params)
-        f1, f2 = inner.first_integrals(np.array([1.2, -0.5, 0.7, 2.2, 0.0]), params)
-        assert t1 - f1 == pytest.approx(params.eps * params.a1, rel=1e-12)
-        assert t2 - f2 == pytest.approx(params.eps * params.a2, rel=1e-12)
-
 
 class TestErgodize:
     def test_already_inside(self, params):

@@ -57,7 +57,7 @@ class TestMap:
             zp, zm = z0.copy(), z0.copy()
             zp[k] += h
             zm[k] -= h
-            DS[:, k] = (smap(zp) - smap(zm)) / (2 * h)
+            DS[:, k] = (np.array(smap(zp)) - np.array(smap(zm))) / (2 * h)
 
         def grad(z):
             _v, _t, dI, dTH = melnikov.reduced_poincare_grad(0, z, params)
