@@ -328,13 +328,6 @@ def build_pseudo_orbit(
         if not inner.in_window(ps, window):
             try:
                 res = inner.ergodize(z, window, j=j, params=params, t_bound=t_bound)
-                z = res.state
-                orbit.n_inner += 1
-                orbit.inner_time += res.t_star
-                d = path.distance_to(z[:2])
-                steps.append(PseudoStep("I", z, res.t_star, None, d))
-                if on_event:
-                    on_event("inner", z, res.t_star)
             except UseScatteringDetour:
                 z = _detour(z, j, params, eps, orbit, steps, path, on_event, margin)
                 continue
@@ -342,7 +335,14 @@ def build_pseudo_orbit(
                 if _near_resonant_block(z, j, params, margin):
                     z = _detour(z, j, params, eps, orbit, steps, path, on_event, margin)
                     continue
-                raise Stuck(f"window unreachable off the resonant line at {z}: {exc}")
+                res = _wait_for_major_window(z, window, u, j, params, t_bound, exc)
+            z = res.state
+            orbit.n_inner += 1
+            orbit.inner_time += res.t_star
+            d = path.distance_to(z[:2])
+            steps.append(PseudoStep("I", z, res.t_star, None, d))
+            if on_event:
+                on_event("inner", z, res.t_star)
             ps, dI, dTH = _jump_data(j, z, params)
         z = (z[0] + eps * dTH[0], z[1] + eps * dTH[1], z[2] - eps * dI[0], z[3] - eps * dI[1])
         orbit.n_scatter += 1
@@ -371,6 +371,26 @@ def _jump_data(j, z, params):
     _val, tau, dI, dTH = melnikov.reduced_poincare_grad(j, z, params)
     w1, w2 = params.frequencies(z[0], z[1])
     return (z[2] - tau * w1, z[3] - tau * w2), dI, dTH
+
+
+def _wait_for_major_window(z, window, u, j, params, t_bound, exc):
+    """Ergodize into the window of the larger |u| component alone.
+
+    Used when both components are constrained, their sweep found no entry
+    and the line is not the pi-blocked resonant diagonal.  With windows on
+    opposite halves of the circle (one component just past the deadband)
+    and near-equal frequencies, the line's offset psi2 - psi1 can sit near
+    0, where rotation never meets their box; the minor component is then
+    left free, as it is inside the deadband.  Raises Stuck when this sweep
+    fails too.
+    """
+    if None in window:
+        raise Stuck(f"window unreachable off the resonant line at {z}: {exc}")
+    major = (window[0], None) if abs(u[0]) >= abs(u[1]) else (None, window[1])
+    try:
+        return inner.ergodize(z, major, j=j, params=params, t_bound=t_bound)
+    except WindowUnreachable as again:
+        raise Stuck(f"window unreachable off the resonant line at {z}: {again}") from exc
 
 
 def _near_resonant_block(z, j, params, margin):

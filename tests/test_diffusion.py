@@ -307,6 +307,41 @@ class TestBuilder:
         assert "detour" in events
         assert orb.meta["final_gap"] <= 0.1
 
+    def test_major_window_when_offset_blocks_opposite_windows(self, params, monkeypatch):
+        # near-equal frequencies with |u1| just past the deadband: the two
+        # windows lie on opposite halves, the line offset psi2 - psi1 sits
+        # near 0 (not pi), and the two-window sweep finds no entry; the
+        # builder then waits for the window of the larger |u| alone
+        major = diffusion._wait_for_major_window
+        used = []
+
+        def recording(z, window, u, *args):
+            assert None not in window and abs(u[1]) > abs(u[0]) > 0.025
+            used.append(z)
+            return major(z, window, u, *args)
+
+        monkeypatch.setattr(diffusion, "_wait_for_major_window", recording)
+        path = diffusion.stairstep(diffusion.ActionPath(np.array(
+            [[1.2964474979042044, 1.298885287614924], [1.3164474979042045, 1.698885287614924]]
+        ), 0.1))
+        start = (1.2964474979042044, 1.298885287614924, 3.4288474779363951, 3.9367337894783607)
+        orb = diffusion.build_pseudo_orbit(path, start, params)
+        assert used
+        assert orb.n_detour == 0 and orb.n_scatter + orb.n_inner == 2269
+        assert orb.max_deviation <= 0.1 and orb.meta["final_gap"] <= 0.1
+
+    def test_major_window_unreachable_is_stuck(self, params, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise diffusion.WindowUnreachable("no window entry")
+
+        monkeypatch.setattr(diffusion.inner, "ergodize", unreachable)
+        z = (1.3, 1.33, 0.0, 0.0)
+        window = ((0.3, math.pi - 0.3), (math.pi + 0.3, TWO_PI - 0.3))
+        for win in (window, (window[0], None)):
+            with pytest.raises(Stuck, match="off the resonant line"):
+                diffusion._wait_for_major_window(
+                    z, win, (0.03, 0.2), 0, params, None, diffusion.WindowUnreachable("x"))
+
     @pytest.mark.parametrize("start", [
         [1.0, 1.0, math.nan, 4.4], [1.0, 1.0, 2.0, math.inf], [math.nan, 1.0, 2.0, 4.4],
         [1.0, -math.inf, 2.0, 4.4],
