@@ -162,8 +162,6 @@ def rotate_to_psi1(state, target, j=0, params=None, tol=1e-10):
         raise WindowUnreachable("psi1 frozen: omega1 = 0")
     drift = 1.0 if w1 > 0.0 else -1.0
 
-    _ps0, ts = melnikov.psi(j, state, params)
-
     def gap(t, guess):
         # signed phase still to travel, folded to [0, 2pi); decreasing in t
         cand = (i1, i2, th1 + t * w1, th2 + t * w2)
@@ -176,7 +174,7 @@ def rotate_to_psi1(state, target, j=0, params=None, tol=1e-10):
     rate = abs(w1) / (1.0 - math.sqrt(fbar))
     dt = 0.05 / rate
     t = 0.0
-    d_prev, cand, guess = gap(0.0, ts.value)
+    d_prev, cand, guess = gap(0.0, None)
     if d_prev < tol:
         return 0.0, cand
     for _ in range(int(40.0 * TWO_PI / (abs(w1) * dt)) + 10):
