@@ -380,8 +380,9 @@ def _wait_for_major_window(z, window, u, j, params, t_bound, exc):
     and the line is not the pi-blocked resonant diagonal.  With windows on
     opposite halves of the circle (one component just past the deadband)
     and near-equal frequencies, the line's offset psi2 - psi1 can sit near
-    0, where rotation never meets their box; the minor component is then
-    left free, as it is inside the deadband.  Raises Stuck when this sweep
+    0, where rotation never meets their box.  The minor component, just
+    past the deadband, is then left free as if it were inside it; every
+    jump still checks the tracking contract.  Raises Stuck when this sweep
     fails too.
     """
     if None in window:

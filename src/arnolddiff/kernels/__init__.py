@@ -34,7 +34,7 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_leaves.c")
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 
 
-def cached_extension():
+def _cached_extension():
     """Path of the compiled leaves for this source, these flags and this interpreter."""
     with open(SOURCE, "rb") as fh:
         key = hashlib.sha256(fh.read())
@@ -44,7 +44,7 @@ def cached_extension():
                         f"_leaves.{key.hexdigest()[:16]}{EXTENSION_SUFFIXES[0]}")
 
 
-def build(path):
+def _build(path):
     """Compile ``_leaves.c`` to ``path``: into a temporary name, then ``os.replace``,
     so a concurrent build or load never sees a partial file."""
     import subprocess
@@ -79,10 +79,10 @@ def _load(path):
 
 def _compiled_leaves():
     """The compiled module, built first if the cache lacks it; None on failure."""
-    path = cached_extension()
     try:
+        path = _cached_extension()
         if not os.path.exists(path):
-            build(path)
+            _build(path)
         return _load(path)
     except (OSError, ImportError) as exc:
         print(f"arnolddiff: compiled kernels unavailable ({exc}); using the Python kernels",

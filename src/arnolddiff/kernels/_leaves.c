@@ -5,7 +5,7 @@
  * with -ffp-contract=off, so no fused multiply-add, and -fno-builtin, so
  * no libm call is folded at compile time or fused into sincos), the same
  * libm calls, Python's NaN behaviour of max/min, math's ValueError for
- * sin/cos of an infinity, and the same exceptions and messages.  Bits are
+ * sin of an infinity, and the same exceptions and messages.  Bits are
  * equal to pure.py's (tests/test_leaves.py).
  *
  * The fast path takes Python floats, ints of magnitude <= 2**53 (which
@@ -58,13 +58,13 @@ as_double(PyObject *o, double *x)
 
 /* math.sin: ValueError("math domain error") for an infinity. */
 static int
-checked(double (*f)(double), double x, double *r)
+py_sin(double x, double *r)
 {
     if (isinf(x)) {
         PyErr_SetString(PyExc_ValueError, "math domain error");
         return 0;
     }
-    *r = f(x);
+    *r = sin(x);
     return 1;
 }
 
@@ -145,7 +145,7 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
     for (it = 1; it < 121; it++) {
         double ps1 = t1 - tau * w1;
         double ps2 = t2 - tau * w2;
-        if (!checked(sin, ps1, &s1) || !checked(sin, ps2, &s2))
+        if (!py_sin(ps1, &s1) || !py_sin(ps2, &s2))
             return 0;
         x = b1 * s1 + b2 * s2;
         if (x > 1.0)
@@ -176,7 +176,7 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
     }
     if (it == 121)
         it = 120;   /* range(1, 121) leaves its last value */
-    if (!checked(sin, t1 - tau * w1, &s1) || !checked(sin, t2 - tau * w2, &s2))
+    if (!py_sin(t1 - tau * w1, &s1) || !py_sin(t2 - tau * w2, &s2))
         return 0;
     x = b1 * s1 + b2 * s2;
     g = tau + pj + sgn * asin(py_min(py_max(x, -1.0), 1.0));
