@@ -274,6 +274,10 @@ def cmd_melnikov_verify(cfg, outdir):
 
 def cmd_time_estimate(cfg, outdir):
     params = cfg.model_params()
+    try:
+        params.require_diffusion_regime()
+    except ValueError as exc:
+        raise ConfigError(f"bad [time] run: {exc}") from None
     v = cfg.values("time")
     i1, i2, eps = v["seed_i1"], v["seed_i2"], v["eps"]
     i1_stop = i1 + 1.3 if v["i1_stop"] is None else v["i1_stop"]

@@ -27,6 +27,7 @@ from .ode import IntegratorConfig
 ENV_OUTDIR = "ARNOLDDIFF_OUTDIR"
 MAX_COUNT = 2**16   # upper bound on seed counts, crossing budgets and grid points
 MAX_GRID = math.isqrt(MAX_COUNT)  # per axis of a grid x grid scan
+MAX_BRANCH = 2**18  # |j| below it keeps tau*'s bracket argument valid (kernels/pure.py)
 REQUIRED = object()  # the default of a key that must be given
 
 
@@ -48,6 +49,7 @@ def _floats(raw):
 _finite = _checked(float, math.isfinite, "must be finite")
 _count = _checked(int, lambda v: 1 <= v <= MAX_COUNT, f"must be in [1, {MAX_COUNT}]")
 _grid = _checked(int, lambda v: 1 <= v <= MAX_GRID, f"must be in [1, {MAX_GRID}]")
+_branch = _checked(int, lambda v: abs(v) < MAX_BRANCH, f"must be in (-{MAX_BRANCH}, {MAX_BRANCH})")
 _natural = _checked(int, lambda v: v >= 0, "must be >= 0")
 _positive = _checked(_finite, lambda v: v > 0.0, "must be > 0")
 _nonzero = _checked(_finite, lambda v: v != 0.0, "must be nonzero")
@@ -67,9 +69,10 @@ SCHEMA = {
     "crest": dict(i1=(_finite, REQUIRED), i2=(_finite, REQUIRED), grid=(_grid, 128)),
     "tau": dict(i1=(_finite, REQUIRED), i2=(_finite, REQUIRED), grid=(_grid, 64)),
     # theta1_guess, seed_i1 and seed_i2 default to level_point's theta1, I1 and I2
-    "poincare": dict(branch=(int, 0), level_point=(_four, REQUIRED), section_i1=(_finite, 0.0),
-                     theta2_lo=(_finite, REQUIRED), theta2_hi=(_finite, REQUIRED),
-                     n_seeds=(_count, 20), theta1_guess=(_finite, None), t_max=(_nonzero, 600.0),
+    "poincare": dict(branch=(_branch, 0), level_point=(_four, REQUIRED),
+                     section_i1=(_finite, 0.0), theta2_lo=(_finite, REQUIRED),
+                     theta2_hi=(_finite, REQUIRED), n_seeds=(_count, 20),
+                     theta1_guess=(_finite, None), t_max=(_nonzero, 600.0),
                      max_crossings=(_count, 60), seed_i1=(_finite, None),
                      seed_i2=(_finite, None)),
     "highway": dict(i2_from=(_finite, -7.0), i2_to=(_finite, 7.0), i1_lo=(_finite, 7.0),
@@ -78,7 +81,8 @@ SCHEMA = {
     "diffuse": dict(waypoints=(_waypoints, REQUIRED), delta=(_positive, 0.1),
                     eps=(_finite, 0.0), theta1=(_finite, 2.0), theta2=(_finite, 4.4)),
     # state has no length check yet: a three-number state escapes as a ValueError
-    "verify": dict(state=(_floats, REQUIRED), branch=(int, 0), eps_list=(_floats, (1e-3, 5e-4))),
+    "verify": dict(state=(_floats, REQUIRED), branch=(_branch, 0),
+                   eps_list=(_floats, (1e-3, 5e-4))),
     # i1_stop defaults to seed_i1 + 1.3, omega_lo and omega_hi to
     # Omega1 * (seed_i1 + 0.02) and Omega1 * (i1_stop - 0.05)
     "time": dict(seed_i1=(_finite, 7.0), seed_i2=(_finite, -7.0), i1_stop=(_finite, None),

@@ -37,8 +37,10 @@ def highway_seed(i1, i2, params, signs=(1, 1), j=0, residual_tol=1e-4):
     solves the leading level balance including the frequency cross term, so
     the residual decays like the cube of the coefficient scale.
 
-    Returns (state, residual).  Raises AsymptoticsUnreliable if the residual
-    of the defining level exceeds residual_tol (actions too small).
+    Returns (state, residual).  Raises AsymptoticsUnreliable if A1 or A2 is
+    exactly 0 (a zero amplitude, or |Omega_i*I_i| past the coefficient cut
+    |pi*w/2| > 700), since the correction divides by both, or if the
+    residual of the defining level exceeds residual_tol (actions too small).
     """
     s1, s2 = signs
     if s1 not in (1, -1) or s2 not in (1, -1):
@@ -46,6 +48,8 @@ def highway_seed(i1, i2, params, signs=(1, 1), j=0, residual_tol=1e-4):
     w1, w2 = params.frequencies(i1, i2)
     A1 = kernels.coeff(w1, params.a1)
     A2 = kernels.coeff(w2, params.a2)
+    if A1 == 0.0 or A2 == 0.0:
+        raise AsymptoticsUnreliable(f"far-field seed divides by A1 = {A1} and A2 = {A2}")
     A3 = level_value(params)
     t1 = s1 * w1 * A1 / A3
     t2 = s2 * w2 * A2 / A3

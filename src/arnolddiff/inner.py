@@ -81,6 +81,13 @@ def resonant_gap(ps):
     return min(off, TWO_PI - off)
 
 
+def _psi_speed_denom(params):
+    """1 - sqrt(fbar): under rotation psi_i turns at most |w_i| / this fast."""
+    musum = abs(params.mu1) + abs(params.mu2)
+    fbar = min(0.995, (melnikov.OMEGA_ALPHA_SUP * musum) ** 2)
+    return 1.0 - math.sqrt(fbar)
+
+
 DEFAULT_WINDOW = ((math.pi, TWO_PI), (math.pi, TWO_PI))
 
 
@@ -129,9 +136,7 @@ def ergodize(
     wmax = max(abs(w1), abs(w2))
     if wmax == 0.0:
         raise WindowUnreachable("zero frequency vector: angles are frozen")
-    musum = abs(params.mu1) + abs(params.mu2)
-    fbar = min(0.995, (melnikov.OMEGA_ALPHA_SUP * musum) ** 2)
-    psi_rate = wmax / (1.0 - math.sqrt(fbar))
+    psi_rate = wmax / _psi_speed_denom(params)
     dt = 0.08 / psi_rate
     if t_bound is None:
         t_bound = 400.0 * TWO_PI / min(
@@ -169,9 +174,7 @@ def rotate_to_psi1(state, target, j=0, params=None, tol=1e-10):
         d = (drift * (target - ps[0])) % TWO_PI
         return d, cand, ts.value
 
-    musum = abs(params.mu1) + abs(params.mu2)
-    fbar = min(0.995, (melnikov.OMEGA_ALPHA_SUP * musum) ** 2)
-    rate = abs(w1) / (1.0 - math.sqrt(fbar))
+    rate = abs(w1) / _psi_speed_denom(params)
     dt = 0.05 / rate
     t = 0.0
     d_prev, cand, guess = gap(0.0, None)

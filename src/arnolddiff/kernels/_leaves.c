@@ -180,7 +180,7 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
         return 0;
     x = b1 * s1 + b2 * s2;
     g = tau + pj + sgn * asin(py_min(py_max(x, -1.0), 1.0));
-    if (fabs(g) > 1e-10) {
+    if (!(fabs(g) <= 1e-10)) {   /* a NaN residual is no root either */
         PyErr_SetString(PyExc_ArithmeticError, "tau_star iteration failed to converge");
         return 0;
     }

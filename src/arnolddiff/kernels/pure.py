@@ -25,7 +25,8 @@ kappa = asin(smax), so g(lo) < 0 up to rounding of pi*j (|j| < 2**18), and
 an iterate with g < 0 (or NaN) becomes the new low end.  Both changes keep
 every returned value bit for bit (tests/test_kernels_parity.py); two input
 classes that used to raise now return: 0 < |pi*w/2| < 1.5e-162 (sinh**2
-underflowed in a division) and |lo*w| overflowing (sin(inf) at g(lo)).
+underflowed in a division) and |lo*w| overflowing (sin(inf) at g(lo)); a
+NaN final residual, once returned as a root, now raises ArithmeticError.
 ``lstar`` and ``lstar_grad`` look ``tau_star`` up as a module global on
 every call.
 """
@@ -173,7 +174,7 @@ def tau_star(j, w1, w2, mu1, mu2, t1, t2, tol=1e-14, guess=None):
             break
     x = b1 * math.sin(t1 - tau * w1) + b2 * math.sin(t2 - tau * w2)
     g = tau + pj + sgn * math.asin(min(max(x, -1.0), 1.0))
-    if abs(g) > 1e-10:
+    if not abs(g) <= 1e-10:  # a NaN residual is no root either
         raise ArithmeticError("tau_star iteration failed to converge")
     return tau, g, it
 

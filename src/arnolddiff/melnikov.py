@@ -29,7 +29,6 @@ from .errors import NoConvergence, NotHorizontal
 from .model import TWO_PI
 from .numerics import quad
 
-SINH_HALF_PI = kernels.SINH_HALF_PI
 ALPHA_SUP = kernels.ALPHA_SUP
 OMEGA_ALPHA_SUP = kernels.OMEGA_ALPHA_SUP
 
@@ -39,28 +38,11 @@ UNSEPARATED = "unseparated"
 
 
 def alpha(w):
-    """Crest weight alpha(w); accepts scalars or arrays (odd function of w)."""
+    """Crest weight alpha(w) (odd in w): ``kernels.alpha``, point by point on arrays."""
     w = np.asarray(w, dtype=float)
     if w.ndim == 0:
         return kernels.alpha(float(w))
-    # the array branch stays numpy: np.sinh rounds differently from libm's
-    # sinh, so a loop over kernels.alpha would move the dense scans that
-    # read it (diffusion's window constant C, scan_alpha_bounds)
-    x = 0.5 * np.pi * w
-    small = np.abs(x) < 0.1
-    big = np.abs(x) > 700.0
-    out = np.empty_like(w)
-    xs = x[small]
-    out[small] = (
-        (2.0 / np.pi)
-        * w[small]
-        * SINH_HALF_PI
-        * (1.0 - xs**2 / 6.0 + 7.0 * xs**4 / 360.0 - 31.0 * xs**6 / 15120.0)
-    )
-    rest = ~small & ~big
-    out[rest] = w[rest] ** 2 * SINH_HALF_PI / np.sinh(x[rest])
-    out[big] = 0.0
-    return out
+    return np.fromiter(map(kernels.alpha, w.ravel().tolist()), float, w.size).reshape(w.shape)
 
 
 @dataclass(frozen=True)

@@ -299,8 +299,8 @@ def _henon_step(f, k, value, t, y, cfg):
     that check fails is the same system integrated adaptively in s.  Those
     steps are not steps of the orbit, so a trace counting accepted and
     rejected steps of ``integrate`` sees them as event re-steps.  None if
-    f_k vanishes on the way (the adaptive steps underflow or the state is
-    not finite).
+    f_k vanishes on the way: the adaptive steps underflow, the state is not
+    finite, or f raises ValueError or ArithmeticError on such a state.
     """
 
     def g(s, z):
@@ -313,12 +313,12 @@ def _henon_step(f, k, value, t, y, cfg):
 
     z = [*y, t]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z_hit, err = rkf78_step(g, y[k], z, value - y[k])
-        if not _error_norm(err, z, z_hit, cfg) <= 1.0:
-            try:
+        try:
+            z_hit, err = rkf78_step(g, y[k], z, value - y[k])
+            if not _error_norm(err, z, z_hit, cfg) <= 1.0:
                 z_hit = _integrate(g, z, y[k], value, cfg, False, None, 1).final
-            except StepSizeUnderflow:
-                return None
+        except (StepSizeUnderflow, ValueError, ArithmeticError):
+            return None
     if not np.all(np.isfinite(z_hit)):
         return None
     y_hit = np.array(z_hit[:-1])

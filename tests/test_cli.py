@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -319,6 +320,7 @@ INVALID = {
     config._finite: ["x", *NON_FINITE],
     config._count: ["x", "1.5", "0", "-1", str(config.MAX_COUNT + 1)],
     config._grid: ["x", "1.5", "0", "-1", "257", str(config.MAX_COUNT + 1)],
+    config._branch: ["x", "1.5", str(config.MAX_BRANCH), str(-config.MAX_BRANCH), "300000"],
     config._natural: ["x", "1.5", "-1"],
     config._positive: ["x", *NON_FINITE, "0", "-1e-3"],
     config._nonzero: ["x", *NON_FINITE, "0"],
@@ -397,6 +399,7 @@ PROBES = [
     ("time-estimate", "[time]\neps = 0\n", 2, "config error:"),
     ("time-estimate", "[time]\neps = nan\n", 2, "config error:"),
     ("time-estimate", "[time]\nseed_i1 = inf\n", 2, "config error:"),
+    ("time-estimate", "[time]\nseed_i1 = 1e3\nseed_i2 = -1e3\n", 3, "AsymptoticsUnreliable:"),
     ("crest", "[crest]\ni1 = 1\ni2 = 1\ngrid = 100000000000\n", 2, "config error:"),
     ("crest", "[crest]\ni1 = 1\ni2 = 1\ngrid = 257\n", 2, "config error:"),
     ("tau", "[tau]\ni1 = 1\ni2 = 1\ngrid = 257\n", 2, "config error:"),
@@ -415,6 +418,29 @@ def test_probe_exit_code(tmp_path, capsys, command, section, code, prefix):
     assert main([command, str(ini)]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+# [model] amplitudes that once escaped main(), or warned before the exit
+MODEL_PROBES = [
+    ("time-estimate", "a1 = 0.4\na2 = 0.4\n", 2, "config error:"),  # window constant den <= 0
+    ("time-estimate", "a1 = 0\na2 = 0.1\n", 2, "config error:"),  # T_s divides by a1
+    ("time-estimate", "a1 = 0.3\na2 = 0.35\n", 2, "config error:"),  # 0.625 <= |mu| < 0.682
+    ("highway", "a1 = 0.3\na2 = 0\n", 3, "AsymptoticsUnreliable:"),  # highway_seed's A2 = 0
+]
+
+
+@pytest.mark.parametrize("command, model, code, prefix", MODEL_PROBES)
+def test_model_probe_exit_code(tmp_path, capsys, command, model, code, prefix):
+    text = BASE.format(out=tmp_path / "out").replace("a1 = 0.3\na2 = 0.1\n", model)
+    ini = tmp_path / "run.ini"
+    ini.write_text(text + SECTIONS.get(command, ""))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(ini)]) == code
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert not list(tmp_path.glob("out/*.csv"))
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError,

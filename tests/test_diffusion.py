@@ -473,6 +473,13 @@ class TestTimeEstimate:
         with pytest.raises(RangeNotCovered):
             diffusion.time_estimate((1.0, 7.0), orb, 1e-3, p)
 
+    @pytest.mark.parametrize("w_lo, w_hi", [(0.0, 1.0), (1.0, 2.0)])
+    def test_window_scan_is_the_scalar_kernel(self, w_lo, w_hi):
+        # M(w) of the window constant C carries the Python leaf's bits
+        alpha = kernels.PYTHON_LEAVES["alpha"]
+        w = np.linspace(w_lo, w_hi, 4001).tolist()
+        assert diffusion._bigM(w_lo, w_hi) == max(abs(x - alpha(x)) for x in w)
+
 
 def test_epsilon_threshold_calibrated_fixture(params):
     # frozen value with the auto-calibrated quadratic-remainder constant

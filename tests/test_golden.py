@@ -6,6 +6,7 @@ SHA-256 of every CSV and ``_summary.json`` they write (see
 tolerance: a change that moves one output bit is named here by file.
 """
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -39,3 +40,21 @@ def test_outputs_do_not_depend_on_blas_core_or_simd_level(subprocess_env):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert _moved(json.loads(proc.stdout)) == []
+
+
+def test_src_uses_no_simd_transcendental():
+    # on AVX2 and AVX-512 machines these numpy functions round differently
+    # from libm, which would make the table depend on the CPU
+    banned = {"sinh", "cosh", "exp", "arcsin"}
+    src = Path(__file__).resolve().parents[1] / "src" / "arnolddiff"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id in ("np", "numpy") else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} numpy.{n}" for n in names if n in banned]
+    assert found == []

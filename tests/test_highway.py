@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ class TestSeeds:
     def test_too_close_to_resonance(self, params):
         with pytest.raises(AsymptoticsUnreliable):
             highway.highway_seed(1.0, 1.0, params)
+
+    def test_zero_coefficient(self, params):
+        # the correction divides by A1 and A2: |pi*w/2| > 700 cuts both to 0
+        # at I = (1e3, -1e3), and a2 = 0 zeroes A2 (numpy actions included)
+        with pytest.raises(AsymptoticsUnreliable, match="A1 = 0.0 and A2 = 0.0"):
+            highway.highway_seed(1e3, -1e3, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AsymptoticsUnreliable):
+                highway.highway_seed(np.float64(7.0), np.float64(7.0), ModelParams(0.3, 0.0, 1.0))
 
     def test_level_polish(self, params):
         st, _ = highway.highway_seed(4.0, 4.0, params)

@@ -5,11 +5,13 @@ verbatim: ``coeff`` and ``coeff_deriv`` each take their own sinh, and
 ``tau_star`` evaluates g at the low end of the bracket to learn its sign.
 The current module computes A and A' from one sinh and drops that
 evaluation; every returned value must keep its bits (NaN compared by repr),
-iteration counts included, and every exception its type.  Two input
+iteration counts included, and every exception its type.  Three input
 classes are known to differ and are pinned by their own tests below:
 ``coeff_deriv`` used to divide by an underflowed sinh(x)**2 for
-0 < |pi*w/2| < 1.5e-162, and the g(lo) evaluation used to raise when
-|lo*w| overflowed (|w| > ~1e307) although no iterate needed it.
+0 < |pi*w/2| < 1.5e-162, the g(lo) evaluation used to raise when
+|lo*w| overflowed (|w| > ~1e307) although no iterate needed it, and
+``tau_star`` used to return a NaN final residual (a NaN angle, say) as a
+root, where it now raises ArithmeticError.
 """
 
 import math
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arnolddiff import kernels
 from arnolddiff.kernels import pure
 
 # ---- reference: the kernels as they were before the fusion (verbatim) ----
@@ -248,9 +251,20 @@ def _sh2_underflows(w):
     return x != 0.0 and abs(x) <= 700.0 and math.sinh(x) * math.sinh(x) == 0.0
 
 
+def _ref_residual_is_nan(name, args, kw):
+    if name != "tau_star":
+        j, a1, a2, a3, om1, om2, i1, i2, t1, t2 = args
+        args = (j, om1 * i1, om2 * i2, a1 / a3, a2 / a3, t1, t2)
+    return math.isnan(tau_star(*args, **kw)[1])
+
+
 def _check(name, *args, **kw):
     ref = _outcome(_REF[name], *args, **kw)
     new = _outcome(getattr(pure, name), *args, **kw)
+    if new is ArithmeticError and ref is not ArithmeticError:
+        # the reference took a NaN final residual for a root
+        assert _ref_residual_is_nan(name, args, kw), (name, args, kw, ref)
+        return
     if ref is ZeroDivisionError:
         # the reference divided by an underflowed sinh(x)**2 in coeff_deriv
         ws = args[:1] if name.startswith("coeff") else (args[4] * args[6], args[5] * args[7])
@@ -397,3 +411,13 @@ def test_overflowing_bracket_end_no_longer_raises():
         tau_star(*args)
     tau, g, _ = pure.tau_star(*args)
     assert abs(g) <= 1e-14 and abs(tau + math.pi) < 1e-12
+
+
+def test_nan_residual_is_no_root():
+    # a NaN angle leaves g NaN: the reference returned it, both leaves now raise
+    args = (0, 1.0, 1.0, 0.3, 0.1, math.nan, 0.0)
+    tau, g, _ = tau_star(*args)
+    assert math.isnan(g)
+    for leaf in (pure.tau_star, kernels.PYTHON_LEAVES["tau_star"]):
+        with pytest.raises(ArithmeticError, match="failed to converge"):
+            leaf(*args)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from arnolddiff import melnikov
-from arnolddiff.errors import NotHorizontal
+from arnolddiff import kernels, melnikov
+from arnolddiff.errors import NoConvergence, NotHorizontal
 from arnolddiff.model import ModelParams
 
 TWO_PI = 2.0 * math.pi
@@ -20,7 +20,7 @@ class TestAlpha:
     def test_zero_limit(self):
         assert melnikov.alpha(0.0) == 0.0
         # linear behavior near zero with slope 2 sinh(pi/2)/pi
-        slope = 2.0 * melnikov.SINH_HALF_PI / math.pi
+        slope = 2.0 * kernels.SINH_HALF_PI / math.pi
         assert melnikov.alpha(1e-8) == pytest.approx(1e-8 * slope, rel=1e-10)
 
     def test_odd(self, rng):
@@ -44,7 +44,15 @@ class TestAlpha:
         w = rng.uniform(-15, 15, 200)
         v = melnikov.alpha(w)
         for wi, vi in zip(w[:40], v[:40]):
-            assert vi == pytest.approx(melnikov.alpha(float(wi)), rel=1e-14, abs=1e-300)
+            assert vi == melnikov.alpha(float(wi))
+        assert melnikov.alpha(w.reshape(20, 10)).tolist() == v.reshape(20, 10).tolist()
+
+    def test_array_is_the_scalar_kernel(self):
+        # the c02 scan grid: every point has kernels.alpha's bits, so the
+        # dense scans (window constant C, certified suprema) do not depend
+        # on the SIMD level numpy dispatches to
+        w = np.arange(-20.0, 20.0 + 1e-4, 1e-4)
+        assert melnikov.alpha(w).tolist() == [kernels.alpha(x) for x in w.tolist()]
 
 
 class TestCoeffs:
@@ -220,6 +228,11 @@ class TestTauStar:
         r1 = melnikov.solve_tau_star(1, (0.0, 0.0, 1.0, 2.0), params)
         assert r0.value == pytest.approx(0.0, abs=1e-14)
         assert r1.value == pytest.approx(-math.pi, abs=1e-13)
+
+    def test_nan_angle_is_no_convergence(self):
+        # g is NaN at every iterate: no root, not a NaN residual returned as one
+        with pytest.raises(NoConvergence):
+            melnikov.solve_tau_star(0, (1, 1, math.nan, 0), ModelParams(0.3, 0.1, 1, eps=1e-3))
 
     def test_against_bisection_oracle(self):
         p = ModelParams(0.2, 0.3, 1.0)

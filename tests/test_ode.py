@@ -207,6 +207,29 @@ class TestEvents:
         assert y[0] == 0.0
         assert abs(t - math.pi / 2) < 1e-12
 
+    @pytest.mark.parametrize("exc", [ValueError, ArithmeticError])
+    def test_landing_refused_when_rhs_raises(self, monkeypatch, exc):
+        # f raising on the landing's stages (math.sin(inf) on the non-finite
+        # states after a vanishing f_k) is no landing; halving lands instead
+        henon = ode._henon_step
+        refused = []
+
+        def raising(t, y):
+            raise exc("math domain error")
+
+        def raising_once(f, k, value, t, y, cfg):
+            if refused:
+                return henon(f, k, value, t, y, cfg)
+            refused.append(henon(raising, k, value, t, y, cfg))
+            return refused[-1]
+
+        monkeypatch.setattr(ode, "_henon_step", raising_once)
+        traj = integrate(harmonic, [1.0, 0.0], (0.0, 10.0), section=Section(0, 0.0, -1))
+        assert refused == [None]
+        t, y = traj.crossings[0]
+        assert y[0] == 0.0
+        assert abs(t - math.pi / 2) < 1e-12
+
     def test_adaptive_landing_fallback(self, monkeypatch):
         # fail the first error check of a landing step (the landing system
         # carries t, so its state has one more component): the same system
