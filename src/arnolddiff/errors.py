@@ -5,6 +5,8 @@ any other ArnolddiffError -> 3.  A ConfigError is raised before any work
 starts, when the run file fails its check against config.SCHEMA (the
 cross-key and regime checks of a few commands come later); the domain
 errors are facts about the dynamics that the library finds while it runs.
+The scalar kernels raise NotHorizontal (also a ValueError) and
+NoConvergence (also an ArithmeticError) themselves; no caller translates them.
 """
 
 
@@ -33,11 +35,11 @@ class EventNotFound(ArnolddiffError):
     integration horizon, or no level crossing in a seed's search interval."""
 
 
-class NotHorizontal(ArnolddiffError):
+class NotHorizontal(ArnolddiffError, ValueError):
     """Crest is not a horizontal graph at the requested actions."""
 
 
-class NoConvergence(ArnolddiffError):
+class NoConvergence(ArnolddiffError, ArithmeticError):
     """Root iteration failed; must not happen in the safe parameter regime."""
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import melnikov
+from . import kernels, melnikov
 from .errors import UseScatteringDetour, WindowUnreachable
 from .model import TWO_PI
 from .ode import IntegratorConfig, integrate
@@ -84,7 +84,7 @@ def resonant_gap(ps):
 def _psi_speed_denom(params):
     """1 - sqrt(fbar): under rotation psi_i turns at most |w_i| / this fast."""
     musum = abs(params.mu1) + abs(params.mu2)
-    fbar = min(0.995, (melnikov.OMEGA_ALPHA_SUP * musum) ** 2)
+    fbar = min(0.995, (kernels.OMEGA_ALPHA_SUP * musum) ** 2)
     return 1.0 - math.sqrt(fbar)
 
 

@@ -5,7 +5,8 @@
  * with -ffp-contract=off, so no fused multiply-add, and -fno-builtin, so
  * no libm call is folded at compile time or fused into sincos), the same
  * libm calls, Python's NaN behaviour of max/min, math's ValueError for
- * sin of an infinity, and the same exceptions and messages.  Bits are
+ * sin of an infinity, and the same exceptions and messages: pure.py's
+ * NotHorizontal and NoConvergence, fetched from it at import.  Bits are
  * equal to pure.py's (tests/test_leaves.py).
  *
  * The fast path takes Python floats, ints of magnitude <= 2**53 (which
@@ -23,6 +24,7 @@
 
 static double SINH_HALF_PI;            /* pure.SINH_HALF_PI */
 static PyObject *py_alpha, *py_coeffs, *py_tau_star;   /* the Python leaves */
+static PyObject *NotHorizontal, *NoConvergence;        /* pure's error classes */
 
 /* Series of x*cosh(x) - sinh(x) = sum_k 2k x^(2k+1) / (2k+1)!, k >= 1. */
 static const double DCOEF[8] = {
@@ -131,7 +133,7 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
     double b2 = mu2 * c_alpha(w2);
     double smax = fabs(b1) + fabs(b2);
     if (smax >= 1.0) {
-        PyErr_SetString(PyExc_ValueError, "crest is not a horizontal graph at this I");
+        PyErr_SetString(NotHorizontal, "crest is not a horizontal graph at this I");
         return 0;
     }
     double kap = smax > 0.0 ? asin(smax) : 0.0;
@@ -181,7 +183,7 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
     x = b1 * s1 + b2 * s2;
     g = tau + pj + sgn * asin(py_min(py_max(x, -1.0), 1.0));
     if (!(fabs(g) <= 1e-10)) {   /* a NaN residual is no root either */
-        PyErr_SetString(PyExc_ArithmeticError, "tau_star iteration failed to converge");
+        PyErr_SetString(NoConvergence, "tau_star iteration failed to converge");
         return 0;
     }
     *tau_out = tau;
@@ -278,8 +280,9 @@ static struct PyModuleDef leaves_module = {
     NULL, NULL, NULL, NULL,
 };
 
-/* The Python leaves and SINH_HALF_PI come from kernels.pure, which must not
- * have been rebound to this module's functions yet. */
+/* The Python leaves, SINH_HALF_PI and the two error classes come from
+ * kernels.pure, whose leaves must not have been rebound to this module's
+ * functions yet. */
 PyMODINIT_FUNC
 PyInit__leaves(void)
 {
@@ -290,11 +293,15 @@ PyInit__leaves(void)
     py_alpha = PyObject_GetAttrString(pure, "alpha");
     py_coeffs = PyObject_GetAttrString(pure, "_coeffs");
     py_tau_star = PyObject_GetAttrString(pure, "tau_star");
+    NotHorizontal = PyObject_GetAttrString(pure, "NotHorizontal");
+    NoConvergence = PyObject_GetAttrString(pure, "NoConvergence");
     Py_DECREF(pure);
-    if (sh == NULL || py_alpha == NULL || py_coeffs == NULL || py_tau_star == NULL)
+    if (sh == NULL || py_alpha == NULL || py_coeffs == NULL || py_tau_star == NULL
+            || NotHorizontal == NULL || NoConvergence == NULL)
         goto fail;
     if (!PyFloat_CheckExact(sh) || !PyFunction_Check(py_alpha)
-            || !PyFunction_Check(py_coeffs) || !PyFunction_Check(py_tau_star)) {
+            || !PyFunction_Check(py_coeffs) || !PyFunction_Check(py_tau_star)
+            || !PyExceptionClass_Check(NotHorizontal) || !PyExceptionClass_Check(NoConvergence)) {
         PyErr_SetString(PyExc_ImportError, "kernels.pure no longer holds the Python leaves");
         goto fail;
     }
@@ -307,5 +314,7 @@ fail:
     Py_CLEAR(py_alpha);
     Py_CLEAR(py_coeffs);
     Py_CLEAR(py_tau_star);
+    Py_CLEAR(NotHorizontal);
+    Py_CLEAR(NoConvergence);
     return NULL;
 }

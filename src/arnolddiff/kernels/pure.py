@@ -26,12 +26,16 @@ an iterate with g < 0 (or NaN) becomes the new low end.  Both changes keep
 every returned value bit for bit (tests/test_kernels_parity.py); two input
 classes that used to raise now return: 0 < |pi*w/2| < 1.5e-162 (sinh**2
 underflowed in a division) and |lo*w| overflowing (sin(inf) at g(lo)); a
-NaN final residual, once returned as a root, now raises ArithmeticError.
-``lstar`` and ``lstar_grad`` look ``tau_star`` up as a module global on
-every call.
+NaN final residual, once returned as a root, now raises NoConvergence.
+Outside the horizontal regime (a3 = 0 included) the kernels raise
+NotHorizontal; both errors are the package's own (``errors``), so callers
+see them untranslated.  ``lstar`` and ``lstar_grad`` look ``tau_star`` up
+as a module global on every call.
 """
 
 import math
+
+from ..errors import NoConvergence, NotHorizontal
 
 SINH_HALF_PI = math.sinh(0.5 * math.pi)
 
@@ -112,10 +116,10 @@ def coeff_deriv(w, a):
 
 
 def branch_offset(j, w1, w2, mu1, mu2, p1, p2):
-    """Crest branch s = xi_j(I, phi); raises ValueError outside the horizontal regime."""
+    """Crest branch s = xi_j(I, phi); raises NotHorizontal outside the horizontal regime."""
     arg = mu1 * alpha(w1) * math.sin(p1) + mu2 * alpha(w2) * math.sin(p2)
     if arg > 1.0 or arg < -1.0:
-        raise ValueError("crest is not a horizontal graph at this (I, phi)")
+        raise NotHorizontal("crest is not a horizontal graph at this (I, phi)")
     if j % 2 == 0:
         return math.pi * j - math.asin(arg)
     return math.pi * j + math.asin(arg)
@@ -126,13 +130,15 @@ def tau_star(j, w1, w2, mu1, mu2, t1, t2, tol=1e-14, guess=None):
 
     Solves g(tau) = tau + xi_j(theta - tau*w) = 0 by safeguarded Newton on
     the bracket tau in [-pi*j - kappa, -pi*j + kappa], kappa = asin of the
-    arcsine-argument bound.  Returns (tau, residual, iterations).
+    arcsine-argument bound.  Returns (tau, residual, iterations); raises
+    NotHorizontal when that bound reaches 1 and NoConvergence when the final
+    residual exceeds 1e-10 or is NaN.
     """
     b1 = mu1 * alpha(w1)
     b2 = mu2 * alpha(w2)
     smax = abs(b1) + abs(b2)
     if smax >= 1.0:
-        raise ValueError("crest is not a horizontal graph at this I")
+        raise NotHorizontal("crest is not a horizontal graph at this I")
     kap = math.asin(smax) if smax > 0.0 else 0.0
     sgn = -1.0 if j % 2 == 0 else 1.0  # xi_j = pi*j + sgn*asin(X)
     pj = math.pi * j
@@ -175,7 +181,7 @@ def tau_star(j, w1, w2, mu1, mu2, t1, t2, tol=1e-14, guess=None):
     x = b1 * math.sin(t1 - tau * w1) + b2 * math.sin(t2 - tau * w2)
     g = tau + pj + sgn * math.asin(min(max(x, -1.0), 1.0))
     if not abs(g) <= 1e-10:  # a NaN residual is no root either
-        raise ArithmeticError("tau_star iteration failed to converge")
+        raise NoConvergence("tau_star iteration failed to converge")
     return tau, g, it
 
 
@@ -183,6 +189,8 @@ def lstar(j, a1, a2, a3, om1, om2, i1, i2, t1, t2, guess=None):
     """Reduced generating function on branch j; returns (value, tau_star)."""
     w1 = om1 * i1
     w2 = om2 * i2
+    if a3 == 0.0:  # no cos(s) harmonic: the crest is no graph s = xi(phi)
+        raise NotHorizontal("crest is not a horizontal graph at a3 = 0")
     mu1 = a1 / a3
     mu2 = a2 / a3
     tau, _, _ = tau_star(j, w1, w2, mu1, mu2, t1, t2, guess=guess)
@@ -207,6 +215,8 @@ def lstar_grad(j, a1, a2, a3, om1, om2, i1, i2, t1, t2, guess=None):
     """
     w1 = om1 * i1
     w2 = om2 * i2
+    if a3 == 0.0:  # no cos(s) harmonic: the crest is no graph s = xi(phi)
+        raise NotHorizontal("crest is not a horizontal graph at a3 = 0")
     mu1 = a1 / a3
     mu2 = a2 / a3
     tau, _, _ = tau_star(j, w1, w2, mu1, mu2, t1, t2, guess=guess)

@@ -25,12 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import NoConvergence, NotHorizontal
 from .model import TWO_PI
 from .numerics import quad
-
-ALPHA_SUP = kernels.ALPHA_SUP
-OMEGA_ALPHA_SUP = kernels.OMEGA_ALPHA_SUP
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -141,10 +137,7 @@ def classify_crest(i1, i2, params, check_tangency=True):
 def crest_branch(j, i1, i2, phi1, phi2, params):
     """Horizontal branch surface s = xi_j(I, phi) on the real lift."""
     w1, w2 = params.frequencies(i1, i2)
-    try:
-        return kernels.branch_offset(j, w1, w2, params.mu1, params.mu2, phi1, phi2)
-    except ValueError as exc:
-        raise NotHorizontal(str(exc)) from None
+    return kernels.branch_offset(j, w1, w2, params.mu1, params.mu2, phi1, phi2)
 
 
 def tangency_margin(i1, i2, params, grid=256, newton_iters=10):
@@ -206,37 +199,19 @@ class TauStar:
     iterations: int
 
 
-def _kernel(fn, *args, **kwargs):
-    """Call a scalar kernel, translating its failures into typed errors.
-
-    A ValueError (the crest is not a horizontal graph there) becomes
-    NotHorizontal, an ArithmeticError (the tau* solve did not converge)
-    NoConvergence.
-    """
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise NotHorizontal(str(exc)) from None
-    except ArithmeticError as exc:
-        raise NoConvergence(str(exc)) from None
-
-
 def solve_tau_star(j, state, params, guess=None):
     """Crossing time of the frequency line through (I, theta) with branch j."""
     i1, i2, t1, t2 = map(float, state)
     w1, w2 = params.frequencies(i1, i2)
-    tau, res, it = _kernel(
-        kernels.tau_star, j, w1, w2, params.mu1, params.mu2, t1, t2, guess=guess
-    )
+    tau, res, it = kernels.tau_star(j, w1, w2, params.mu1, params.mu2, t1, t2, guess=guess)
     return TauStar(tau, j, res, it)
 
 
 def reduced_poincare(j, state, params, guess=None):
     """Value of the reduced generating function L*_j at a reduced state."""
     i1, i2, t1, t2 = map(float, state)
-    val, _tau = _kernel(
-        kernels.lstar, j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
-        i1, i2, t1, t2, guess,
+    val, _tau = kernels.lstar(
+        j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2, i1, i2, t1, t2, guess
     )
     return val
 
@@ -244,9 +219,8 @@ def reduced_poincare(j, state, params, guess=None):
 def reduced_poincare_grad(j, state, params, guess=None):
     """(value, tau*, (dL/dI1, dL/dI2), (dL/dtheta1, dL/dtheta2)), all floats."""
     i1, i2, t1, t2 = map(float, state)
-    val, tau, di1, di2, dt1, dt2 = _kernel(
-        kernels.lstar_grad, j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
-        i1, i2, t1, t2, guess,
+    val, tau, di1, di2, dt1, dt2 = kernels.lstar_grad(
+        j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2, i1, i2, t1, t2, guess
     )
     return val, tau, (di1, di2), (dt1, dt2)
 

@@ -80,6 +80,8 @@ class IntegratorConfig:
         # written so that NaN fails too
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances abs_tol and rel_tol must be > 0")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass

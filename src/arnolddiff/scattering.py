@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, melnikov, ode
-from .errors import EventNotFound, NotHorizontal
+from .errors import EventNotFound
 from .model import TWO_PI, wrap_angle
 from .numerics import brentq
 # integrate_to_event is unused here but stays a module attribute: the span
@@ -189,12 +189,9 @@ def find_equilibria(j, params, box=5.0, grid_i=17, grid_th=16, norm_tol=1e-10):
     tv = np.linspace(0.0, TWO_PI, grid_th, endpoint=False)
     ivl = iv.tolist()
     tvl = tv.tolist()
-    try:
-        norm = np.array(
-            [norm_at(i1, i2, t1, t2) for i1 in ivl for i2 in ivl for t1 in tvl for t2 in tvl]
-        ).reshape(grid_i, grid_i, grid_th, grid_th)
-    except ValueError as exc:
-        raise NotHorizontal(f"{exc} (find_equilibria grid, box={box})") from None
+    norm = np.array(
+        [norm_at(i1, i2, t1, t2) for i1 in ivl for i2 in ivl for t1 in tvl for t2 in tvl]
+    ).reshape(grid_i, grid_i, grid_th, grid_th)
 
     # local minima of ||field|| over the grid: wrap in the angle axes,
     # one-sided comparison at the action-box faces

@@ -407,6 +407,7 @@ PROBES = [
     ("melnikov-verify", "[verify]\n" + STATE + "eps_list = 0.5\n", 3, "EpsilonTooLarge:"),
     ("poincare", SECTIONS["poincare"] + "seed_i1 = 30\ntheta1_guess = 0\n", 3,
      "EventNotFound:"),
+    ("highway", SECTIONS["highway"] + "[integrator]\nmax_steps = -1\n", 2, "config error:"),
 ]
 
 
@@ -426,6 +427,8 @@ MODEL_PROBES = [
     ("time-estimate", "a1 = 0\na2 = 0.1\n", 2, "config error:"),  # T_s divides by a1
     ("time-estimate", "a1 = 0.3\na2 = 0.35\n", 2, "config error:"),  # 0.625 <= |mu| < 0.682
     ("highway", "a1 = 0.3\na2 = 0\n", 3, "AsymptoticsUnreliable:"),  # highway_seed's A2 = 0
+    ("highway", "a1 = 1\na2 = 1\n", 3, "NotHorizontal:"),  # the orbit leaves the regime
+    ("poincare", "a1 = 1\na2 = 1\n", 3, "NotHorizontal:"),
 ]
 
 

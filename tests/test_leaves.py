@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arnolddiff import kernels
+from arnolddiff.errors import NoConvergence, NotHorizontal
 from arnolddiff.kernels import pure
 from test_kernels_parity import ANGLES, J_GRID, W_GRID, _angle, _guess, _guesses, _w
 
@@ -151,7 +152,18 @@ def test_alpha_and_coeffs_argument_kinds():
     _check("_coeffs", 1.0, None)
 
 
+UNCONVERGED = (2, -3.1380395040434976, 14.901022913606923, -0.8415812895109123,
+               -0.36177486189760266, 1118519250588891.5, 57.09645135314122)
+
+
 def test_non_horizontal_and_unconverged():
+    for leaf in (kernels._leaves.tau_star, kernels.PYTHON_LEAVES["tau_star"]):
+        with pytest.raises(NotHorizontal, match="not a horizontal graph") as info:
+            leaf(0, 1.0, 0.4, 1.0, 0.0, 0.0, 0.0)
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(NoConvergence, match="failed to converge") as info:
+            leaf(*UNCONVERGED)
+        assert isinstance(info.value, ArithmeticError)
     _check("tau_star", 0, 1.0, 0.4, 1.0, 0.0, 0.0, 0.0)
     _check("tau_star", 0, 1.0, 0.4, math.nextafter(1.0, 0.0), 0.0, 0.0, 0.0)
     # sin(inf) inside the Newton loop; a bracket end whose lo*w overflows
@@ -159,9 +171,8 @@ def test_non_horizontal_and_unconverged():
     _check("tau_star", 1, 5e307, 1.0, 0.2, 0.9, 0.0, 0.0)
     _check("tau_star", 0, 1.0, 1.0, 0.3, 0.1, math.inf, 0.0)
     _check("tau_star", 0, 1.0, 1.0, 0.3, 0.1, 0.0, -math.inf)
-    # a Newton loop that does not converge (ArithmeticError)
-    _check("tau_star", 2, -3.1380395040434976, 14.901022913606923, -0.8415812895109123,
-           -0.36177486189760266, 1118519250588891.5, 57.09645135314122)
+    # a Newton loop that does not converge (NoConvergence)
+    _check("tau_star", *UNCONVERGED)
     # tolerances no residual meets: the loop ends on its bracket or its count
     for tol in (0.0, -1.0, math.nan):
         for j in (0, 1, -3):

@@ -37,8 +37,8 @@ class TestAlpha:
         # values at the analytic maximizers, refined at 50 digits
         assert sup_a == pytest.approx(1.0302891133302545, rel=1e-9)
         assert sup_wa == pytest.approx(1.6003614855435876, rel=1e-9)
-        assert sup_a <= melnikov.ALPHA_SUP
-        assert sup_wa <= melnikov.OMEGA_ALPHA_SUP
+        assert sup_a <= kernels.ALPHA_SUP
+        assert sup_wa <= kernels.OMEGA_ALPHA_SUP
 
     def test_vector_matches_scalar(self, rng):
         w = rng.uniform(-15, 15, 200)
@@ -234,6 +234,13 @@ class TestTauStar:
         with pytest.raises(NoConvergence):
             melnikov.solve_tau_star(0, (1, 1, math.nan, 0), ModelParams(0.3, 0.1, 1, eps=1e-3))
 
+    def test_no_time_harmonic_is_not_horizontal(self):
+        # a3 = 0: the kernels used to divide by it (ZeroDivisionError)
+        p = ModelParams(0.3, 0.1, 0.0)
+        for fn in (melnikov.reduced_poincare, melnikov.reduced_poincare_grad):
+            with pytest.raises(NotHorizontal, match="a3 = 0"):
+                fn(0, (1.0, 1.0, 0.5, 2.0), p)
+
     def test_against_bisection_oracle(self):
         p = ModelParams(0.2, 0.3, 1.0)
         state = (1.0, 1.0, 5 * math.pi / 4, 5 * math.pi / 4)
@@ -259,7 +266,7 @@ class TestTauStar:
 
     def test_branch_ordering(self, params, rng):
         musum = abs(params.mu1) + abs(params.mu2)
-        kap = math.asin(melnikov.ALPHA_SUP * musum)
+        kap = math.asin(kernels.ALPHA_SUP * musum)
         for _ in range(30):
             z = np.array([*rng.uniform(-5, 5, 2), *rng.uniform(0, TWO_PI, 2)])
             taus = [melnikov.solve_tau_star(j, z, params).value for j in (-1, 0, 1, 2)]
@@ -334,4 +341,4 @@ def test_vertical_needs_large_ratio(rng):
         info = melnikov.classify_crest(i1, i2, p, check_tangency=False)
         if info.kind == melnikov.VERTICAL:
             mu = abs(p.mu1) if info.vertical_component == 1 else abs(p.mu2)
-            assert mu > 1.0 / melnikov.ALPHA_SUP
+            assert mu > 1.0 / kernels.ALPHA_SUP
