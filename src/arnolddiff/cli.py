@@ -5,7 +5,9 @@ config.RunConfig) and writes deterministic artifacts into the output
 directory: data CSVs with 17-significant-digit values, a JSON summary, and
 a metadata record with the config hash.  The file is checked against
 config.SCHEMA before the output directory is created, and each command
-reads its section's typed values with ``cfg.values(section)``.
+reads its section's typed values with ``cfg.values(section)``.  A command
+that integrates is handed one IntegratorConfig: the defaults of the flow it
+integrates (``COMMANDS``), amended by the file's [integrator] keys.
 
 Exit codes: 0 ok, 2 config error, 3 domain error, 4 invariant violation.
 """
@@ -38,7 +40,7 @@ def _summary(outdir, command, data):
     return write_json(os.path.join(outdir, f"{command}_summary.json"), command, data)
 
 
-def cmd_crest(cfg, outdir):
+def cmd_crest(cfg, integrator, outdir):
     params = cfg.model_params()
     v = cfg.values("crest")
     i1, i2, n = v["i1"], v["i2"], v["grid"]
@@ -81,7 +83,7 @@ def cmd_crest(cfg, outdir):
     return 0
 
 
-def cmd_tau(cfg, outdir):
+def cmd_tau(cfg, integrator, outdir):
     params = cfg.model_params()
     v = cfg.values("tau")
     i1, i2, n = v["i1"], v["i2"], v["grid"]
@@ -104,7 +106,7 @@ def cmd_tau(cfg, outdir):
     return 0
 
 
-def cmd_poincare(cfg, outdir):
+def cmd_poincare(cfg, integrator, outdir):
     params = cfg.model_params()
     v = cfg.values("poincare")
     j, lp = v["branch"], v["level_point"]
@@ -117,7 +119,7 @@ def cmd_poincare(cfg, outdir):
     ]
     pts = scattering.poincare_section(
         j, level, v["section_i1"], seeds, v["t_max"], params,
-        max_crossings=v["max_crossings"], cfg=cfg.integrator(h_max=10.0),
+        max_crossings=v["max_crossings"], cfg=integrator,
     )
     path = os.path.join(outdir, "poincare.csv")
     fh, w = _writer(path)
@@ -143,7 +145,7 @@ def cmd_poincare(cfg, outdir):
     return 0
 
 
-def cmd_highway(cfg, outdir):
+def cmd_highway(cfg, integrator, outdir):
     params = cfg.model_params()
     v = cfg.values("highway")
     if v["i2_to"] == v["i2_from"]:
@@ -151,7 +153,7 @@ def cmd_highway(cfg, outdir):
     seeds = np.linspace(v["i1_lo"], v["i1_hi"], v["n_seeds"])
     fam = highway.trace_family_between_sections(
         seeds, v["i2_from"], v["i2_to"], params,
-        cfg=cfg.integrator(h_max=5e4, max_steps=4_000_000), drift_tol=v["drift_tol"],
+        cfg=integrator, drift_tol=v["drift_tol"],
     )
     p_orb = os.path.join(outdir, "highway_orbits.csv")
     fh, w = _writer(p_orb)
@@ -188,7 +190,7 @@ def cmd_highway(cfg, outdir):
     return 0
 
 
-def cmd_diffuse(cfg, outdir):
+def cmd_diffuse(cfg, integrator, outdir):
     params = cfg.model_params()
     v = cfg.values("diffuse")
     wp, delta, eps = v["waypoints"], v["delta"], v["eps"]
@@ -237,13 +239,13 @@ def cmd_diffuse(cfg, outdir):
     return 0
 
 
-def cmd_melnikov_verify(cfg, outdir):
+def cmd_melnikov_verify(cfg, integrator, outdir):
     params = cfg.model_params()
     v = cfg.values("verify")
     st, j, eps_list = v["state"], v["branch"], v["eps_list"]
     rows = []
     for eps in eps_list:
-        c = diffusion.verify_scattering_jump(st, j, eps, params)
+        c = diffusion.verify_scattering_jump(st, j, eps, params, cfg=integrator)
         rows.append((eps, c))
     pa = os.path.join(outdir, "melnikov-verify.csv")
     fh, w = _writer(pa)
@@ -272,7 +274,7 @@ def cmd_melnikov_verify(cfg, outdir):
     return 0
 
 
-def cmd_time_estimate(cfg, outdir):
+def cmd_time_estimate(cfg, integrator, outdir):
     params = cfg.model_params()
     try:
         params.require_diffusion_regime()
@@ -286,7 +288,7 @@ def cmd_time_estimate(cfg, outdir):
     st, _res = highway.highway_seed(i1, i2, params)
     orb = highway.highway_trace(
         st, params, stop=(0, i1_stop, +1),
-        cfg=cfg.integrator(h_max=5e4, max_steps=4_000_000), drift_tol=1e-6,
+        cfg=integrator, drift_tol=1e-6,
     )
     est = diffusion.time_estimate((w0, wf), orb, eps, params)
     pa = os.path.join(outdir, "time-estimate.csv")
@@ -304,7 +306,7 @@ def cmd_time_estimate(cfg, outdir):
     return 0
 
 
-def cmd_check(cfg, outdir):
+def cmd_check(cfg, integrator, outdir):
     """Invariant suite; prints one PASS/FAIL line per check."""
     params = cfg.model_params()
     if params.eps == 0.0:
@@ -407,7 +409,7 @@ def cmd_check(cfg, outdir):
     )
 
     x = np.array([*rng.uniform(-2, 2, 2), *rng.uniform(0, TWO_PI, 2), 0.0])
-    tr = inner.inner_flow(x, 50.0, params)
+    tr = inner.inner_flow(x, 50.0, params, cfg=integrator)
     f_before = inner.first_integrals(x, params)
     f_after = inner.first_integrals(tr, params)
     drift = max(abs(f_before[0] - f_after[0]), abs(f_before[1] - f_after[1]))
@@ -421,26 +423,26 @@ def cmd_check(cfg, outdir):
 
 
 # command -> (function, the run-file section it reads besides [model],
-# [integrator] and [run])
+# [integrator] and [run], the integrator settings [integrator] amends)
 COMMANDS = {
-    "crest": (cmd_crest, "crest"),
-    "tau": (cmd_tau, "tau"),
-    "poincare": (cmd_poincare, "poincare"),
-    "highway": (cmd_highway, "highway"),
-    "diffuse": (cmd_diffuse, "diffuse"),
-    "melnikov-verify": (cmd_melnikov_verify, "verify"),
-    "time-estimate": (cmd_time_estimate, "time"),
-    "check": (cmd_check, None),
+    "crest": (cmd_crest, "crest", IntegratorConfig()),
+    "tau": (cmd_tau, "tau", IntegratorConfig()),
+    "poincare": (cmd_poincare, "poincare", scattering.SECTION_INTEGRATOR),
+    "highway": (cmd_highway, "highway", highway.TRACE_INTEGRATOR),
+    "diffuse": (cmd_diffuse, "diffuse", IntegratorConfig()),
+    "melnikov-verify": (cmd_melnikov_verify, "verify", diffusion.EXCURSION_INTEGRATOR),
+    "time-estimate": (cmd_time_estimate, "time", highway.TRACE_INTEGRATOR),
+    "check": (cmd_check, None, IntegratorConfig()),
 }
 
 
 def run(command, cfg, outdir_override=None):
     """Validate cfg for the command, then run it in the output directory."""
-    fn, section = COMMANDS[command]
-    cfg.validate(section)
+    fn, section, base = COMMANDS[command]
+    integrator = cfg.validate(section, base)
     outdir = cfg.output_dir(outdir_override)
-    rc = fn(cfg, outdir)
-    write_metadata(outdir, command, cfg)
+    rc = fn(cfg, integrator, outdir)
+    write_metadata(outdir, command, cfg, integrator)
     return rc
 
 

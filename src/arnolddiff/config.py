@@ -6,13 +6,18 @@ specific knobs.  ``SCHEMA`` is the one table of what a valid run file is:
 for every section and key, the parser that turns the raw string into a
 typed value (and rejects a bad one) and the default.  ``REQUIRED`` marks a
 key with no default; a ``None`` default means the command works the value
-out itself from other keys.  ``RunConfig.validate`` checks a file against
-the table before any work starts: an unknown section or key, a missing
-required key or a value its parser rejects is a ConfigError.  Raw strings
-are kept as read, so a parse -> emit -> parse cycle is the identity.
+out itself from other keys.  [integrator] holds no numbers of its own: its
+keys are ``IntegratorConfig``'s fields, and each one the file sets replaces
+that field of the command's base settings (the defaults of the flow it
+integrates, e.g. ``highway.TRACE_INTEGRATOR``).  ``RunConfig.validate``
+checks a file against the table, and builds that one IntegratorConfig,
+before any work starts: an unknown section or key, a missing required key
+or a value its parser rejects is a ConfigError.  Raw strings are kept as
+read, so a parse -> emit -> parse cycle is the identity.
 """
 
 import configparser
+import dataclasses
 import hashlib
 import io
 import json
@@ -59,12 +64,13 @@ _waypoints = _checked(lambda raw: tuple(_floats(p) for p in raw.split(";")),
 
 # section -> key -> (parser, default).  [model] and [integrator] keep plain
 # float and int parsers: ModelParams and IntegratorConfig check their fields.
+# [integrator] has one key per IntegratorConfig field and no numbers of its
+# own: a key left out (None) keeps the command's base value.
 SCHEMA = {
     "model": dict(a1=(float, REQUIRED), a2=(float, REQUIRED), a3=(float, REQUIRED),
                   omega1=(float, 1.0), omega2=(float, 1.0), eps=(float, 0.0),
                   pendulum_sign=(int, 1)),
-    "integrator": dict(abs_tol=(float, 1e-12), rel_tol=(float, 1e-12), h_init=(float, 1e-2),
-                       h_min=(float, 1e-13), h_max=(float, 1e3), max_steps=(int, 2_000_000)),
+    "integrator": {f.name: (f.type, None) for f in dataclasses.fields(IntegratorConfig)},
     "run": dict(output_dir=(str, "out"), seed=(_natural, 0)),
     "crest": dict(i1=(_finite, REQUIRED), i2=(_finite, REQUIRED), grid=(_grid, 128)),
     "tau": dict(i1=(_finite, REQUIRED), i2=(_finite, REQUIRED), grid=(_grid, 64)),
@@ -124,12 +130,13 @@ class RunConfig:
     def digest(self):
         return hashlib.sha256(self.emit().encode()).hexdigest()
 
-    def validate(self, section=None):
-        """Check the file against SCHEMA; raises ConfigError, creates nothing.
+    def validate(self, section, base):
+        """Check the file against SCHEMA; returns ``self.integrator(base)``.
 
         Every section and key must be in SCHEMA.  [model], [integrator],
         [run] and ``section`` (the one a command reads, if any) must parse,
         and the model and integrator settings must pass their own checks.
+        Raises ConfigError and creates nothing.
         """
         for sec, kv in self.sections.items():
             if sec not in SCHEMA:
@@ -138,10 +145,11 @@ class RunConfig:
                 if key not in SCHEMA[sec]:
                     raise ConfigError(f"unknown key '{key}' in [{sec}]")
         self.model_params()
-        self.integrator()
+        integrator = self.integrator(base)
         self.values("run")
         if section is not None:
             self.values(section)
+        return integrator
 
     def values(self, section):
         """The section's typed values: each SCHEMA key parsed, or its default."""
@@ -171,9 +179,11 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad [model] section: {exc}") from None
 
-    def integrator(self, **overrides):
+    def integrator(self, base):
+        """The IntegratorConfig ``base`` with each field [integrator] sets replaced."""
+        given = {k: v for k, v in self.values("integrator").items() if v is not None}
         try:
-            return IntegratorConfig(**{**self.values("integrator"), **overrides})
+            return dataclasses.replace(base, **given)
         except ValueError as exc:
             raise ConfigError(f"bad [integrator] section: {exc}") from None
 
@@ -189,18 +199,17 @@ class RunConfig:
         return self.values("run")["seed"]
 
 
-def write_metadata(outdir, command, config, extra=None):
-    """Per-run provenance record: config hash, version, tolerances."""
+def write_metadata(outdir, command, config, integrator, extra=None):
+    """Per-run provenance record: config hash, version, the run's tolerances."""
     from . import __version__, kernels
 
-    cfg_i = config.integrator()
     meta = {
         "command": command,
         "config_sha256": config.digest(),
         "version": __version__,
         "kernel_backend": kernels.BACKEND,
-        "abs_tol": cfg_i.abs_tol,
-        "rel_tol": cfg_i.rel_tol,
+        "abs_tol": integrator.abs_tol,
+        "rel_tol": integrator.rel_tol,
         "seed": config.seed(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }

@@ -34,6 +34,11 @@ from .scattering import scattering_map
 GUARD_EXPONENT = 0.5          # keep paths (eps^0.5)-clear of the origin, at least delta
 WINDOW_MARGIN = 0.3           # angular margin inside the (pi, 2pi) windows
 DEADBAND_FACTOR = 0.25        # cross-track slack (times delta) before constraining
+# ergodization-time exponents of the drift-time estimate; b = -c - 2a
+ERGODIZE_A = 0.125
+ERGODIZE_C = -0.25
+# step control of the full-system excursion (`arnolddiff melnikov-verify`)
+EXCURSION_INTEGRATOR = IntegratorConfig(h_max=0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,7 +545,7 @@ def _bigM(w_lo, w_hi):
     return float(np.max(np.abs(w - melnikov.alpha(w))))
 
 
-def time_estimate(omega_range, orbit, eps, params, ergodize_a=0.125, ergodize_c=-0.25):
+def time_estimate(omega_range, orbit, eps, params):
     """Drift-time assembly T_d = (T_s/eps) * 2 log(C/eps) along a Highway orbit.
 
     T_s comes from the quadrature
@@ -595,10 +600,9 @@ def time_estimate(omega_range, orbit, eps, params, ergodize_a=0.125, ergodize_c=
     )
     T_h = 2.0 * math.log(C / eps)
     T_d = (T_s / eps) * T_h
-    b = -ergodize_c - 2.0 * ergodize_a
     return TimeEstimate(
-        T_s, T_h, C, T_d, eps, (w0, wf), b,
-        meta={"M_w1": Mw1, "M_w2": Mw2, "ergodize_a": ergodize_a, "ergodize_c": ergodize_c},
+        T_s, T_h, C, T_d, eps, (w0, wf), -ERGODIZE_C - 2.0 * ERGODIZE_A,
+        meta={"M_w1": Mw1, "M_w2": Mw2, "ergodize_a": ERGODIZE_A, "ergodize_c": ERGODIZE_C},
     )
 
 
@@ -623,7 +627,7 @@ def default_excursion_time(eps):
     return 0.5 * math.log(16.0 / eps)
 
 
-def verify_scattering_jump(state, j, eps, params, T=None, cfg=None):
+def verify_scattering_jump(state, j, eps, params, T=None, cfg=EXCURSION_INTEGRATOR):
     """Full-system oracle for one homoclinic excursion's action jump.
 
     Starts at the unperturbed homoclinic point (separatrix at tau*, angles
@@ -637,7 +641,6 @@ def verify_scattering_jump(state, j, eps, params, T=None, cfg=None):
         raise EpsilonTooLarge(f"oracle calibrated for 0 <= eps <= 1e-2, got {eps:g}")
     if T is None:
         T = default_excursion_time(eps) if eps > 0.0 else 10.0
-    cfg = cfg or IntegratorConfig(h_max=0.5)
     p2 = replace(params, eps=eps)
     i1, i2, t1, t2 = state
     ts = melnikov.solve_tau_star(j, state, params)

@@ -23,6 +23,10 @@ from .scattering import flow_rhs
 BRANCH_DOWN = "h"   # theta near (pi/2, pi/2): actions decrease along the flow
 BRANCH_UP = "H"     # theta near (3pi/2, 3pi/2): actions increase
 
+# step control of Highway traces (`arnolddiff highway` and `time-estimate`):
+# transits are long, so steps may be large and many
+TRACE_INTEGRATOR = IntegratorConfig(h_max=5e4, max_steps=4_000_000)
+
 
 def level_value(params):
     """The Highway level: A3 = 2*pi*a3/sinh(pi/2)."""
@@ -37,10 +41,11 @@ def highway_seed(i1, i2, params, signs=(1, 1), j=0, residual_tol=1e-4):
     solves the leading level balance including the frequency cross term, so
     the residual decays like the cube of the coefficient scale.
 
-    Returns (state, residual).  Raises AsymptoticsUnreliable if A1 or A2 is
-    exactly 0 (a zero amplitude, or |Omega_i*I_i| past the coefficient cut
-    |pi*w/2| > 700), since the correction divides by both, or if the
-    residual of the defining level exceeds residual_tol (actions too small).
+    Returns (state, residual).  Raises AsymptoticsUnreliable if A1, A2 or
+    A3 is exactly 0 (a zero amplitude, or |Omega_i*I_i| past the coefficient
+    cut |pi*w/2| > 700), since the correction divides by all three, or if
+    the residual of the defining level exceeds residual_tol (actions too
+    small).
     """
     s1, s2 = signs
     if s1 not in (1, -1) or s2 not in (1, -1):
@@ -48,9 +53,10 @@ def highway_seed(i1, i2, params, signs=(1, 1), j=0, residual_tol=1e-4):
     w1, w2 = params.frequencies(i1, i2)
     A1 = kernels.coeff(w1, params.a1)
     A2 = kernels.coeff(w2, params.a2)
-    if A1 == 0.0 or A2 == 0.0:
-        raise AsymptoticsUnreliable(f"far-field seed divides by A1 = {A1} and A2 = {A2}")
     A3 = level_value(params)
+    if A1 == 0.0 or A2 == 0.0 or A3 == 0.0:
+        raise AsymptoticsUnreliable(
+            f"far-field seed divides by A3 = {A3}, A1 = {A1} and A2 = {A2}")
     t1 = s1 * w1 * A1 / A3
     t2 = s2 * w2 * A2 / A3
     tsum = t1 + t2
@@ -145,16 +151,8 @@ class HighwayOrbit:
         return params.Omega1 * self.states[:, 0]
 
 
-def highway_trace(
-    seed,
-    params,
-    j=0,
-    t_span=None,
-    stop=None,
-    cfg=None,
-    drift_tol=1e-7,
-    label=None,
-):
+def highway_trace(seed, params, j=0, t_span=None, stop=None, cfg=TRACE_INTEGRATOR,
+                  drift_tol=1e-7):
     """Trace a Highway orbit from a seed state with the scattering flow.
 
     Provide either ``t_span`` or ``stop=(component_index, value, direction)``
@@ -166,7 +164,6 @@ def highway_trace(
     """
     if (t_span is None) == (stop is None):
         raise ValueError("provide exactly one of t_span or stop")
-    cfg = cfg or IntegratorConfig(h_max=5e4, max_steps=4_000_000)
     f = flow_rhs(j, params)
     seed = np.asarray(seed, dtype=float)
     section = None
@@ -188,11 +185,9 @@ def highway_trace(
         tau[k] = tk
         ls[k] = val
         guess = tk
-    A3 = level_value(params)
-    if label is None:
-        mid = wrap_angle(seed[2])
-        label = BRANCH_UP if abs(mid - 1.5 * math.pi) < 0.5 * math.pi else BRANCH_DOWN
-    orbit = HighwayOrbit(traj.t, traj.y, tau, ls, label, A3)
+    mid = wrap_angle(seed[2])
+    label = BRANCH_UP if abs(mid - 1.5 * math.pi) < 0.5 * math.pi else BRANCH_DOWN
+    orbit = HighwayOrbit(traj.t, traj.y, tau, ls, label, level_value(params))
     if orbit.level_error > drift_tol:
         raise LevelDrift(
             f"|L* - A3| reached {orbit.level_error:.3e} (tol {drift_tol:.1e})"
@@ -216,17 +211,8 @@ def highway_asymptote(params):
     return slope, -off, off
 
 
-def trace_family_between_sections(
-    i1_seeds,
-    i2_from,
-    i2_to,
-    params,
-    signs=(1, 1),
-    j=0,
-    cfg=None,
-    drift_tol=1e-7,
-    polish=False,
-):
+def trace_family_between_sections(i1_seeds, i2_from, i2_to, params, signs=(1, 1), j=0,
+                                  cfg=TRACE_INTEGRATOR, drift_tol=1e-7):
     """Fig-7-style family: seeds along I2 = i2_from traced to I2 = i2_to.
 
     Returns a list of (orbit, transit_time) with transit_time the flow time
@@ -235,8 +221,6 @@ def trace_family_between_sections(
     out = []
     for i1 in i1_seeds:
         state, _res = highway_seed(i1, i2_from, params, signs=signs, j=j)
-        if polish:
-            state = polish_seed_to_level(state, params, j=j)
         direction = 1 if i2_to > i2_from else -1
         orbit = highway_trace(
             state, params, j=j, stop=(1, i2_to, direction), cfg=cfg, drift_tol=drift_tol

@@ -35,9 +35,8 @@ def inner_rhs(params):
     return f
 
 
-def inner_flow(x, t, params, cfg=None, record=False):
+def inner_flow(x, t, params, cfg=IntegratorConfig(), record=False):
     """Integrate the exact inner equations for time t (t may be negative)."""
-    cfg = cfg or IntegratorConfig()
     traj = integrate(inner_rhs(params), np.asarray(x, float), (0.0, t), cfg, record=record)
     return traj if record else traj.final
 

@@ -90,14 +90,14 @@ class CrestInfo:
     """Classification of the crest at fixed actions.
 
     kind is 'horizontal', 'vertical' or 'unseparated'; vertical_component
-    says which rotor angle is the graph variable in the vertical case.
-    branch is the horizontal parametrization s = xi_j(phi), eta the vertical
-    one phi_i = eta(branch, phi_j, s); each is None when not applicable.
+    says which rotor angle is the graph variable in the vertical case, and
+    eta is that case's parametrization phi_i = eta(branch, phi_j, s); both
+    are None when not applicable.  The horizontal parametrization
+    s = xi_j(phi) is ``crest_branch`` (``kernels.branch_offset``).
     """
 
     kind: str
     vertical_component: Optional[int] = None
-    branch: Optional[Callable] = None
     eta: Optional[Callable] = None
     tangency_possible: Optional[bool] = None
 
@@ -111,10 +111,7 @@ def classify_crest(i1, i2, params, check_tangency=True):
     if check_tangency:
         tang = tangency_margin(i1, i2, params) <= 0.0
     if abs(b1) + abs(b2) <= 1.0:
-        def branch(j, phi1, phi2):
-            return kernels.branch_offset(j, w1, w2, params.mu1, params.mu2, phi1, phi2)
-
-        return CrestInfo(HORIZONTAL, branch=branch, tangency_possible=tang)
+        return CrestInfo(HORIZONTAL, tangency_possible=tang)
     comp = None
     if abs(b1) >= 1.0 + abs(b2):
         comp = 1

@@ -24,9 +24,6 @@ from . import kernels
 
 TWO_PI = 2.0 * math.pi
 
-# component indices of the full state
-P, Q, I1, I2, PHI1, PHI2, S = range(7)
-
 HORIZONTAL_SAFE_BOUND = 0.625
 
 

@@ -65,8 +65,15 @@ _GROW = 5.0
 _ORDER_EXP = -1.0 / 8.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
+    """Step-size control of ``integrate``; frozen, so a shared default stays put.
+
+    Each integrating flow names its own default (``scattering.SECTION_INTEGRATOR``,
+    ``highway.TRACE_INTEGRATOR``, ``diffusion.EXCURSION_INTEGRATOR``), and a
+    run file's ``[integrator]`` section amends it with ``dataclasses.replace``.
+    """
+
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     h_init: float = 1e-2
@@ -184,7 +191,7 @@ def _error_norm(err, y0, y1, cfg):
     return worst
 
 
-def integrate(f, y0, t_span, cfg=None, record=True, section=None, max_crossings=1):
+def integrate(f, y0, t_span, cfg=IntegratorConfig(), record=True, section=None, max_crossings=1):
     """Integrate y' = f(t, y) over t_span (backward if t1 < t0).
 
     With a ``section``, every accepted step that crosses it is landed on the
@@ -193,7 +200,6 @@ def integrate(f, y0, t_span, cfg=None, record=True, section=None, max_crossings=
     step size and stops at the ``max_crossings``-th landing, which then
     replaces the step end as the final (and, if recording, last) row.
     """
-    cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"non-finite integration span {t_span}")
@@ -328,7 +334,7 @@ def _henon_step(f, k, value, t, y, cfg):
     return float(z_hit[-1]), y_hit
 
 
-def integrate_to_event(f, y0, section, cfg=None, t_span=(0.0, 1e4)):
+def integrate_to_event(f, y0, section, cfg=IntegratorConfig(), t_span=(0.0, 1e4)):
     """Run until the first crossing of ``section``; returns (state, t_event).
 
     The state lies on the section exactly.  Raises EventNotFound if the

@@ -21,6 +21,9 @@ from .numerics import brentq
 # tracer in perfbench/spans.py rebinds it by name
 from .ode import IntegratorConfig, Section, integrate_to_event  # noqa: F401
 
+# step control of section portraits (poincare_section, `arnolddiff poincare`)
+SECTION_INTEGRATOR = IntegratorConfig(h_max=10.0)
+
 
 @dataclass
 class ScatteringStep:
@@ -111,8 +114,7 @@ def poincare_section(
     params,
     direction=1,
     max_crossings=200,
-    cfg=None,
-    adjust_width=1.5,
+    cfg=SECTION_INTEGRATOR,
 ):
     """Crossings of the hyperplane I1 = section_i1 for scattering-flow orbits.
 
@@ -123,12 +125,11 @@ def poincare_section(
     by orbit then time.  Raises EventNotFound if an orbit never crosses
     (e.g. a seed at an equilibrium).
     """
-    cfg = cfg or IntegratorConfig(h_max=10.0)
     f = flow_rhs(j, params)
     section = Section(0, section_i1, direction)
     out = []
     for orbit_id, (i1, i2, th1g, th2) in enumerate(seeds):
-        y = adjust_seed_to_level(j, i1, i2, th1g, th2, level, params, width=adjust_width)
+        y = adjust_seed_to_level(j, i1, i2, th1g, th2, level, params)
         # ode.integrate is looked up on the module, so rebinding it reaches here
         traj = ode.integrate(
             f, y, (0.0, t_max), cfg, record=False, section=section,

@@ -14,7 +14,6 @@ import pytest
 
 from arnolddiff import diffusion, highway, inner, melnikov, scattering
 from arnolddiff.model import ModelParams
-from arnolddiff.ode import IntegratorConfig
 
 TWO_PI = 2.0 * math.pi
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -147,7 +146,7 @@ def test_c07_flow_level_conservation():
     for _ in range(10):
         z0 = np.array([*rng.uniform(-3, 3, 2), *rng.uniform(0, TWO_PI, 2)])
         L0 = melnikov.reduced_poincare(0, z0, P_REF)
-        traj = integrate(f, z0, (0.0, 1000.0), IntegratorConfig(h_max=10.0))
+        traj = integrate(f, z0, (0.0, 1000.0), scattering.SECTION_INTEGRATOR)
         drift = max(
             abs(melnikov.reduced_poincare(0, y, P_REF) - L0)
             for y in traj.y[:: max(1, len(traj.y) // 25)]
@@ -265,7 +264,7 @@ def test_c13_portrait_regression():
     seeds = [(0.0, 0.0, c, t2) for t2 in np.linspace(c - 0.2, c + 0.2, fix["n_orbits"])]
     pts = scattering.poincare_section(
         0, level, 0.0, seeds, t_max=400.0, params=P_PORTRAIT, max_crossings=40,
-        cfg=IntegratorConfig(h_max=10.0),
+        cfg=scattering.SECTION_INTEGRATOR,
     )
     counts = [0] * fix["n_orbits"]
     for p in pts:

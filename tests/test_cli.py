@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import warnings
 
 import pytest
 
-from arnolddiff import config, melnikov
+from arnolddiff import config, melnikov, scattering
 from arnolddiff.cli import COMMANDS, _summary, main
 from arnolddiff.config import RunConfig, write_metadata
 from arnolddiff.errors import InvariantViolation
@@ -174,7 +175,7 @@ class TestConfig:
     def test_metadata_rejects_nan(self, cfg_file, tmp_path):
         cfg = RunConfig.load(cfg_file)
         with pytest.raises(InvariantViolation, match="tau: .*tau_metadata.json"):
-            write_metadata(str(tmp_path), "tau", cfg, extra={"x": math.inf})
+            write_metadata(str(tmp_path), "tau", cfg, COMMANDS["tau"][2], extra={"x": math.inf})
 
     def test_nan_summary_exits_4(self, cfg_file, capsys, monkeypatch):
         monkeypatch.setattr(melnikov, "tangency_margin", lambda *a, **k: math.nan)
@@ -336,7 +337,7 @@ def _schema_cases():
 
     raw None deletes a required key; `name` is what the error must name.
     """
-    for command, (_fn, own) in COMMANDS.items():
+    for command, (_fn, own, _base) in COMMANDS.items():
         for sec in ("model", "integrator", "run", own):
             for key, (parse, default) in config.SCHEMA.get(sec, {}).items():
                 bad = INVALID[parse] + ([None] if default is config.REQUIRED else [])
@@ -382,16 +383,28 @@ def test_grid_bound_keeps_scans_within_max_count(tmp_path):
         assert RunConfig(sections).values(section)["grid"] == config.MAX_GRID
 
 
+def test_integrator_section_amends_the_command_base():
+    base = scattering.SECTION_INTEGRATOR
+    cfg = RunConfig.parse("[integrator]\nh_max = 0.05\nmax_steps = 7\n")
+    assert cfg.integrator(base) == dataclasses.replace(base, h_max=0.05, max_steps=7)
+    assert RunConfig.parse("[model]\n").integrator(base) == base
+    assert all(default is None for _parse, default in config.SCHEMA["integrator"].values())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.h_max = 1.0
+
+
 def test_schema_base_file_is_valid(tmp_path):
     cfg = RunConfig(_sections(tmp_path / "out"))
-    for _fn, section in COMMANDS.values():
-        cfg.validate(section)
+    for _fn, section, base in COMMANDS.values():
+        cfg.validate(section, base)
     assert not (tmp_path / "out").exists()
 
 
 # Inputs that once escaped main() or exited with the wrong code, each run on
-# BASE's [model] and [run] sections.
+# BASE's [model] and [run] sections.  A config error must leave no output
+# directory behind.
 STATE = "state = 1.0,1.0,3.9269908169872414,3.9269908169872414\n"
+ONE_STEP = "[integrator]\nmax_steps = 1\n"  # every command that integrates honours it
 PROBES = [
     ("melnikov-verify", "[verify]\n" + STATE + "eps_list = 1e-3,\n", 2, "config error:"),
     ("melnikov-verify", "[verify]\n" + STATE + "eps_list = nan\n", 2, "config error:"),
@@ -408,17 +421,27 @@ PROBES = [
     ("poincare", SECTIONS["poincare"] + "seed_i1 = 30\ntheta1_guess = 0\n", 3,
      "EventNotFound:"),
     ("highway", SECTIONS["highway"] + "[integrator]\nmax_steps = -1\n", 2, "config error:"),
+    ("poincare", SECTIONS["poincare"] + ONE_STEP, 3, "MaxStepsExceeded:"),
+    ("highway", SECTIONS["highway"] + ONE_STEP, 3, "MaxStepsExceeded:"),
+    ("time-estimate", ONE_STEP, 3, "MaxStepsExceeded:"),
+    ("melnikov-verify", "[verify]\n" + STATE + ONE_STEP, 3, "MaxStepsExceeded:"),
+    ("check", ONE_STEP, 3, "MaxStepsExceeded:"),
+    # above the section integrator's h_max = 10
+    ("poincare", SECTIONS["poincare"] + "[integrator]\nh_init = 50\n", 2, "config error:"),
 ]
 
 
 @pytest.mark.parametrize("command, section, code, prefix", PROBES)
-def test_probe_exit_code(tmp_path, capsys, command, section, code, prefix):
+def test_probe_exit_code(tmp_path, capsys, monkeypatch, command, section, code, prefix):
+    monkeypatch.delenv("ARNOLDDIFF_OUTDIR", raising=False)
     base = RunConfig.parse(BASE.format(out=tmp_path / "out")).sections
     ini = tmp_path / "run.ini"
     ini.write_text(RunConfig({k: base[k] for k in ("model", "run")}).emit() + section)
     assert main([command, str(ini)]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
+    if code == 2:
+        assert not (tmp_path / "out").exists()
 
 
 # [model] amplitudes that once escaped main(), or warned before the exit
@@ -429,14 +452,17 @@ MODEL_PROBES = [
     ("highway", "a1 = 0.3\na2 = 0\n", 3, "AsymptoticsUnreliable:"),  # highway_seed's A2 = 0
     ("highway", "a1 = 1\na2 = 1\n", 3, "NotHorizontal:"),  # the orbit leaves the regime
     ("poincare", "a1 = 1\na2 = 1\n", 3, "NotHorizontal:"),
+    ("highway", "a3 = 0\n", 3, "AsymptoticsUnreliable:"),  # highway_seed's A3 = 0
 ]
 
 
 @pytest.mark.parametrize("command, model, code, prefix", MODEL_PROBES)
 def test_model_probe_exit_code(tmp_path, capsys, command, model, code, prefix):
-    text = BASE.format(out=tmp_path / "out").replace("a1 = 0.3\na2 = 0.1\n", model)
+    sections = RunConfig.parse(BASE.format(out=tmp_path / "out")
+                               + SECTIONS.get(command, "")).sections
+    sections["model"].update(RunConfig.parse("[model]\n" + model).sections["model"])
     ini = tmp_path / "run.ini"
-    ini.write_text(text + SECTIONS.get(command, ""))
+    ini.write_text(RunConfig(sections).emit())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([command, str(ini)]) == code

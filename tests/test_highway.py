@@ -7,7 +7,7 @@ import pytest
 from arnolddiff import highway, melnikov, ode, scattering
 from arnolddiff.errors import AsymptoticsUnreliable, LevelDrift
 from arnolddiff.model import ModelParams
-from arnolddiff.ode import IntegratorConfig, Section, integrate_to_event
+from arnolddiff.ode import Section, integrate_to_event
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,10 +45,13 @@ class TestSeeds:
             highway.highway_seed(1.0, 1.0, params)
 
     def test_zero_coefficient(self, params):
-        # the correction divides by A1 and A2: |pi*w/2| > 700 cuts both to 0
-        # at I = (1e3, -1e3), and a2 = 0 zeroes A2 (numpy actions included)
+        # the correction divides by A1, A2 and A3: |pi*w/2| > 700 cuts A1 and
+        # A2 to 0 at I = (1e3, -1e3), a3 = 0 zeroes A3 and a2 = 0 zeroes A2
+        # (numpy actions included)
         with pytest.raises(AsymptoticsUnreliable, match="A1 = 0.0 and A2 = 0.0"):
             highway.highway_seed(1e3, -1e3, params)
+        with pytest.raises(AsymptoticsUnreliable, match="A3 = 0.0"):
+            highway.highway_seed(7.0, -7.0, ModelParams(0.3, 0.1, 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(AsymptoticsUnreliable):
@@ -151,7 +154,7 @@ class TestTrace:
         # the round trip reproduces the seed
         st, _ = highway.highway_seed(7.0, -7.0, params)
         f = scattering.flow_rhs(0, params)
-        cfg = IntegratorConfig(h_max=5e4, max_steps=4_000_000)
+        cfg = highway.TRACE_INTEGRATOR
         ev0 = Section(1, 0.0, direction=+1)
         y_mid, t_mid = integrate_to_event(f, st, ev0, cfg, t_span=(0.0, 1e9))
         ev_back = Section(1, -7.0, direction=-1)

@@ -399,6 +399,6 @@ def test_against_independent_integrator():
     p = ModelParams(0.3, 0.1, 1.0, 1.0, 1.0, eps=1e-3)
     f = scattering.flow_rhs(0, p)
     z0 = np.array([1.3, 0.6, 2.2, 5.1])
-    mine = integrate(f, z0, (0.0, 50.0), IntegratorConfig(h_max=5.0))
+    mine = integrate(f, z0, (0.0, 50.0), scattering.SECTION_INTEGRATOR)
     ref = solve_ivp(f, (0.0, 50.0), z0, method="DOP853", rtol=1e-12, atol=1e-12)
     assert np.abs(mine.final - ref.y[:, -1]).max() < 1e-8

@@ -6,7 +6,7 @@ import pytest
 from arnolddiff import melnikov, ode, scattering
 from arnolddiff.errors import EventNotFound, NotHorizontal
 from arnolddiff.model import ModelParams
-from arnolddiff.ode import IntegratorConfig, integrate
+from arnolddiff.ode import integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,7 +131,7 @@ class TestFlow:
         f = scattering.flow_rhs(0, params)
         z0 = np.array([*rng.uniform(-2, 2, 2), *rng.uniform(0, TWO_PI, 2)])
         L0 = melnikov.reduced_poincare(0, z0, params)
-        traj = integrate(f, z0, (0.0, 1000.0), IntegratorConfig(h_max=10.0))
+        traj = integrate(f, z0, (0.0, 1000.0), scattering.SECTION_INTEGRATOR)
         drift = max(
             abs(melnikov.reduced_poincare(0, y, params) - L0)
             for y in traj.y[:: max(1, len(traj.y) // 40)]
@@ -176,7 +176,7 @@ class TestSection:
         assert all(p.state[0] == 0.0 for p in pts)  # landed exactly on I1 = 0
 
     def test_equilibrium_seed_never_returns(self, params):
-        with pytest.raises(EventNotFound):
+        with pytest.raises(EventNotFound, match="never crossed"):
             scattering.poincare_section(
                 0,
                 melnikov.reduced_poincare(0, (0.0, 0.0, math.pi, math.pi), params),
@@ -184,7 +184,6 @@ class TestSection:
                 [(0.0, 0.0, math.pi, math.pi)],
                 t_max=30.0,
                 params=params,
-                adjust_width=0.05,
             )
 
     def test_time_reversal_same_invariant_set(self, params_fig5):
