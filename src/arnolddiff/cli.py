@@ -1,19 +1,27 @@
 """Command-line front end: one subcommand per experiment, CSV + JSON out.
 
 Every subcommand takes a run-configuration file (INI sections, see
-config.RunConfig) and writes deterministic artifacts into the output
-directory: data CSVs with 17-significant-digit values, a JSON summary, and
-a metadata record with the config hash.  The file is checked against
-config.SCHEMA before the output directory is created, and each command
-reads its section's typed values with ``cfg.values(section)``.  A command
-that integrates is handed one IntegratorConfig: the defaults of the flow it
-integrates (``COMMANDS``), amended by the file's [integrator] keys.
+config.RunConfig).  The file is checked against config.SCHEMA before the
+output directory is created, and each command reads its section's typed
+values with ``cfg.values(section)``.  A command that integrates is handed
+one IntegratorConfig: the defaults of the flow it integrates (``COMMANDS``),
+amended by the file's [integrator] keys.
+
+A command ``cmd_*(cfg, integrator)`` only computes: it returns
+``(tables, summary)``, where ``tables`` maps each CSV file name to
+``(header, rows)`` (the rows may be a generator) and ``summary`` is the
+JSON-ready dict of ``<command>_summary.json``.  ``run`` alone writes into
+the output directory: each table with ``_write_csv`` (17 significant digits
+for floats; the file appears only once its last row is out), then the
+summary, then the metadata record with the config hash.
 
 Exit codes: 0 ok, 2 config error, 3 domain error, 4 invariant violation.
 """
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -23,90 +31,89 @@ import numpy as np
 from . import __version__, diffusion, highway, inner, kernels, melnikov, scattering
 from .config import RunConfig, write_json, write_metadata
 from .errors import ArnolddiffError, ConfigError, InvariantViolation
-from .model import TWO_PI, ModelParams, hamiltonian, separatrix, vector_field, wrap_angle
+from .model import TWO_PI, ModelParams, hamiltonian, separatrix, vector_field
 from .ode import IntegratorConfig
 
 
-def _writer(path):
-    fh = open(path, "w", newline="")
-    return fh, csv.writer(fh)
+def _write_csv(path, header, rows):
+    """Write one table, floats with 17 significant digits and the rest by str.
 
-
-def _row(w, values):
-    w.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in values])
+    The rows go to a temporary file that replaces ``path`` once the last one
+    is out, so a command that fails part-way leaves no CSV behind.
+    """
+    part = path + ".part"
+    try:
+        with open(part, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(
+                [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows
+            )
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
 
 def _summary(outdir, command, data):
     return write_json(os.path.join(outdir, f"{command}_summary.json"), command, data)
 
 
-def cmd_crest(cfg, integrator, outdir):
+def cmd_crest(cfg, integrator):
     params = cfg.model_params()
     v = cfg.values("crest")
     i1, i2, n = v["i1"], v["i2"], v["grid"]
     info = melnikov.classify_crest(i1, i2, params)
     ph = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    path = os.path.join(outdir, "crest.csv")
-    fh, w = _writer(path)
-    with fh:
-        if info.kind == melnikov.VERTICAL:
-            w.writerow(["phi_other[rad]", "s[rad]", "phi_M[rad]", "phi_m[rad]", "valid"])
-            for pj in ph:
-                for s in ph:
-                    try:
-                        eM = info.eta(0, pj, s)
-                        em = info.eta(1, pj, s)
-                        _row(w, [float(pj), float(s), float(eM), float(em), 1])
-                    except ValueError:
-                        _row(w, [float(pj), float(s), 0.0, 0.0, 0])
-        else:
-            w.writerow(["phi1[rad]", "phi2[rad]", "s_M[rad]", "s_m[rad]", "valid"])
-            w1, w2 = params.frequencies(i1, i2)
-            for p1 in ph:
-                for p2 in ph:
-                    try:
-                        s0 = kernels.branch_offset(0, w1, w2, params.mu1, params.mu2, p1, p2)
-                        s1 = kernels.branch_offset(1, w1, w2, params.mu1, params.mu2, p1, p2)
-                        _row(w, [float(p1), float(p2), float(s0), float(s1), 1])
-                    except ValueError:
-                        _row(w, [float(p1), float(p2), 0.0, 0.0, 0])
-    _summary(
-        outdir,
-        "crest",
-        {
-            "kind": info.kind,
-            "vertical_component": info.vertical_component,
-            "tangency_possible": info.tangency_possible,
-            "tangency_margin": float(melnikov.tangency_margin(i1, i2, params)),
-        },
-    )
-    return 0
+    if info.kind == melnikov.VERTICAL:
+        header = ["phi_other[rad]", "s[rad]", "phi_M[rad]", "phi_m[rad]", "valid"]
+        branch = info.eta
+    else:
+        header = ["phi1[rad]", "phi2[rad]", "s_M[rad]", "s_m[rad]", "valid"]
+        w1, w2 = params.frequencies(i1, i2)
+
+        def branch(k, p1, p2):
+            return kernels.branch_offset(k, w1, w2, params.mu1, params.mu2, p1, p2)
+
+    def rows():
+        for a in ph:
+            for b in ph:
+                try:
+                    values = [float(branch(0, a, b)), float(branch(1, a, b)), 1]
+                except ValueError:
+                    values = [0.0, 0.0, 0]
+                yield [float(a), float(b), *values]
+
+    return {"crest.csv": (header, rows())}, {
+        "kind": info.kind, "vertical_component": info.vertical_component,
+        "tangency_possible": info.tangency_possible,
+        "tangency_margin": float(melnikov.tangency_margin(i1, i2, params)),
+    }
 
 
-def cmd_tau(cfg, integrator, outdir):
+def cmd_tau(cfg, integrator):
     params = cfg.model_params()
     v = cfg.values("tau")
     i1, i2, n = v["i1"], v["i2"], v["grid"]
     th = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    path = os.path.join(outdir, "tau.csv")
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(
-            ["theta1[rad]", "theta2[rad]", "tau0[time]", "lstar0[energy]", "res0[energy]",
-             "tau1[time]", "lstar1[energy]", "res1[energy]"]
-        )
+
+    def rows():
         for t1 in th:
             for t2 in th:
-                r0 = melnikov.solve_tau_star(0, (i1, i2, t1, t2), params)
-                r1 = melnikov.solve_tau_star(1, (i1, i2, t1, t2), params)
-                l0 = melnikov.reduced_poincare(0, (i1, i2, t1, t2), params, guess=r0.value)
-                l1 = melnikov.reduced_poincare(1, (i1, i2, t1, t2), params, guess=r1.value)
-                _row(w, [float(t1), float(t2), r0.value, l0, r0.residual, r1.value, l1, r1.residual])
-    _summary(outdir, "tau", {"i1": i1, "i2": i2, "grid": n})
-    return 0
+                z = (i1, i2, t1, t2)
+                r0 = melnikov.solve_tau_star(0, z, params)
+                r1 = melnikov.solve_tau_star(1, z, params)
+                l0 = melnikov.reduced_poincare(0, z, params, guess=r0.value)
+                l1 = melnikov.reduced_poincare(1, z, params, guess=r1.value)
+                yield [float(t1), float(t2), r0.value, l0, r0.residual, r1.value, l1, r1.residual]
+
+    header = ["theta1[rad]", "theta2[rad]", "tau0[time]", "lstar0[energy]", "res0[energy]",
+              "tau1[time]", "lstar1[energy]", "res1[energy]"]
+    return {"tau.csv": (header, rows())}, {"i1": i1, "i2": i2, "grid": n}
 
 
-def cmd_poincare(cfg, integrator, outdir):
+def cmd_poincare(cfg, integrator):
     params = cfg.model_params()
     v = cfg.values("poincare")
     j, lp = v["branch"], v["level_point"]
@@ -121,76 +128,48 @@ def cmd_poincare(cfg, integrator, outdir):
         j, level, v["section_i1"], seeds, v["t_max"], params,
         max_crossings=v["max_crossings"], cfg=integrator,
     )
-    path = os.path.join(outdir, "poincare.csv")
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["orbit", "t[time]", "I2[action]", "theta2[rad]"])
-        for p in pts:
-            _row(w, [p.orbit, p.t, p.i2, p.theta2])
     counts = {}
     for p in pts:
         counts[p.orbit] = counts.get(p.orbit, 0) + 1
-    _summary(
-        outdir,
-        "poincare",
-        {
-            "level": level,
-            "orbits": len(seeds),
-            "crossings": len(pts),
-            "crossings_per_orbit": [counts.get(k, 0) for k in range(len(seeds))],
-            "bbox_theta2": [min(p.theta2 for p in pts), max(p.theta2 for p in pts)],
-            "bbox_I2": [min(p.i2 for p in pts), max(p.i2 for p in pts)],
-        },
-    )
-    return 0
+    table = (["orbit", "t[time]", "I2[action]", "theta2[rad]"],
+             ([p.orbit, p.t, p.i2, p.theta2] for p in pts))
+    return {"poincare.csv": table}, {
+        "level": level, "orbits": len(seeds), "crossings": len(pts),
+        "crossings_per_orbit": [counts.get(k, 0) for k in range(len(seeds))],
+        "bbox_theta2": [min(p.theta2 for p in pts), max(p.theta2 for p in pts)],
+        "bbox_I2": [min(p.i2 for p in pts), max(p.i2 for p in pts)],
+    }
 
 
-def cmd_highway(cfg, integrator, outdir):
+def cmd_highway(cfg, integrator):
     params = cfg.model_params()
     v = cfg.values("highway")
     if v["i2_to"] == v["i2_from"]:
         raise ConfigError("[highway] i2_to must differ from i2_from")
     seeds = np.linspace(v["i1_lo"], v["i1_hi"], v["n_seeds"])
     fam = highway.trace_family_between_sections(
-        seeds, v["i2_from"], v["i2_to"], params,
-        cfg=integrator, drift_tol=v["drift_tol"],
+        seeds, v["i2_from"], v["i2_to"], params, cfg=integrator, drift_tol=v["drift_tol"])
+    orbit_rows = (
+        [k, t, *state, tau, lstar]
+        for k, (orb, _T) in enumerate(fam)
+        for t, state, tau, lstar in zip(
+            orb.t.tolist(), orb.states[:, :4].tolist(), orb.tau.tolist(), orb.lstar.tolist())
     )
-    p_orb = os.path.join(outdir, "highway_orbits.csv")
-    fh, w = _writer(p_orb)
-    with fh:
-        w.writerow(["orbit", "t[time]", "I1[action]", "I2[action]", "theta1[rad]",
-                    "theta2[rad]", "tau_star[time]", "lstar[energy]"])
-        for k, (orb, _T) in enumerate(fam):
-            for i in range(len(orb.t)):
-                _row(
-                    w,
-                    [k, float(orb.t[i]), float(orb.states[i, 0]), float(orb.states[i, 1]),
-                     float(orb.states[i, 2]), float(orb.states[i, 3]), float(orb.tau[i]),
-                     float(orb.lstar[i])],
-                )
-    p_time = os.path.join(outdir, "highway_times.csv")
-    fh, w = _writer(p_time)
-    with fh:
-        w.writerow(["seed_I1[action]", "transit_time[time]"])
-        for s, (_orb, T) in zip(seeds, fam):
-            _row(w, [float(s), float(T)])
+    orbit_header = ["orbit", "t[time]", "I1[action]", "I2[action]", "theta1[rad]",
+                    "theta2[rad]", "tau_star[time]", "lstar[energy]"]
+    times = ([float(s), float(T)] for s, (_orb, T) in zip(seeds, fam))
+    tables = {"highway_orbits.csv": (orbit_header, orbit_rows),
+              "highway_times.csv": (["seed_I1[action]", "transit_time[time]"], times)}
     slope, off_far, off_near = highway.highway_asymptote(params)
-    _summary(
-        outdir,
-        "highway",
-        {
-            "level": highway.level_value(params),
-            "max_level_error": max(orb.level_error for orb, _ in fam),
-            "asymptote_slope": slope,
-            "asymptote_offset_far": off_far,
-            "asymptote_offset_near": off_near,
-            "transit_times": [T for _, T in fam],
-        },
-    )
-    return 0
+    return tables, {
+        "level": highway.level_value(params),
+        "max_level_error": max(orb.level_error for orb, _ in fam),
+        "asymptote_slope": slope, "asymptote_offset_far": off_far,
+        "asymptote_offset_near": off_near, "transit_times": [T for _, T in fam],
+    }
 
 
-def cmd_diffuse(cfg, integrator, outdir):
+def cmd_diffuse(cfg, integrator):
     params = cfg.model_params()
     v = cfg.values("diffuse")
     wp, delta, eps = v["waypoints"], v["delta"], v["eps"]
@@ -200,81 +179,51 @@ def cmd_diffuse(cfg, integrator, outdir):
     except ValueError as exc:
         raise ConfigError(f"bad [diffuse] run: {exc}") from None
     if eps <= 0.0:
-        eps0, parts = diffusion.epsilon_threshold(path, delta, float(np.abs(wp).max()) + 1.0, params)
+        eps0, _ = diffusion.epsilon_threshold(path, delta, float(np.abs(wp).max()) + 1.0, params)
         eps = min(0.5 * eps0, 1e-3)
     start = (*wp[0], v["theta1"], v["theta2"])
     orb = diffusion.build_pseudo_orbit(path, start, params, eps=eps)
-    pa = os.path.join(outdir, "diffuse_orbit.csv")
-    fh, w = _writer(pa)
-    with fh:
-        w.writerow(["step", "kind", "I1[action]", "I2[action]", "theta1[rad]",
-                    "theta2[rad]", "dt[time]", "dist_to_path[action]"])
-        for k, s in enumerate(orb.steps):
-            _row(w, [k, s.kind, *s.state, s.dt, s.dist])
     waits = [s.dt for s in orb.steps if s.kind == "I" and s.dt > 0.0]
-    ph = os.path.join(outdir, "diffuse_wait_hist.csv")
-    fh, w = _writer(ph)
-    with fh:
-        w.writerow(["bin_lo[time]", "bin_hi[time]", "count"])
-        if waits:
-            hist, edges = np.histogram(waits, bins=16)
-            for c, lo, hi in zip(hist, edges[:-1], edges[1:]):
-                _row(w, [float(lo), float(hi), int(c)])
+    hist_rows = []
+    if waits:
+        hist, edges = np.histogram(waits, bins=16)
+        hist_rows = [[float(lo), float(hi), int(c)]
+                     for c, lo, hi in zip(hist, edges[:-1], edges[1:])]
+    orbit_header = ["step", "kind", "I1[action]", "I2[action]", "theta1[rad]", "theta2[rad]",
+                    "dt[time]", "dist_to_path[action]"]
+    orbit_rows = ([k, s.kind, *s.state, s.dt, s.dist] for k, s in enumerate(orb.steps))
+    tables = {"diffuse_orbit.csv": (orbit_header, orbit_rows),
+              "diffuse_wait_hist.csv": (["bin_lo[time]", "bin_hi[time]", "count"], hist_rows)}
     ns_eps, t_quad = diffusion.step_accounting(orb, params)
-    _summary(
-        outdir,
-        "diffuse",
-        {
-            "eps": eps,
-            "n_scatter": orb.n_scatter,
-            "n_inner": orb.n_inner,
-            "n_detour": orb.n_detour,
-            "inner_time": orb.inner_time,
-            "max_deviation": orb.max_deviation,
-            "final_gap": orb.meta["final_gap"],
-            "Ns_times_eps": ns_eps,
-            "segment_quadrature_time": t_quad,
-        },
-    )
-    return 0
+    return tables, {
+        "eps": eps, "n_scatter": orb.n_scatter, "n_inner": orb.n_inner,
+        "n_detour": orb.n_detour, "inner_time": orb.inner_time,
+        "max_deviation": orb.max_deviation, "final_gap": orb.meta["final_gap"],
+        "Ns_times_eps": ns_eps, "segment_quadrature_time": t_quad,
+    }
 
 
-def cmd_melnikov_verify(cfg, integrator, outdir):
+def cmd_melnikov_verify(cfg, integrator):
     params = cfg.model_params()
     v = cfg.values("verify")
     st, j, eps_list = v["state"], v["branch"], v["eps_list"]
-    rows = []
-    for eps in eps_list:
-        c = diffusion.verify_scattering_jump(st, j, eps, params, cfg=integrator)
-        rows.append((eps, c))
-    pa = os.path.join(outdir, "melnikov-verify.csv")
-    fh, w = _writer(pa)
-    with fh:
-        w.writerow(
-            ["eps", "measured_dI1[action]", "measured_dI2[action]",
-             "predicted_dI1[action]", "predicted_dI2[action]",
-             "discrepancy[action]", "excursion_T[time]"]
-        )
-        for eps, c in rows:
-            _row(
-                w,
-                [float(eps), float(c.measured[0]), float(c.measured[1]),
-                 float(c.predicted[0]), float(c.predicted[1]), float(c.discrepancy),
-                 float(c.excursion_time)],
-            )
-    summ = {
-        "state": st,
-        "branch": j,
-        "eps": eps_list,
-        "discrepancies": [c.discrepancy for _, c in rows],
-    }
-    if len(rows) >= 2 and rows[1][1].discrepancy > 0:
-        summ["ratio_first_two"] = rows[0][1].discrepancy / rows[1][1].discrepancy
-    _summary(outdir, "melnikov-verify", summ)
-    return 0
+    checks = [diffusion.verify_scattering_jump(st, j, eps, params, cfg=integrator)
+              for eps in eps_list]
+    rows = [
+        [float(eps), float(c.measured[0]), float(c.measured[1]), float(c.predicted[0]),
+         float(c.predicted[1]), float(c.discrepancy), float(c.excursion_time)]
+        for eps, c in zip(eps_list, checks)
+    ]
+    header = ["eps", "measured_dI1[action]", "measured_dI2[action]", "predicted_dI1[action]",
+              "predicted_dI2[action]", "discrepancy[action]", "excursion_T[time]"]
+    summ = {"state": st, "branch": j, "eps": eps_list,
+            "discrepancies": [c.discrepancy for c in checks]}
+    if len(checks) >= 2 and checks[1].discrepancy > 0:
+        summ["ratio_first_two"] = checks[0].discrepancy / checks[1].discrepancy
+    return {"melnikov-verify.csv": (header, rows)}, summ
 
 
-def cmd_time_estimate(cfg, integrator, outdir):
+def cmd_time_estimate(cfg, integrator):
     params = cfg.model_params()
     try:
         params.require_diffusion_regime()
@@ -291,29 +240,20 @@ def cmd_time_estimate(cfg, integrator, outdir):
         cfg=integrator, drift_tol=1e-6,
     )
     est = diffusion.time_estimate((w0, wf), orb, eps, params)
-    pa = os.path.join(outdir, "time-estimate.csv")
-    fh, w = _writer(pa)
-    with fh:
-        w.writerow(["T_s[time]", "T_h[time]", "C[energy]", "T_d[time]", "eps",
-                    "omega_lo[freq]", "omega_hi[freq]"])
-        _row(w, [est.T_s, est.T_h, est.C, est.T_d, est.eps, w0, wf])
-    _summary(
-        outdir,
-        "time-estimate",
-        {"T_s": est.T_s, "T_h": est.T_h, "C": est.C, "T_d": est.T_d, "eps": eps,
-         "b_exponent": est.b_exponent, **est.meta},
-    )
-    return 0
+    table = (["T_s[time]", "T_h[time]", "C[energy]", "T_d[time]", "eps", "omega_lo[freq]",
+              "omega_hi[freq]"],
+             [[est.T_s, est.T_h, est.C, est.T_d, est.eps, w0, wf]])
+    return {"time-estimate.csv": table}, {
+        "T_s": est.T_s, "T_h": est.T_h, "C": est.C, "T_d": est.T_d, "eps": eps,
+        "b_exponent": est.b_exponent, **est.meta,
+    }
 
 
-def cmd_check(cfg, integrator, outdir):
+def cmd_check(cfg, integrator):
     """Invariant suite; prints one PASS/FAIL line per check."""
     params = cfg.model_params()
     if params.eps == 0.0:
-        params = ModelParams(
-            params.a1, params.a2, params.a3, params.Omega1, params.Omega2, 1e-3,
-            params.pendulum_sign,
-        )
+        params = dataclasses.replace(params, eps=1e-3)
     rng = np.random.default_rng(cfg.seed())
     failures = 0
     lines = []
@@ -416,10 +356,7 @@ def cmd_check(cfg, integrator, outdir):
     gate("rotor integrals conserved by inner flow", drift < 1e-10, f"drift={drift:.1e}")
 
     print("\n".join(lines))
-    _summary(outdir, "check", {"failures": failures, "lines": lines})
-    if failures:
-        raise InvariantViolation(f"{failures} invariant check(s) failed")
-    return 0
+    return {}, {"failures": failures, "lines": lines}
 
 
 # command -> (function, the run-file section it reads besides [model],
@@ -437,13 +374,22 @@ COMMANDS = {
 
 
 def run(command, cfg, outdir_override=None):
-    """Validate cfg for the command, then run it in the output directory."""
+    """Validate cfg for the command, run it, then write all of its outputs.
+
+    The tables come first, then the summary; a summary that reports failed
+    checks raises InvariantViolation before the metadata record is written.
+    """
     fn, section, base = COMMANDS[command]
     integrator = cfg.validate(section, base)
     outdir = cfg.output_dir(outdir_override)
-    rc = fn(cfg, integrator, outdir)
+    tables, summary = fn(cfg, integrator)
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(outdir, name), header, rows)
+    _summary(outdir, command, summary)
+    if summary.get("failures"):
+        raise InvariantViolation(f"{summary['failures']} invariant check(s) failed")
     write_metadata(outdir, command, cfg, integrator)
-    return rc
+    return 0
 
 
 def main(argv=None):

@@ -33,6 +33,7 @@ from .scattering import scattering_map
 
 GUARD_EXPONENT = 0.5          # keep paths (eps^0.5)-clear of the origin, at least delta
 WINDOW_MARGIN = 0.3           # angular margin inside the (pi, 2pi) windows
+STEP_BUDGET = 2_000_000       # jumps and waits the pseudo-orbit builder may take
 DEADBAND_FACTOR = 0.25        # cross-track slack (times delta) before constraining
 # ergodization-time exponents of the drift-time estimate; b = -c - 2a
 ERGODIZE_A = 0.125
@@ -182,7 +183,7 @@ def stairstep(path, resolution=None):
 
 
 def _append(pts, p):
-    if not np.allclose(pts[-1], p, atol=1e-15):
+    if not np.allclose(pts[-1], p, rtol=0.0, atol=1e-15):
         pts.append(p)
 
 
@@ -251,7 +252,7 @@ class PseudoOrbit:
         return np.array(rec)
 
 
-def _window_for(u, delta, margin, params):
+def _window_for(u, delta, params):
     """Per-component psi windows pushing the action jump toward u.
 
     The jump component is -eps*A_c*sin(psi_c) and A_c carries the sign of
@@ -263,23 +264,13 @@ def _window_for(u, delta, margin, params):
         if abs(uc) <= dead:
             win.append(None)
         elif (uc > 0.0) == (amp > 0.0):
-            win.append((math.pi + margin, TWO_PI - margin))
+            win.append((math.pi + WINDOW_MARGIN, TWO_PI - WINDOW_MARGIN))
         else:
-            win.append((margin, math.pi - margin))
+            win.append((WINDOW_MARGIN, math.pi - WINDOW_MARGIN))
     return tuple(win)
 
 
-def build_pseudo_orbit(
-    path,
-    start,
-    params,
-    j=0,
-    eps=None,
-    margin=WINDOW_MARGIN,
-    max_steps=2_000_000,
-    t_bound=None,
-    on_event=None,
-):
+def build_pseudo_orbit(path, start, params, j=0, eps=None, on_event=None):
     """Track an action path with branch-map jumps and rotation waits.
 
     ``path`` should be axis-aligned (run stairstep() first; oblique segments
@@ -318,7 +309,7 @@ def build_pseudo_orbit(
     k = 0
     target = centers[k]
     guard = max(delta, params.eps**GUARD_EXPONENT)
-    for _ in range(max_steps):
+    for _ in range(STEP_BUDGET):
         if max(abs(z[0] - end[0]), abs(z[1] - end[1])) <= delta and k == len(centers) - 1:
             break  # inside the final ball
         u = (target[0] - z[0], target[1] - z[1])
@@ -328,19 +319,19 @@ def build_pseudo_orbit(
             continue
         if max(abs(z[0]), abs(z[1])) < guard:
             raise Stuck(f"entered the origin guard region at state {z}")
-        window = _window_for(u, delta, margin, params)
+        window = _window_for(u, delta, params)
         ps, dI, dTH = _jump_data(j, z, params)
         if not inner.in_window(ps, window):
             try:
-                res = inner.ergodize(z, window, j=j, params=params, t_bound=t_bound)
+                res = inner.ergodize(z, window, j=j, params=params)
             except UseScatteringDetour:
-                z = _detour(z, j, params, eps, orbit, steps, path, on_event, margin)
+                z = _detour(z, j, params, eps, orbit, steps, path, on_event)
                 continue
             except WindowUnreachable as exc:
-                if _near_resonant_block(z, j, params, margin):
-                    z = _detour(z, j, params, eps, orbit, steps, path, on_event, margin)
+                if _near_resonant_block(z, j, params):
+                    z = _detour(z, j, params, eps, orbit, steps, path, on_event)
                     continue
-                res = _wait_for_major_window(z, window, u, j, params, t_bound, exc)
+                res = _wait_for_major_window(z, window, u, j, params, exc)
             z = res.state
             orbit.n_inner += 1
             orbit.inner_time += res.t_star
@@ -363,7 +354,7 @@ def build_pseudo_orbit(
     orbit.meta.update(
         n_balls=len(centers),
         final_gap=max(abs(z[0] - end[0]), abs(z[1] - end[1])),
-        margin=margin,
+        margin=WINDOW_MARGIN,
     )
     return orbit
 
@@ -378,7 +369,7 @@ def _jump_data(j, z, params):
     return (z[2] - tau * w1, z[3] - tau * w2), dI, dTH
 
 
-def _wait_for_major_window(z, window, u, j, params, t_bound, exc):
+def _wait_for_major_window(z, window, u, j, params, exc):
     """Ergodize into the window of the larger |u| component alone.
 
     Used when both components are constrained, their sweep found no entry
@@ -394,12 +385,12 @@ def _wait_for_major_window(z, window, u, j, params, t_bound, exc):
         raise Stuck(f"window unreachable off the resonant line at {z}: {exc}")
     major = (window[0], None) if abs(u[0]) >= abs(u[1]) else (None, window[1])
     try:
-        return inner.ergodize(z, major, j=j, params=params, t_bound=t_bound)
+        return inner.ergodize(z, major, j=j, params=params)
     except WindowUnreachable as again:
         raise Stuck(f"window unreachable off the resonant line at {z}: {again}") from exc
 
 
-def _near_resonant_block(z, j, params, margin):
+def _near_resonant_block(z, j, params):
     """Near-equal frequencies with the line offset too close to pi.
 
     In this geometry the natural offset drift |w2 - w1| is too slow to open
@@ -409,10 +400,10 @@ def _near_resonant_block(z, j, params, margin):
     if w1 == 0.0 or abs(w2 / w1 - 1.0) > 1e-3:
         return False
     ps, _ = melnikov.psi(j, z, params)
-    return inner.resonant_gap(ps) <= 2.0 * margin + 0.3
+    return inner.resonant_gap(ps) <= 2.0 * WINDOW_MARGIN + 0.3
 
 
-def _detour(z, j, params, eps, orbit, steps, path, on_event, margin):
+def _detour(z, j, params, eps, orbit, steps, path, on_event):
     """Resonant-diagonal escape: jump at psi = (0, pi) until the offset clears.
 
     Each jump there leaves the actions fixed (both jump components vanish)
@@ -420,7 +411,7 @@ def _detour(z, j, params, eps, orbit, steps, path, on_event, margin):
     enough from pi that the margin-shrunk window intersects the line.
     Returns the final state as a tuple of floats.
     """
-    exit_gap = 2.0 * margin + 0.35
+    exit_gap = 2.0 * WINDOW_MARGIN + 0.35
     for _ in range(200_000):
         t_rot, z = inner.rotate_to_psi1(z, 0.0, j=j, params=params)
         orbit.inner_time += t_rot
@@ -452,7 +443,7 @@ def _ball_centers(path):
     return out
 
 
-def epsilon_threshold(path, delta, R, params, j=0, remainder_const=None, margin=WINDOW_MARGIN):
+def epsilon_threshold(path, delta, R, params, j=0, remainder_const=None):
     """Tracking threshold eps0 = min(m/(2M), 2*delta/m) for a stairstepped path.
 
     m is the worst guaranteed jump speed along the path directions (the
@@ -475,7 +466,7 @@ def epsilon_threshold(path, delta, R, params, j=0, remainder_const=None, margin=
             if abs(p[comp]) > R:
                 continue
             w = om * p[comp]
-            m = min(m, abs(kernels.coeff(w, amp)) * math.sin(margin))
+            m = min(m, abs(kernels.coeff(w, amp)) * math.sin(WINDOW_MARGIN))
     if not math.isfinite(m) or m == 0.0:
         raise DegenerateDirection("no usable jump speed found along the path")
     if remainder_const is None:

@@ -12,7 +12,7 @@ import pytest
 from arnolddiff import config, melnikov, scattering
 from arnolddiff.cli import COMMANDS, _summary, main
 from arnolddiff.config import RunConfig, write_metadata
-from arnolddiff.errors import InvariantViolation
+from arnolddiff.errors import InvariantViolation, NoConvergence
 
 BASE = """\
 [model]
@@ -226,6 +226,30 @@ class TestRuns:
 
     def test_check_passes(self, cfg_file):
         assert main(["check", str(cfg_file)]) == 0
+
+    def test_check_failure_exits_4_without_metadata(self, cfg_file, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(melnikov, "scan_alpha_bounds", lambda *a, **k: (2.0, 2.0))
+        assert main(["check", str(cfg_file)]) == 4
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["invariant violation: 1 invariant check(s) failed"]
+        out = tmp_path / "out"
+        assert json.loads((out / "check_summary.json").read_text())["failures"] == 1
+        assert not (out / "check_metadata.json").exists()
+
+    def test_failed_run_leaves_no_csv(self, cfg_file, tmp_path, capsys, monkeypatch):
+        solve, calls = melnikov.solve_tau_star, []
+
+        def third_call_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NoConvergence("tau* Newton iteration did not converge")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(melnikov, "solve_tau_star", third_call_fails)
+        assert main(["tau", str(cfg_file)]) == 3
+        assert capsys.readouterr().err.startswith("NoConvergence: ")
+        assert os.listdir(tmp_path / "out") == []
 
     def test_domain_error_exit_code(self, cfg_file, tmp_path):
         # a vertical-regime parameter set makes the tau command fail cleanly

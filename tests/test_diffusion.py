@@ -103,6 +103,14 @@ class TestPaths:
         for q in p.waypoints:
             assert s.distance_to(q) <= 0.05 + 1e-9
 
+    def test_steps_within_resolution_at_large_actions(self):
+        # vertices 0.005 apart at |I| = 1000 are distinct, not merged by a relative tolerance
+        p = diffusion.ActionPath(np.array([[1000.0, 1000.0], [1000.05, 1000.05]]), 0.01)
+        s = diffusion.stairstep(p)
+        assert len(s.waypoints) == 21
+        assert np.abs(np.diff(s.waypoints, axis=0)).max() <= 0.005 + 1e-9
+        assert np.array_equal(s.end, p.end)
+
     def test_origin_reroute_clearance(self):
         p = diffusion.ActionPath(np.array([[-1.0, 0.02], [1.0, 0.02]]), 0.1)
         s = diffusion.stairstep(p)
@@ -340,7 +348,7 @@ class TestBuilder:
         for win in (window, (window[0], None)):
             with pytest.raises(Stuck, match="off the resonant line"):
                 diffusion._wait_for_major_window(
-                    z, win, (0.03, 0.2), 0, params, None, diffusion.WindowUnreachable("x"))
+                    z, win, (0.03, 0.2), 0, params, diffusion.WindowUnreachable("x"))
 
     @pytest.mark.parametrize("start", [
         [1.0, 1.0, math.nan, 4.4], [1.0, 1.0, 2.0, math.inf], [math.nan, 1.0, 2.0, 4.4],
