@@ -13,7 +13,9 @@ A command ``cmd_*(cfg, integrator)`` only computes: it returns
 JSON-ready dict of ``<command>_summary.json``.  ``run`` alone writes into
 the output directory: each table with ``_write_csv`` (17 significant digits
 for floats; the file appears only once its last row is out), then the
-summary, then the metadata record with the config hash.
+summary, then the metadata record with the config hash.  The command's
+previous metadata record is removed before it computes, so outputs
+without a record do not belong to a run that succeeded.
 
 Exit codes: 0 ok, 2 config error, 3 domain error, 4 invariant violation.
 """
@@ -31,7 +33,7 @@ import numpy as np
 from . import __version__, diffusion, highway, inner, kernels, melnikov, scattering
 from .config import RunConfig, write_json, write_metadata
 from .errors import ArnolddiffError, ConfigError, InvariantViolation
-from .model import TWO_PI, ModelParams, hamiltonian, separatrix, vector_field
+from .model import TWO_PI, ModelParams, hamiltonian, rhs, separatrix
 from .ode import IntegratorConfig
 
 
@@ -266,9 +268,10 @@ def cmd_check(cfg, integrator):
 
     # invariant-set invariance of the full field
     worst = 0.0
+    f = rhs(params)
     for _ in range(20):
         x = np.array([0.0, 0.0, *rng.uniform(-3, 3, 2), *rng.uniform(0, TWO_PI, 3)])
-        d = vector_field(x, params)
+        d = f(0.0, x)
         worst = max(worst, abs(d[0]), abs(d[1]))
     gate("invariant-set (p=q=0) is flow-invariant", worst == 0.0, f"max|pdot,qdot|={worst:.1e}")
 
@@ -376,12 +379,16 @@ COMMANDS = {
 def run(command, cfg, outdir_override=None):
     """Validate cfg for the command, run it, then write all of its outputs.
 
+    The command's earlier metadata record is removed before it computes.
     The tables come first, then the summary; a summary that reports failed
-    checks raises InvariantViolation before the metadata record is written.
+    checks raises InvariantViolation before the metadata record is written,
+    so a record is present only after a run that succeeded.
     """
     fn, section, base = COMMANDS[command]
     integrator = cfg.validate(section, base)
     outdir = cfg.output_dir(outdir_override)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(outdir, f"{command}_metadata.json"))
     tables, summary = fn(cfg, integrator)
     for name, (header, rows) in tables.items():
         _write_csv(os.path.join(outdir, name), header, rows)

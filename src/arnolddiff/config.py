@@ -199,7 +199,7 @@ class RunConfig:
         return self.values("run")["seed"]
 
 
-def write_metadata(outdir, command, config, integrator, extra=None):
+def write_metadata(outdir, command, config, integrator):
     """Per-run provenance record: config hash, version, the run's tolerances."""
     from . import __version__, kernels
 
@@ -213,8 +213,6 @@ def write_metadata(outdir, command, config, integrator, extra=None):
         "seed": config.seed(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    if extra:
-        meta.update(extra)
     return write_json(os.path.join(outdir, f"{command}_metadata.json"), command, meta)
 
 

@@ -12,7 +12,7 @@ offset instead; the builder repeats it until the window opens up.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -83,10 +83,6 @@ class ActionPath:
     @property
     def end(self):
         return self.waypoints[-1]
-
-    def length(self):
-        d = np.diff(self.waypoints, axis=0)
-        return float(np.sum(np.abs(d).sum(axis=1)))
 
     def distance_to(self, point):
         """Sup-norm distance from a point to the polyline.
@@ -233,10 +229,6 @@ class PseudoOrbit:
     n_detour: int = 0
     inner_time: float = 0.0
     meta: dict = field(default_factory=dict)
-
-    @property
-    def states(self):
-        return np.array([s.state for s in self.steps])
 
     @property
     def max_deviation(self):
@@ -443,12 +435,12 @@ def _ball_centers(path):
     return out
 
 
-def epsilon_threshold(path, delta, R, params, j=0, remainder_const=None):
+def epsilon_threshold(path, delta, R, params, remainder_const=None):
     """Tracking threshold eps0 = min(m/(2M), 2*delta/m) for a stairstepped path.
 
     m is the worst guaranteed jump speed along the path directions (the
     coupling coefficient of the moving action times the window margin sine);
-    M is the calibrated quadratic-remainder constant of the branch map.
+    M is the calibrated quadratic-remainder constant of the branch-0 map.
     Raises DegenerateDirection when a needed amplitude vanishes (m = 0).
     """
     if not path.stairstepped:
@@ -472,7 +464,7 @@ def epsilon_threshold(path, delta, R, params, j=0, remainder_const=None):
     if remainder_const is None:
         from .scattering import calibrate_remainder
 
-        remainder_const = calibrate_remainder(j, params, eps=1e-3, box=R, n=5)
+        remainder_const = calibrate_remainder(0, params, eps=1e-3, box=R, n=5)
     eps0 = min(m / (2.0 * remainder_const), 2.0 * delta / m)
     return eps0, {"m": m, "M": remainder_const, "branch_m_over_2M": m / (2.0 * remainder_const), "branch_2delta_over_m": 2.0 * delta / m}
 
@@ -525,7 +517,6 @@ class TimeEstimate:
     C: float
     T_d: float
     eps: float
-    omega_range: Tuple[float, float]
     b_exponent: float = 0.0
     meta: dict = field(default_factory=dict)
 
@@ -592,7 +583,7 @@ def time_estimate(omega_range, orbit, eps, params):
     T_h = 2.0 * math.log(C / eps)
     T_d = (T_s / eps) * T_h
     return TimeEstimate(
-        T_s, T_h, C, T_d, eps, (w0, wf), -ERGODIZE_C - 2.0 * ERGODIZE_A,
+        T_s, T_h, C, T_d, eps, -ERGODIZE_C - 2.0 * ERGODIZE_A,
         meta={"M_w1": Mw1, "M_w2": Mw2, "ergodize_a": ERGODIZE_A, "ergodize_c": ERGODIZE_C},
     )
 
@@ -604,7 +595,6 @@ class JumpCheck:
     discrepancy: float
     raw_delta: np.ndarray
     excursion_time: float
-    endpoint_distance: float
 
 
 def default_excursion_time(eps):
@@ -618,20 +608,20 @@ def default_excursion_time(eps):
     return 0.5 * math.log(16.0 / eps)
 
 
-def verify_scattering_jump(state, j, eps, params, T=None, cfg=EXCURSION_INTEGRATOR):
+def verify_scattering_jump(state, j, eps, params, cfg=EXCURSION_INTEGRATOR):
     """Full-system oracle for one homoclinic excursion's action jump.
 
     Starts at the unperturbed homoclinic point (separatrix at tau*, angles
     phi = theta at s = 0), integrates the genuine 3.5-dof system over
-    [-T, T] with eps-coupling switched on, and accumulates the
+    [-T, T] (T = default_excursion_time(eps), 10 at eps = 0) with
+    eps-coupling switched on, and accumulates the
     inner-compensated jump J_i = int eps a_i sin(phi_i) (cos q - 1) dt,
     whose limit is the first-order prediction eps dL*/dtheta.  Also returns
     the raw I(T) - I(-T) (which includes the plain rotor drift).
     """
     if not 0.0 <= eps <= 1e-2:
         raise EpsilonTooLarge(f"oracle calibrated for 0 <= eps <= 1e-2, got {eps:g}")
-    if T is None:
-        T = default_excursion_time(eps) if eps > 0.0 else 10.0
+    T = default_excursion_time(eps) if eps > 0.0 else 10.0
     p2 = replace(params, eps=eps)
     i1, i2, t1, t2 = state
     ts = melnikov.solve_tau_star(j, state, params)
@@ -657,7 +647,7 @@ def verify_scattering_jump(state, j, eps, params, T=None, cfg=EXCURSION_INTEGRAT
     # written out: np.linalg.norm is a BLAS dot whose rounding depends on the CPU kernel
     d0, d1 = measured - predicted
     disc = math.sqrt(d0 * d0 + d1 * d1)
-    return JumpCheck(measured, predicted, disc, raw, T, d_end)
+    return JumpCheck(measured, predicted, disc, raw, T)
 
 
 def _augmented_rhs(params):

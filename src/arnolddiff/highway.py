@@ -8,7 +8,7 @@ which the level is a conserved quantity.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +27,16 @@ BRANCH_UP = "H"     # theta near (3pi/2, 3pi/2): actions increase
 # transits are long, so steps may be large and many
 TRACE_INTEGRATOR = IntegratorConfig(h_max=5e4, max_steps=4_000_000)
 
+# largest |L*_0 - A3| a far-field seed may have
+SEED_RESIDUAL_TOL = 1e-4
+
 
 def level_value(params):
     """The Highway level: A3 = 2*pi*a3/sinh(pi/2)."""
     return kernels.coeff(1.0, params.a3)
 
 
-def highway_seed(i1, i2, params, signs=(1, 1), j=0, residual_tol=1e-4):
+def highway_seed(i1, i2, params, signs=(1, 1)):
     """Far-field Highway point (I, Theta(I)) from the gradient expansion.
 
     ``signs`` picks the quadrant: +1 puts that component of Theta near 3pi/2
@@ -44,8 +47,8 @@ def highway_seed(i1, i2, params, signs=(1, 1), j=0, residual_tol=1e-4):
     Returns (state, residual).  Raises AsymptoticsUnreliable if A1, A2 or
     A3 is exactly 0 (a zero amplitude, or |Omega_i*I_i| past the coefficient
     cut |pi*w/2| > 700), since the correction divides by all three, or if
-    the residual of the defining level exceeds residual_tol (actions too
-    small).
+    the residual of the defining level exceeds SEED_RESIDUAL_TOL (actions
+    too small).
     """
     s1, s2 = signs
     if s1 not in (1, -1) or s2 not in (1, -1):
@@ -65,27 +68,12 @@ def highway_seed(i1, i2, params, signs=(1, 1), j=0, residual_tol=1e-4):
     th1 = wrap_angle(s1 * 1.5 * math.pi + c1)
     th2 = wrap_angle(s2 * 1.5 * math.pi + c2)
     state = np.array([i1, i2, th1, th2])
-    residual = abs(melnikov.reduced_poincare(j, state, params) - A3)
-    if residual > residual_tol:
+    residual = abs(melnikov.reduced_poincare(0, state, params) - A3)
+    if residual > SEED_RESIDUAL_TOL:
         raise AsymptoticsUnreliable(
-            f"far-field seed residual {residual:.3e} > {residual_tol:.1e} at I=({i1}, {i2})"
+            f"far-field seed residual {residual:.3e} > {SEED_RESIDUAL_TOL:.1e} at I=({i1}, {i2})"
         )
     return state, residual
-
-
-def polish_seed_to_level(state, params, j=0, iters=8):
-    """Newton-correct theta along the level gradient so L*_j = A3 to ~1e-13."""
-    A3 = level_value(params)
-    z = np.asarray(state, dtype=float).copy()
-    for _ in range(iters):
-        val, _tau, _dI, dTH = melnikov.reduced_poincare_grad(j, z, params)
-        r = val - A3
-        n2 = float(dTH[0] * dTH[0] + dTH[1] * dTH[1])   # not a BLAS dot: same bits on every CPU
-        if n2 == 0.0 or abs(r) < 1e-13:
-            break
-        z[2] -= r * dTH[0] / n2
-        z[3] -= r * dTH[1] / n2
-    return z
 
 
 def _f_of(wb, A, A3):
@@ -102,7 +90,7 @@ def _f_of(wb, A, A3):
     return (wb * wb * A3 - math.sqrt(disc)) / (d * A3)
 
 
-def symmetric_highway_theta(ibar, branch, params, j=0):
+def symmetric_highway_theta(ibar, branch, params):
     """Explicit symmetric Highway angle theta_bar(I_bar) for a1 = a2, O1 = O2.
 
     The two branches are mirror images: 'h' passes through pi/2 at I = 0 and
@@ -141,7 +129,6 @@ class HighwayOrbit:
     lstar: np.ndarray
     branch_label: str
     level: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def level_error(self):
@@ -151,35 +138,28 @@ class HighwayOrbit:
         return params.Omega1 * self.states[:, 0]
 
 
-def highway_trace(seed, params, j=0, t_span=None, stop=None, cfg=TRACE_INTEGRATOR,
-                  drift_tol=1e-7):
+def highway_trace(seed, params, stop, cfg=TRACE_INTEGRATOR, drift_tol=1e-7):
     """Trace a Highway orbit from a seed state with the scattering flow.
 
-    Provide either ``t_span`` or ``stop=(component_index, value, direction)``
-    to integrate until a section crossing (component 0 or 1, i.e. I1 or I2);
-    the orbit is then integrated once and its last row is the crossing,
-    landed on the section exactly.
+    The orbit is integrated once, until it crosses the section
+    ``stop=(component_index, value, direction)`` (component 0 or 1, i.e. I1
+    or I2); its last row is the crossing, landed on the section exactly.
     The level L*_0 is recorded along the orbit; LevelDrift is raised if it
     departs from the seed's nominal level A3 by more than drift_tol.
     """
-    if (t_span is None) == (stop is None):
-        raise ValueError("provide exactly one of t_span or stop")
-    f = flow_rhs(j, params)
     seed = np.asarray(seed, dtype=float)
-    section = None
-    if stop is not None:
-        section = Section(*stop)
-        t_span = (0.0, 1e12)
-    traj = integrate(f, seed, t_span, cfg, record=True, section=section)
-    if section is not None and not traj.crossings:
-        raise EventNotFound(f"no crossing of {section} within t = {t_span[1]:g}")
+    section = Section(*stop)
+    t_end = 1e12
+    traj = integrate(flow_rhs(0, params), seed, (0.0, t_end), cfg, record=True, section=section)
+    if not traj.crossings:
+        raise EventNotFound(f"no crossing of {section} within t = {t_end:g}")
     n = traj.y.shape[0]
     tau = np.empty(n)
     ls = np.empty(n)
     guess = None
     for k, (i1, i2, t1, t2) in enumerate(traj.y.tolist()):
         val, tk = kernels.lstar(
-            j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
+            0, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
             i1, i2, t1, t2, guess,
         )
         tau[k] = tk
@@ -211,8 +191,8 @@ def highway_asymptote(params):
     return slope, -off, off
 
 
-def trace_family_between_sections(i1_seeds, i2_from, i2_to, params, signs=(1, 1), j=0,
-                                  cfg=TRACE_INTEGRATOR, drift_tol=1e-7):
+def trace_family_between_sections(i1_seeds, i2_from, i2_to, params, cfg=TRACE_INTEGRATOR,
+                                  drift_tol=1e-7):
     """Fig-7-style family: seeds along I2 = i2_from traced to I2 = i2_to.
 
     Returns a list of (orbit, transit_time) with transit_time the flow time
@@ -220,10 +200,10 @@ def trace_family_between_sections(i1_seeds, i2_from, i2_to, params, signs=(1, 1)
     """
     out = []
     for i1 in i1_seeds:
-        state, _res = highway_seed(i1, i2_from, params, signs=signs, j=j)
+        state, _res = highway_seed(i1, i2_from, params)
         direction = 1 if i2_to > i2_from else -1
         orbit = highway_trace(
-            state, params, j=j, stop=(1, i2_to, direction), cfg=cfg, drift_tol=drift_tol
+            state, params, stop=(1, i2_to, direction), cfg=cfg, drift_tol=drift_tol
         )
         out.append((orbit, float(orbit.t[-1])))
     return out

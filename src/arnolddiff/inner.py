@@ -35,17 +35,9 @@ def inner_rhs(params):
     return f
 
 
-def inner_flow(x, t, params, cfg=IntegratorConfig(), record=False):
+def inner_flow(x, t, params, cfg=IntegratorConfig()):
     """Integrate the exact inner equations for time t (t may be negative)."""
-    traj = integrate(inner_rhs(params), np.asarray(x, float), (0.0, t), cfg, record=record)
-    return traj if record else traj.final
-
-
-def inner_flow_linear(state, t, params):
-    """First-order inner step on a reduced state: actions frozen, angles rotate."""
-    i1, i2, t1, t2 = state
-    w1, w2 = params.frequencies(i1, i2)
-    return np.array([i1, i2, t1 + t * w1, t2 + t * w2])
+    return integrate(inner_rhs(params), np.asarray(x, float), (0.0, t), cfg, record=False).final
 
 
 def first_integrals(x, params):
@@ -102,7 +94,8 @@ def ergodize(
     state,
     window=DEFAULT_WINDOW,
     j=0,
-    params=None,
+    *,
+    params,
     t_bound=None,
     degenerate_tol=(1e-9, 1e-6),
 ):
@@ -154,7 +147,7 @@ def ergodize(
     raise WindowUnreachable(f"no window entry within t_bound={t_bound:.3g}")
 
 
-def rotate_to_psi1(state, target, j=0, params=None, tol=1e-10):
+def rotate_to_psi1(state, target, j=0, *, params):
     """Inner-rotate until psi_1 = target (mod 2pi); used by the detour step.
 
     Returns (t, new_state), the state a tuple of floats.  Assumes
@@ -176,6 +169,7 @@ def rotate_to_psi1(state, target, j=0, params=None, tol=1e-10):
     rate = abs(w1) / _psi_speed_denom(params)
     dt = 0.05 / rate
     t = 0.0
+    tol = 1e-10
     d_prev, cand, guess = gap(0.0, None)
     if d_prev < tol:
         return 0.0, cand

@@ -64,11 +64,11 @@ def melnikov_potential(i1, i2, phi1, phi2, s, params):
     return c.A1 * math.cos(phi1) + c.A2 * math.cos(phi2) + c.A3 * math.cos(s)
 
 
-def melnikov_potential_quadrature(i1, i2, phi1, phi2, s, params, span=40.0):
+def melnikov_potential_quadrature(i1, i2, phi1, phi2, s, params):
     """Independent oracle: separatrix integral of p0^2/2 times the coupling.
 
     Integrates 2/cosh(rho)^2 * g(phi + rho*omega, s + rho) over the real
-    line (truncated at |rho| = span where the weight is ~e^{-2*span}).
+    line (truncated at |rho| = 40, where the weight is ~e^{-80}).
     """
     w1, w2 = params.frequencies(i1, i2)
     a1, a2, a3 = params.a1, params.a2, params.a3
@@ -81,7 +81,7 @@ def melnikov_potential_quadrature(i1, i2, phi1, phi2, s, params, span=40.0):
         )
         return 2.0 * g / math.cosh(rho) ** 2
 
-    val, _err = quad(f, -span, span, limit=400, epsabs=1e-12, epsrel=1e-12)
+    val, _err = quad(f, -40.0, 40.0, limit=400, epsabs=1e-12, epsrel=1e-12)
     return val
 
 
@@ -137,11 +137,11 @@ def crest_branch(j, i1, i2, phi1, phi2, params):
     return kernels.branch_offset(j, w1, w2, params.mu1, params.mu2, phi1, phi2)
 
 
-def tangency_margin(i1, i2, params, grid=256, newton_iters=10):
+def tangency_margin(i1, i2, params, grid=256):
     """1 - max_phi f_I(phi); positive means lines cross the crest transversally.
 
     The maximum of the trigonometric surface f_I is located on a coarse grid
-    and polished with a few Newton steps on its gradient.
+    and polished with at most 10 Newton steps on its gradient.
     """
     w1, w2 = params.frequencies(i1, i2)
     c1 = w1 * kernels.alpha(w1) * params.mu1
@@ -173,7 +173,7 @@ def tangency_margin(i1, i2, params, grid=256, newton_iters=10):
         h12 = 2 * c1 * sin1 * c2 * sin2 + 2 * s1 * cos1 * s2 * cos2
         return g, np.array([[h11, h12], [h12, h22]])
 
-    for _ in range(newton_iters):
+    for _ in range(10):
         g, h = grad_hess(x)
         try:
             step = np.linalg.solve(h, g)
@@ -191,7 +191,6 @@ def tangency_margin(i1, i2, params, grid=256, newton_iters=10):
 @dataclass(frozen=True)
 class TauStar:
     value: float
-    branch: int
     residual: float
     iterations: int
 
@@ -201,7 +200,7 @@ def solve_tau_star(j, state, params, guess=None):
     i1, i2, t1, t2 = map(float, state)
     w1, w2 = params.frequencies(i1, i2)
     tau, res, it = kernels.tau_star(j, w1, w2, params.mu1, params.mu2, t1, t2, guess=guess)
-    return TauStar(tau, j, res, it)
+    return TauStar(tau, res, it)
 
 
 def reduced_poincare(j, state, params, guess=None):

@@ -97,21 +97,6 @@ def hamiltonian(x, params):
     return pend + rot + params.eps * math.cos(q) * coupling
 
 
-def vector_field(x, params):
-    """Canonical equations of the full system, ds/dt = 1."""
-    d = kernels.full_rhs(
-        params.pendulum_sign,
-        params.a1,
-        params.a2,
-        params.a3,
-        params.Omega1,
-        params.Omega2,
-        params.eps,
-        x[0], x[1], x[2], x[3], x[4], x[5], x[6],
-    )
-    return np.array(d)
-
-
 def rhs(params):
     """Vector field as an f(t, y) callable for the integrator."""
 

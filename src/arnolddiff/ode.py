@@ -162,17 +162,6 @@ linecache.cache[_STEP_FILE] = (len(_STEP_SOURCE), None, _STEP_SOURCE.splitlines(
 exec(compile(_STEP_SOURCE, _STEP_FILE, "exec"))
 
 
-def fixed_step_integrate(f, y0, t0, t1, n_steps):
-    """Fixed-step 8th-order propagation (order tests)."""
-    h = (t1 - t0) / n_steps
-    y = list(map(float, y0))
-    t = t0
-    for _ in range(n_steps):
-        y, _err = rkf78_step(f, t, y, h)
-        t += h
-    return np.array(y)
-
-
 def _error_norm(err, y0, y1, cfg):
     """max_i |err_i| / (abs_tol + rel_tol * max(|y0_i|, |y1_i|)).
 

@@ -29,7 +29,6 @@ SECTION_INTEGRATOR = IntegratorConfig(h_max=10.0)
 class ScatteringStep:
     before: tuple             # (I1, I2, theta1, theta2), floats
     after: tuple              # S_j(before)
-    branch: int
     jump: tuple               # eps * dL*/dtheta, the action change
     tau: float
     lstar_before: float
@@ -40,25 +39,15 @@ class ScatteringStep:
         return self.lstar_after - self.lstar_before
 
 
-def scattering_map(j, state, params, eps=None, guess=None):
+def scattering_map(j, state, params, eps=None):
     """Apply the first-order branch map S_j once."""
     eps = params.eps if eps is None else eps
-    val, tau, dI, dTH = melnikov.reduced_poincare_grad(j, state, params, guess=guess)
+    val, tau, dI, dTH = melnikov.reduced_poincare_grad(j, state, params)
     i1, i2, t1, t2 = before = tuple(map(float, state))
     jump = (eps * dTH[0], eps * dTH[1])
     after = (i1 + jump[0], i2 + jump[1], t1 - eps * dI[0], t2 - eps * dI[1])
     val_after = melnikov.reduced_poincare(j, after, params, guess=tau)
-    return ScatteringStep(before, after, j, jump, tau, val, val_after)
-
-
-def scattering_flow_field(j, state, params, guess=None):
-    """Right-hand side of the scattering flow (I' = L*_theta, theta' = -L*_I)."""
-    i1, i2, t1, t2 = state
-    d1, d2, d3, d4, _tau = kernels.flow_rhs(
-        j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
-        i1, i2, t1, t2, guess,
-    )
-    return np.array([d1, d2, d3, d4])
+    return ScatteringStep(before, after, jump, tau, val, val_after)
 
 
 def flow_rhs(j, params):
@@ -82,10 +71,10 @@ class SectionPoint:
     state: np.ndarray
 
 
-def adjust_seed_to_level(j, i1, i2, theta1_guess, theta2, level, params, width=1.5):
+def adjust_seed_to_level(j, i1, i2, theta1_guess, theta2, level, params):
     """Root-solve in theta1 so the seed sits on the prescribed L*_j level.
 
-    The interval [guess - width, guess + width] is scanned for sign changes
+    The interval [guess - 1.5, guess + 1.5] is scanned for sign changes
     and the root nearest the guess is polished with Brent's method
     (``numerics.brentq``, the same bits as scipy's).
     """
@@ -93,6 +82,7 @@ def adjust_seed_to_level(j, i1, i2, theta1_guess, theta2, level, params, width=1
     def f(th1):
         return melnikov.reduced_poincare(j, (i1, i2, th1, theta2), params) - level
 
+    width = 1.5
     grid = np.linspace(theta1_guess - width, theta1_guess + width, 81)
     vals = np.array([f(t) for t in grid])
     sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
@@ -142,7 +132,7 @@ def poincare_section(
     return out
 
 
-def transversality_certificate(j, state, params, eps=None):
+def transversality_certificate(j, state, params):
     """Poisson brackets of the rotor integrals with -L*_j at a reduced state.
 
     {F_i, -L*_j} = eps a_i Omega_i sin(theta_i) (A_i' cos psi_i + tau* A_i sin psi_i)
@@ -150,7 +140,7 @@ def transversality_certificate(j, state, params, eps=None):
     nonvanishing along an orbit certifies the inner and scattering flows
     share no trajectory there.
     """
-    eps = params.eps if eps is None else eps
+    eps = params.eps
     i1, i2, t1, t2 = state
     w1, w2 = params.frequencies(i1, i2)
     ts = melnikov.solve_tau_star(j, state, params)
@@ -165,33 +155,35 @@ def transversality_certificate(j, state, params, eps=None):
     return tuple(out)
 
 
-def find_equilibria(j, params, box=5.0, grid_i=17, grid_th=16, norm_tol=1e-10):
+def find_equilibria(j, params):
     """Certified zero scan of the scattering flow field over a 4D box.
 
-    Evaluates ||field|| with the scalar kernel ``kernels.flow_rhs`` at each
-    point of a grid over I in [-box, box]^2, theta in [0, 2pi)^2, runs Newton
-    (via fsolve) from every local minimum, and returns the distinct converged
-    zeros inside the box.  Raises NotHorizontal if the crest is not a
+    Evaluates ||field|| with ``flow_rhs`` at each point of a 17^2 x 16^2 grid
+    over I in [-5, 5]^2, theta in [0, 2pi)^2, runs Newton (via fsolve) from
+    every local minimum, and returns the distinct zeros inside the box where
+    ||field|| <= 1e-10.  Raises NotHorizontal if the crest is not a
     horizontal graph at some grid point.
     """
     # scipy is imported here, not at module level: loading it costs every
     # CLI command ~0.45 s, and only this scan needs it
     from scipy.optimize import fsolve
 
-    a1, a2, a3 = params.a1, params.a2, params.a3
-    om1, om2 = params.Omega1, params.Omega2
-    frhs = kernels.flow_rhs
+    box, grid_i, grid_th = 5.0, 17, 16
+    f = flow_rhs(j, params)
 
-    def norm_at(i1, i2, t1, t2):
-        f1, f2, f3, f4, _tau = frhs(j, a1, a2, a3, om1, om2, i1, i2, t1, t2)
+    def norm_at(z):
+        f1, f2, f3, f4 = f(0.0, z)
         return math.sqrt(f1 * f1 + f2 * f2 + f3 * f3 + f4 * f4)
+
+    def field(z):
+        return np.array(f(0.0, z))
 
     iv = np.linspace(-box, box, grid_i)
     tv = np.linspace(0.0, TWO_PI, grid_th, endpoint=False)
     ivl = iv.tolist()
     tvl = tv.tolist()
     norm = np.array(
-        [norm_at(i1, i2, t1, t2) for i1 in ivl for i2 in ivl for t1 in tvl for t2 in tvl]
+        [norm_at((i1, i2, t1, t2)) for i1 in ivl for i2 in ivl for t1 in tvl for t2 in tvl]
     ).reshape(grid_i, grid_i, grid_th, grid_th)
 
     # local minima of ||field|| over the grid: wrap in the angle axes,
@@ -210,16 +202,13 @@ def find_equilibria(j, params, box=5.0, grid_i=17, grid_th=16, norm_tol=1e-10):
         is_min &= (norm <= fwd) & (norm <= bwd)
     cand_idx = np.argwhere(is_min)
 
-    def field(z):
-        return scattering_flow_field(j, z, params)
-
     zeros = []
     for idx in cand_idx:
         z0 = np.array([iv[idx[0]], iv[idx[1]], tv[idx[2]], tv[idx[3]]])
         z, info, ok, _msg = fsolve(field, z0, full_output=True, xtol=1e-13)
         if ok != 1:
             continue
-        if np.linalg.norm(field(z)) > norm_tol:
+        if np.linalg.norm(field(z)) > 1e-10:
             continue
         if abs(z[0]) > box + 1e-6 or abs(z[1]) > box + 1e-6:
             continue

@@ -116,7 +116,7 @@ def test_c05_gradient_checks():
             ) / (2 * h)
         an = np.concatenate([dI, dTH])
         worst_g = max(worst_g, float(np.max(np.abs(an - fd) / np.maximum(1.0, np.abs(an)))))
-        fld = scattering.scattering_flow_field(0, z, P_REF)
+        fld = np.array(scattering.flow_rhs(0, P_REF)(0.0, z))
         expect = np.array([fd[2], fd[3], -fd[0], -fd[1]])
         worst_f = max(worst_f, float(np.max(np.abs(fld - expect) / np.maximum(1.0, np.abs(fld)))))
     _gate(5, "analytic gradients and flow field", 10.0, t0,
@@ -126,7 +126,7 @@ def test_c05_gradient_checks():
 
 def test_c06_equilibria_certificate():
     t0 = time.time()
-    eq = scattering.find_equilibria(0, P_REF, box=5.0)
+    eq = scattering.find_equilibria(0, P_REF)
     got = sorted((round(z[2], 8), round(z[3], 8)) for z in eq)
     pi8 = round(math.pi, 8)
     expect = [(0.0, 0.0), (0.0, pi8), (pi8, 0.0), (pi8, pi8)]

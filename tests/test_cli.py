@@ -11,7 +11,7 @@ import pytest
 
 from arnolddiff import config, melnikov, scattering
 from arnolddiff.cli import COMMANDS, _summary, main
-from arnolddiff.config import RunConfig, write_metadata
+from arnolddiff.config import RunConfig
 from arnolddiff.errors import InvariantViolation, NoConvergence
 
 BASE = """\
@@ -172,11 +172,6 @@ class TestConfig:
             _summary(str(tmp_path), "crest", {"tangency_margin": math.nan})
         assert not (tmp_path / "crest_summary.json").exists()
 
-    def test_metadata_rejects_nan(self, cfg_file, tmp_path):
-        cfg = RunConfig.load(cfg_file)
-        with pytest.raises(InvariantViolation, match="tau: .*tau_metadata.json"):
-            write_metadata(str(tmp_path), "tau", cfg, COMMANDS["tau"][2], extra={"x": math.inf})
-
     def test_nan_summary_exits_4(self, cfg_file, capsys, monkeypatch):
         monkeypatch.setattr(melnikov, "tangency_margin", lambda *a, **k: math.nan)
         assert main(["crest", str(cfg_file)]) == 4
@@ -250,6 +245,19 @@ class TestRuns:
         assert main(["tau", str(cfg_file)]) == 3
         assert capsys.readouterr().err.startswith("NoConvergence: ")
         assert os.listdir(tmp_path / "out") == []
+
+    def test_failed_rerun_drops_earlier_metadata(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["crest", str(cfg_file)]) == 0
+        assert main(["tau", str(cfg_file)]) == 0
+        assert (out / "tau_metadata.json").exists()
+        bad = tmp_path / "vert.ini"
+        bad.write_text(cfg_file.read_text().replace("a1 = 0.3", "a1 = 1.7").replace(
+            "a2 = 0.1", "a2 = 0.4"))
+        assert main(["tau", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("NotHorizontal: ")
+        assert not (out / "tau_metadata.json").exists()
+        assert (out / "crest_metadata.json").exists()
 
     def test_domain_error_exit_code(self, cfg_file, tmp_path):
         # a vertical-regime parameter set makes the tau command fail cleanly

@@ -8,7 +8,6 @@ from arnolddiff.model import (
     hamiltonian,
     rhs,
     separatrix,
-    vector_field,
 )
 from arnolddiff.ode import IntegratorConfig, integrate
 
@@ -69,18 +68,18 @@ class TestVectorField:
         p = ModelParams(0.3, 0.1, 1.0, eps=0.37)
         for _ in range(25):
             x = np.array([0.0, 0.0, *rng.uniform(-3, 3, 2), *rng.uniform(0, TWO_PI, 3)])
-            d = vector_field(x, p)
+            d = rhs(p)(0.0, x)
             assert d[0] == 0.0 and d[1] == 0.0
 
     def test_unperturbed_pendulum_rates(self):
         p = ModelParams(0.3, 0.1, 1.0, eps=0.0)
-        d = vector_field([1.0, math.pi / 2, 0, 0, 0, 0, 0], p)
+        d = rhs(p)(0.0, [1.0, math.pi / 2, 0, 0, 0, 0, 0])
         assert d[0] == pytest.approx(1.0) and d[1] == pytest.approx(1.0)
 
     def test_action_rates(self):
         p = ModelParams(0.3, 0.1, 1.0, eps=2e-3)
         x = [0.5, 1.0, 0.2, -0.4, 0.7, 2.0, 0.3]
-        d = vector_field(x, p)
+        d = rhs(p)(0.0, x)
         assert d[2] == pytest.approx(p.eps * 0.3 * math.sin(0.7) * math.cos(1.0), rel=1e-14)
         assert d[3] == pytest.approx(p.eps * 0.1 * math.sin(2.0) * math.cos(1.0), rel=1e-14)
         assert d[4] == pytest.approx(0.2) and d[5] == pytest.approx(-0.4)

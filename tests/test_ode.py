@@ -13,11 +13,21 @@ from arnolddiff import ode
 from arnolddiff.ode import (
     IntegratorConfig,
     Section,
-    fixed_step_integrate,
     integrate,
     integrate_to_event,
     rkf78_step,
 )
+
+
+def fixed_step_integrate(f, y0, t0, t1, n_steps):
+    """Fixed-step 8th-order propagation: the order oracle for rkf78_step."""
+    h = (t1 - t0) / n_steps
+    y = list(map(float, y0))
+    t = t0
+    for _ in range(n_steps):
+        y, _err = rkf78_step(f, t, y, h)
+        t += h
+    return np.array(y)
 
 
 def harmonic(t, y):

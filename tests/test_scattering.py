@@ -78,7 +78,7 @@ class TestFlow:
     def test_four_equilibria_values(self, params):
         for th1 in (0.0, math.pi):
             for th2 in (0.0, math.pi):
-                f = scattering.scattering_flow_field(0, (0.0, 0.0, th1, th2), params)
+                f = scattering.flow_rhs(0, params)(0.0, (0.0, 0.0, th1, th2))
                 assert np.abs(f).max() < 1e-15
 
     def test_field_is_hamiltonian_gradient(self, params, rng):
@@ -86,7 +86,7 @@ class TestFlow:
         worst = 0.0
         for _ in range(50):
             z = np.array([*rng.uniform(-4, 4, 2), *rng.uniform(0, TWO_PI, 2)])
-            f = scattering.scattering_flow_field(0, z, params)
+            f = np.array(scattering.flow_rhs(0, params)(0.0, z))
             h = 1e-6
             fd = np.empty(4)
             for k in range(4):
@@ -111,7 +111,7 @@ class TestFlow:
         ids=["ref", "unequal-omega", "negative-a1"],
     )
     def test_certified_zero_scan(self, p):
-        eq = scattering.find_equilibria(0, p, box=5.0)
+        eq = scattering.find_equilibria(0, p)
         got = [tuple(float(v) for v in z) for z in eq]
         pi = math.pi
         assert got == [
@@ -125,7 +125,7 @@ class TestFlow:
         # |mu1| + |mu2| = 1.2: alpha(1.25) ~ 1.03 puts the crest off the
         # horizontal regime at grid actions I1 = I2 = 1.25
         with pytest.raises(NotHorizontal):
-            scattering.find_equilibria(0, ModelParams(0.7, 0.5, 1.0), box=5.0)
+            scattering.find_equilibria(0, ModelParams(0.7, 0.5, 1.0))
 
     def test_level_conservation(self, params, rng):
         f = scattering.flow_rhs(0, params)
