@@ -46,35 +46,33 @@ EXCURSION_INTEGRATOR = IntegratorConfig(h_max=0.5)
 class ActionPath:
     """Piecewise-linear target curve in the action plane.
 
-    Immutable: ``waypoints`` is a read-only copy of the input, and the
-    segment table that ``distance_to`` scans is built from it once.
-    Equality and hashing are by identity: the generated ``__eq__`` would
-    compare the waypoint arrays, whose truth value is ambiguous.
+    Immutable: ``waypoints`` is a tuple of (I1, I2) float pairs copied from
+    the input, and the segment table that ``distance_to`` scans is built
+    from it once.  Equality and hashing are by identity.
     """
 
-    waypoints: np.ndarray
+    waypoints: tuple
     delta: float
     stairstepped: bool = False
     _segments: tuple = field(init=False, repr=False)
     _scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        wp = np.array(self.waypoints, dtype=float).reshape(-1, 2)
+        wp = tuple((float(x), float(y)) for x, y in self.waypoints)
         if len(wp) < 2:
             raise ValueError("a path needs at least two waypoints")
-        if not np.all(np.isfinite(wp)):
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in wp):
             raise ValueError("waypoints must be finite")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must be in (0, 1)")
-        wp.flags.writeable = False
         segments = []
-        for (a0, a1), (b0, b1) in zip(wp[:-1].tolist(), wp[1:].tolist()):
+        for (a0, a1), (b0, b1) in zip(wp, wp[1:]):
             d0, d1 = b0 - a0, b1 - a1
             segments.append((a0, a1, d0, d1, d0 * d0 + d1 * d1,
                              min(a0, b0), max(a0, b0), min(a1, b1), max(a1, b1)))
         object.__setattr__(self, "waypoints", wp)
         object.__setattr__(self, "_segments", tuple(segments))
-        object.__setattr__(self, "_scale", float(np.abs(wp).max()))
+        object.__setattr__(self, "_scale", max(max(abs(x), abs(y)) for x, y in wp))
 
     @property
     def start(self):
@@ -161,25 +159,26 @@ def stairstep(path, resolution=None):
     the guard box are returned unchanged.
     """
     res = resolution if resolution is not None else 0.5 * path.delta
-    pts = [path.waypoints[0].copy()]
+    pts = [path.waypoints[0]]
     for b in path.waypoints[1:]:
         a = pts[-1]
-        d = b - a
-        if d[0] != 0.0 and d[1] != 0.0:
-            n = max(1, int(math.ceil(max(abs(d[0]), abs(d[1])) / res)))
+        d0, d1 = b[0] - a[0], b[1] - a[1]
+        if d0 != 0.0 and d1 != 0.0:
+            n = max(1, int(math.ceil(max(abs(d0), abs(d1)) / res)))
             for k in range(1, n + 1):
                 frac = k / n
-                mid = np.array([a[0] + frac * d[0], pts[-1][1]])
-                _append(pts, mid)
-                _append(pts, np.array([a[0] + frac * d[0], a[1] + frac * d[1]]))
+                x = a[0] + frac * d0
+                _append(pts, (x, pts[-1][1]))
+                _append(pts, (x, a[1] + frac * d1))
         else:
-            _append(pts, b.copy())
+            _append(pts, b)
     pts = _reroute_guard(pts, path.delta)
-    return ActionPath(np.array(pts), path.delta, stairstepped=True)
+    return ActionPath(pts, path.delta, stairstepped=True)
 
 
 def _append(pts, p):
-    if not np.allclose(pts[-1], p, rtol=0.0, atol=1e-15):
+    q = pts[-1]
+    if not (abs(q[0] - p[0]) <= 1e-15 and abs(q[1] - p[1]) <= 1e-15):
         pts.append(p)
 
 
@@ -187,25 +186,22 @@ def _reroute_guard(pts, delta):
     """Detour axis-aligned segments around the sup-norm guard box at the origin."""
     g = delta  # guard half-width; rerouted pieces keep clearance g >= delta/2
     out = [pts[0]]
-    if np.max(np.abs(pts[0])) < g:
+    if abs(pts[0][0]) < g and abs(pts[0][1]) < g:
         raise ValueError("path starts inside the origin guard box")
     for b in pts[1:]:
         a = out[-1]
-        if np.max(np.abs(b)) < g:
+        if abs(b[0]) < g and abs(b[1]) < g:
             raise ValueError("path waypoint inside the origin guard box")
-        d = b - a
-        axis = 0 if d[1] == 0.0 else 1
+        axis = 0 if b[1] - a[1] == 0.0 else 1
         other = 1 - axis
         lo, hi = sorted((a[axis], b[axis]))
         crosses = abs(a[other]) < g and not (hi <= -g or lo >= g)
         if crosses:
             side = math.copysign(g, a[other]) if a[other] != 0.0 else g
-            q1 = a.copy(); q1[axis] = -math.copysign(g, d[axis])
-            q2 = q1.copy(); q2[other] = side
-            q3 = q2.copy(); q3[axis] = math.copysign(g, d[axis])
-            q4 = q3.copy(); q4[other] = a[other]
-            for q in (q1, q2, q3, q4):
-                _append(out, q)
+            s = math.copysign(g, b[axis] - a[axis])
+            # the guard box's corners, as (moving axis, other axis)
+            for u, v in ((-s, a[other]), (-s, side), (s, side), (s, a[other])):
+                _append(out, (u, v) if axis == 0 else (v, u))
         _append(out, b)
     return out
 
@@ -291,13 +287,13 @@ def build_pseudo_orbit(path, start, params, j=0, eps=None, on_event=None):
     if max(abs(z[0] - path.start[0]), abs(z[1] - path.start[1])) > delta:
         raise ValueError("start actions are not within delta of the path start")
 
-    centers = [tuple(c.tolist()) for c in _ball_centers(path)]
+    centers = _ball_centers(path)
     steps: List[PseudoStep] = [
         PseudoStep("I", z, 0.0, None, path.distance_to(z[:2]))
     ]
     orbit = PseudoOrbit(steps, path, eps)
 
-    end = tuple(path.end.tolist())
+    end = path.end
     k = 0
     target = centers[k]
     guard = max(delta, params.eps**GUARD_EXPONENT)
@@ -422,15 +418,16 @@ def _detour(z, j, params, eps, orbit, steps, path, on_event):
 def _ball_centers(path):
     """Centers gamma(t_i) spaced delta apart along the stairstepped path."""
     centers = []
-    for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
-        seg = b - a
-        L = float(np.abs(seg).sum())
-        n = max(1, int(math.ceil(L / path.delta)))
+    wp = path.waypoints
+    for (a0, a1), (b0, b1) in zip(wp, wp[1:]):
+        s0, s1 = b0 - a0, b1 - a1
+        n = max(1, int(math.ceil((abs(s0) + abs(s1)) / path.delta)))
         for kk in range(1, n + 1):
-            centers.append(a + seg * (kk / n))
+            frac = kk / n
+            centers.append((a0 + s0 * frac, a1 + s1 * frac))
     out = [centers[0]]
     for c in centers[1:]:
-        if np.max(np.abs(c - out[-1])) > 1e-12:
+        if abs(c[0] - out[-1][0]) > 1e-12 or abs(c[1] - out[-1][1]) > 1e-12:
             out.append(c)
     return out
 
@@ -446,18 +443,18 @@ def epsilon_threshold(path, delta, R, params, remainder_const=None):
     if not path.stairstepped:
         path = stairstep(path)
     m = math.inf
-    for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
-        seg = b - a
-        comp = 0 if abs(seg[0]) > abs(seg[1]) else 1
+    wp = path.waypoints
+    for a, b in zip(wp, wp[1:]):
+        comp = 0 if abs(b[0] - a[0]) > abs(b[1] - a[1]) else 1
         amp = params.a1 if comp == 0 else params.a2
         om = params.Omega1 if comp == 0 else params.Omega2
         if amp == 0.0:
             raise DegenerateDirection(f"zero amplitude for action component {comp + 1}")
-        for frac in np.linspace(0.0, 1.0, 9):
-            p = a + frac * seg
-            if abs(p[comp]) > R:
+        for k in range(9):   # the fractions k/8 of np.linspace(0, 1, 9)
+            p = a[comp] + (k / 8) * (b[comp] - a[comp])
+            if abs(p) > R:
                 continue
-            w = om * p[comp]
+            w = om * p
             m = min(m, abs(kernels.coeff(w, amp)) * math.sin(WINDOW_MARGIN))
     if not math.isfinite(m) or m == 0.0:
         raise DegenerateDirection("no usable jump speed found along the path")
@@ -485,9 +482,8 @@ def step_accounting(orbit, params):
     oms = (params.Omega1, params.Omega2)
     wp = orbit.path.waypoints
     states = rec[:, :2]
-    for a, b in zip(wp[:-1], wp[1:]):
-        seg = b - a
-        comp = 0 if abs(seg[0]) >= abs(seg[1]) else 1
+    for a, b in zip(wp, wp[1:]):
+        comp = 0 if abs(b[0] - a[0]) >= abs(b[1] - a[1]) else 1
         other = 1 - comp
         lo, hi = sorted((a[comp], b[comp]))
         near = (
@@ -590,10 +586,10 @@ def time_estimate(omega_range, orbit, eps, params):
 
 @dataclass
 class JumpCheck:
-    measured: np.ndarray
-    predicted: np.ndarray
+    measured: tuple           # (dI1, dI2) pairs of floats
+    predicted: tuple
     discrepancy: float
-    raw_delta: np.ndarray
+    raw_delta: tuple
     excursion_time: float
 
 
@@ -626,12 +622,12 @@ def verify_scattering_jump(state, j, eps, params, cfg=EXCURSION_INTEGRATOR):
     i1, i2, t1, t2 = state
     ts = melnikov.solve_tau_star(j, state, params)
     p0, q0 = separatrix(ts.value, branch=1)
-    y_mid = np.array([p0, q0, i1, i2, t1, t2, 0.0, 0.0, 0.0])
+    y_mid = (p0, q0, i1, i2, t1, t2, 0.0, 0.0, 0.0)
 
     f = _augmented_rhs(p2)
     back = integrate(f, y_mid, (0.0, -T), cfg, record=False)
     fwd = integrate(f, y_mid, (0.0, T), cfg, record=False)
-    yb, yf = back.final, fwd.final
+    yb, yf = back.final.tolist(), fwd.final.tolist()
     d_end = max(_nhim_distance(yb), _nhim_distance(yf))
     # O(sqrt(eps)) is the closest approach reachable from the unperturbed
     # homoclinic point: e^{-T} shrinks but the eps-transverse error grows e^T.
@@ -640,12 +636,12 @@ def verify_scattering_jump(state, j, eps, params, cfg=EXCURSION_INTEGRATOR):
             f"endpoint distance to the invariant set {d_end:.3e} "
             f"> 20*sqrt(eps) = {20.0 * math.sqrt(eps):.3e}"
         )
-    measured = np.array([yf[7] - yb[7], yf[8] - yb[8]])
-    raw = np.array([yf[2] - yb[2], yf[3] - yb[3]])
+    measured = (yf[7] - yb[7], yf[8] - yb[8])
+    raw = (yf[2] - yb[2], yf[3] - yb[3])
     _val, _tau, _dI, dTH = melnikov.reduced_poincare_grad(j, state, params)
-    predicted = np.array([eps * dTH[0], eps * dTH[1]])
+    predicted = (eps * dTH[0], eps * dTH[1])
     # written out: np.linalg.norm is a BLAS dot whose rounding depends on the CPU kernel
-    d0, d1 = measured - predicted
+    d0, d1 = measured[0] - predicted[0], measured[1] - predicted[1]
     disc = math.sqrt(d0 * d0 + d1 * d1)
     return JumpCheck(measured, predicted, disc, raw, T)
 

@@ -44,15 +44,16 @@ def highway_seed(i1, i2, params, signs=(1, 1)):
     solves the leading level balance including the frequency cross term, so
     the residual decays like the cube of the coefficient scale.
 
-    Returns (state, residual).  Raises AsymptoticsUnreliable if A1, A2 or
-    A3 is exactly 0 (a zero amplitude, or |Omega_i*I_i| past the coefficient
-    cut |pi*w/2| > 700), since the correction divides by all three, or if
-    the residual of the defining level exceeds SEED_RESIDUAL_TOL (actions
-    too small).
+    Returns (state, residual), the state a tuple of floats.  Raises
+    AsymptoticsUnreliable if A1, A2 or A3 is exactly 0 (a zero amplitude, or
+    |Omega_i*I_i| past the coefficient cut |pi*w/2| > 700), since the
+    correction divides by all three, or if the residual of the defining
+    level exceeds SEED_RESIDUAL_TOL (actions too small).
     """
     s1, s2 = signs
     if s1 not in (1, -1) or s2 not in (1, -1):
         raise ValueError("signs must be +-1")
+    i1, i2 = float(i1), float(i2)
     w1, w2 = params.frequencies(i1, i2)
     A1 = kernels.coeff(w1, params.a1)
     A2 = kernels.coeff(w2, params.a2)
@@ -67,7 +68,7 @@ def highway_seed(i1, i2, params, signs=(1, 1)):
     c2 = -s2 * A3 * t2 * tsum / (2.0 * A2)
     th1 = wrap_angle(s1 * 1.5 * math.pi + c1)
     th2 = wrap_angle(s2 * 1.5 * math.pi + c2)
-    state = np.array([i1, i2, th1, th2])
+    state = (i1, i2, th1, th2)
     residual = abs(melnikov.reduced_poincare(0, state, params) - A3)
     if residual > SEED_RESIDUAL_TOL:
         raise AsymptoticsUnreliable(
@@ -115,9 +116,9 @@ def symmetric_highway_theta(ibar, branch, params):
         raise ValueError(f"arccos argument {u:.6g} outside [-1, 1]")
     th = math.acos(u) + abs(wb) * math.acos(f)
     if branch == BRANCH_DOWN:
-        return float(wrap_angle(th))
+        return wrap_angle(th)
     if branch == BRANCH_UP:
-        return float(wrap_angle(-th))
+        return wrap_angle(-th)
     raise ValueError("branch must be 'h' or 'H'")
 
 
@@ -147,7 +148,6 @@ def highway_trace(seed, params, stop, cfg=TRACE_INTEGRATOR, drift_tol=1e-7):
     The level L*_0 is recorded along the orbit; LevelDrift is raised if it
     departs from the seed's nominal level A3 by more than drift_tol.
     """
-    seed = np.asarray(seed, dtype=float)
     section = Section(*stop)
     t_end = 1e12
     traj = integrate(flow_rhs(0, params), seed, (0.0, t_end), cfg, record=True, section=section)

@@ -10,8 +10,6 @@ prescribed window.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels, melnikov
 from .errors import UseScatteringDetour, WindowUnreachable
 from .model import TWO_PI
@@ -37,7 +35,7 @@ def inner_rhs(params):
 
 def inner_flow(x, t, params, cfg=IntegratorConfig()):
     """Integrate the exact inner equations for time t (t may be negative)."""
-    return integrate(inner_rhs(params), np.asarray(x, float), (0.0, t), cfg, record=False).final
+    return integrate(inner_rhs(params), x, (0.0, t), cfg, record=False).final
 
 
 def first_integrals(x, params):

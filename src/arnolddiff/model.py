@@ -10,15 +10,17 @@ State layout conventions:
 
 The scalar layers (melnikov, scattering_map, inner's rotation waits, the
 pseudo-orbit builder) take any 4-sequence and return reduced states, angle
-pairs and gradient pairs as tuples of Python floats.  numpy arrays are
-used where array work is done: trajectories, grids, Highway orbits and
-the stacked CSV/summary columns.
+pairs and gradient pairs as tuples of Python floats.  So are the points
+they pass on: ``ActionPath.waypoints`` and its ball centers, the Highway
+and portrait seeds (``highway_seed``, ``adjust_seed_to_level``), section
+landings (``Trajectory.crossings``) and the ``JumpCheck`` pairs.  numpy
+arrays are used where array work is done: trajectories, grids, Highway
+orbits and the stacked CSV/summary columns; ``SectionPoint.state`` is an
+array too, since perfbench's self-test edits a ``.copy()`` of it.
 """
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import kernels
 
@@ -125,5 +127,5 @@ def separatrix(tau, branch=1):
 
 
 def wrap_angle(x):
-    """Reduce an angle (or array of angles) to [0, 2pi)."""
-    return np.mod(x, TWO_PI)
+    """Reduce a scalar angle to [0, 2pi); ``x % TWO_PI`` has the bits of ``np.mod``."""
+    return x % TWO_PI

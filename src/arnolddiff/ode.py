@@ -119,7 +119,7 @@ class Trajectory:
     y: np.ndarray
     n_accepted: int = 0
     n_rejected: int = 0
-    crossings: list = field(default_factory=list)   # (t, y) landings on a Section
+    crossings: list = field(default_factory=list)   # (t, y) landings on a Section, y a tuple
 
     @property
     def final(self):
@@ -264,7 +264,7 @@ def _land(f, section, t0, y0, t1, y1, cfg):
     has the sign of (y1[k] - y0[k]) / (t1 - t0)); a landing time outside
     the step is refused.  If neither end gives a landing, y[k] turns near
     the crossing at both ends: the step is halved and the half that crosses
-    is landed on.  Returns (t, y) with y[k] == value exactly.
+    is landed on.  Returns (t, y), y a tuple with y[k] == value exactly.
     """
     k, value = section.component, section.value
     while y1[k] != value:
@@ -286,7 +286,7 @@ def _land(f, section, t0, y0, t1, y1, cfg):
             t1, y1 = t0 + h, y_mid
         else:
             t0, y0 = t0 + h, y_mid
-    return t1, np.array(y1)
+    return t1, tuple(y1)
 
 
 def _henon_step(f, k, value, t, y, cfg):
@@ -301,26 +301,26 @@ def _henon_step(f, k, value, t, y, cfg):
     """
 
     def g(s, z):
-        # numpy division: f_k may vanish on the way (inf, NaN, no exception)
-        dy = np.asarray(f(z[-1], z[:-1]))
-        out = np.empty(len(z))
-        out[:-1] = dy / dy[k]
-        out[-1] = 1.0 / dy[k]
-        return out
+        dy = f(z[-1], z[:-1])
+        fk = dy[k]
+        if fk == 0.0:
+            # IEEE v / +-0, which Python refuses: v * +-inf is +-inf, NaN for v = 0 or NaN
+            inv = math.copysign(math.inf, fk)
+            return [v * inv for v in dy] + [inv]
+        return [v / fk for v in dy] + [1.0 / fk]
 
     z = [*y, t]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        try:
-            z_hit, err = rkf78_step(g, y[k], z, value - y[k])
-            if not _error_norm(err, z, z_hit, cfg) <= 1.0:
-                z_hit = _integrate(g, z, y[k], value, cfg, False, None, 1).final
-        except (StepSizeUnderflow, ValueError, ArithmeticError):
-            return None
-    if not np.all(np.isfinite(z_hit)):
+    try:
+        z_hit, err = rkf78_step(g, y[k], z, value - y[k])
+        if not _error_norm(err, z, z_hit, cfg) <= 1.0:
+            z_hit = _integrate(g, z, y[k], value, cfg, False, None, 1).final
+    except (StepSizeUnderflow, ValueError, ArithmeticError):
         return None
-    y_hit = np.array(z_hit[:-1])
-    y_hit[k] = value
-    return float(z_hit[-1]), y_hit
+    if not all(map(math.isfinite, z_hit)):
+        return None
+    y_hit = list(map(float, z_hit[:-1]))
+    y_hit[k] = float(value)
+    return float(z_hit[-1]), tuple(y_hit)
 
 
 def integrate_to_event(f, y0, section, cfg=IntegratorConfig(), t_span=(0.0, 1e4)):

@@ -68,7 +68,7 @@ class SectionPoint:
     t: float
     i2: float
     theta2: float
-    state: np.ndarray
+    state: np.ndarray         # an array: perfbench's _shift_state edits a .copy() of it
 
 
 def adjust_seed_to_level(j, i1, i2, theta1_guess, theta2, level, params):
@@ -76,7 +76,8 @@ def adjust_seed_to_level(j, i1, i2, theta1_guess, theta2, level, params):
 
     The interval [guess - 1.5, guess + 1.5] is scanned for sign changes
     and the root nearest the guess is polished with Brent's method
-    (``numerics.brentq``, the same bits as scipy's).
+    (``numerics.brentq``, the same bits as scipy's).  Returns the seed
+    (I1, I2, theta1, theta2) as floats.
     """
 
     def f(th1):
@@ -92,7 +93,7 @@ def adjust_seed_to_level(j, i1, i2, theta1_guess, theta2, level, params):
     mids = 0.5 * (grid[sign_change] + grid[sign_change + 1])
     k = sign_change[np.argmin(np.abs(mids - theta1_guess))]
     th1 = brentq(f, grid[k], grid[k + 1], xtol=1e-14)
-    return np.array([i1, i2, th1, theta2])
+    return float(i1), float(i2), float(th1), float(theta2)
 
 
 def poincare_section(
@@ -128,7 +129,7 @@ def poincare_section(
         if not traj.crossings:
             raise EventNotFound(f"orbit {orbit_id} never crossed I1={section_i1}")
         for te, ye in traj.crossings:
-            out.append(SectionPoint(orbit_id, te, ye[1], float(wrap_angle(ye[3])), ye))
+            out.append(SectionPoint(orbit_id, te, ye[1], wrap_angle(ye[3]), np.array(ye)))
     return out
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from arnolddiff import diffusion, highway, inner, melnikov, scattering
+from arnolddiff import diffusion, highway, melnikov, scattering
 from arnolddiff.model import ModelParams
 
 TWO_PI = 2.0 * math.pi

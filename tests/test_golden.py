@@ -9,9 +9,14 @@ tolerance: a change that moves one output bit is named here by file.
 import ast
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from arnolddiff import diffusion, highway, melnikov, ode, scattering
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -58,3 +63,44 @@ def test_src_uses_no_simd_transcendental():
                 continue
             found += [f"{path.name}:{node.lineno} numpy.{n}" for n in names if n in banned]
     assert found == []
+
+
+def test_model_and_inner_import_no_numpy():
+    # numpy holds arrays; these two modules handle scalars and float tuples only
+    src = Path(__file__).resolve().parents[1] / "src" / "arnolddiff"
+    found = []
+    for name in ("model.py", "inner.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == "numpy"]
+    assert found == []
+
+
+def test_points_are_float_tuples(params, params_fig5):
+    # seeds, landings, path points and jump pairs are tuples of exactly float,
+    # also from numpy scalar inputs such as the CLI's linspace grids
+    def floats(x, n):
+        return type(x) is tuple and len(x) == n and all(type(v) is float for v in x)
+
+    state, _res = highway.highway_seed(np.float64(7.0), -7.0, params)
+    assert floats(state, 4)
+    c = 5 * math.pi / 4
+    level = melnikov.reduced_poincare(0, (0.0, 0.0, c, c), params_fig5)
+    seed = scattering.adjust_seed_to_level(0, 0.0, 0.0, c, np.float64(c + 0.1), level, params_fig5)
+    assert floats(seed, 4)
+    traj = ode.integrate(scattering.flow_rhs(0, params_fig5), seed, (0.0, 120.0),
+                         scattering.SECTION_INTEGRATOR, record=False,
+                         section=ode.Section(0, 0.0, 1), max_crossings=2)
+    assert traj.crossings and all(floats(y, 4) for _t, y in traj.crossings)
+    path = diffusion.stairstep(diffusion.ActionPath(np.array([[1.0, 1.0], [1.3, 1.2]]), 0.1))
+    assert type(path.waypoints) is tuple and all(floats(p, 2) for p in path.waypoints)
+    centers = diffusion._ball_centers(path)
+    assert centers and all(floats(p, 2) for p in centers)
+    check = diffusion.verify_scattering_jump(np.array([1.0, 1.0, c, c]), 0, 1e-3, params)
+    assert floats(check.measured, 2) and floats(check.predicted, 2)
+    assert floats(check.raw_delta, 2)

@@ -153,7 +153,7 @@ class TestTrace:
         y_mid, t_mid = integrate_to_event(f, st, ev0, cfg, t_span=(0.0, 1e9))
         ev_back = Section(1, -7.0, direction=-1)
         y_back, _ = integrate_to_event(f, y_mid, ev_back, cfg, t_span=(0.0, -1e9))
-        assert np.abs(y_back - st).max() < 1e-6
+        assert np.abs(np.asarray(y_back) - np.asarray(st)).max() < 1e-6
 
     def test_level_drift_guard(self, params):
         st, _ = highway.highway_seed(7.0, -7.0, params)

@@ -206,7 +206,7 @@ class TestBrentq:
         got, ref = _production_parity(
             monkeypatch, scattering, "brentq", optimize.brentq,
             lambda: scattering.adjust_seed_to_level(0, 0.0, 0.2, 3.9, 3.85, level, params_fig5))
-        assert repr(got.tolist()) == repr(ref.tolist())
+        assert repr(np.asarray(got).tolist()) == repr(np.asarray(ref).tolist())
 
     @pytest.mark.parametrize("f, a, b, xtol, error", [
         (lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, "ValueError"),      # same sign

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,31 @@ from arnolddiff.ode import (
     integrate_to_event,
     rkf78_step,
 )
+
+
+def _numpy_henon_step(f, k, value, t, y, cfg):
+    """The former numpy body of ode._henon_step: its landing system divides ndarrays."""
+
+    def g(s, z):
+        dy = np.asarray(f(z[-1], z[:-1]))
+        out = np.empty(len(z))
+        out[:-1] = dy / dy[k]
+        out[-1] = 1.0 / dy[k]
+        return out
+
+    z = [*y, t]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            z_hit, err = rkf78_step(g, y[k], z, value - y[k])
+            if not ode._error_norm(err, z, z_hit, cfg) <= 1.0:
+                z_hit = ode._integrate(g, z, y[k], value, cfg, False, None, 1).final
+        except (StepSizeUnderflow, ValueError, ArithmeticError):
+            return None
+    if not np.all(np.isfinite(z_hit)):
+        return None
+    y_hit = np.array(z_hit[:-1])
+    y_hit[k] = value
+    return float(z_hit[-1]), tuple(y_hit.tolist())
 
 
 def fixed_step_integrate(f, y0, t0, t1, n_steps):
@@ -269,6 +295,48 @@ class TestEvents:
         assert abs(t - math.pi / 2) < 1e-12
         # the failed landing step plus at least one adaptive step in s
         assert len(calls) >= traj.n_accepted + traj.n_rejected + 2
+
+    def test_henon_step_divides_floats(self, params):
+        # the landing system hands the right-hand side Python floats, so the
+        # compiled kernel leaves keep their fast path, and lands as a float tuple
+        f = scattering_flow_rhs(0, params)
+        seen = []
+
+        def recording(t, y):
+            seen.extend((t, *y))
+            return f(t, y)
+
+        t, y = ode._henon_step(recording, 0, 0.0, 0.0, (0.01, 0.2, 3.9, 3.85), IntegratorConfig())
+        assert seen and all(type(v) is float for v in seen)
+        assert type(t) is float
+        assert type(y) is tuple and len(y) == 4 and all(type(v) is float for v in y)
+        assert y[0] == 0.0
+
+    @pytest.mark.parametrize("y, zero_at, zero", [
+        ((0.5, -0.8), 0, 0.0),       # at the first stage: the adaptive steps land
+        ((0.5, -0.8), 3, -0.0),
+        ((0.5, -0.8), 20, -0.0),     # inside the adaptive steps
+        ((1.0, 0.0), None, 0.0),     # f_k = y[1] vanishes at the start: no landing
+    ])
+    def test_henon_step_with_vanishing_fk(self, y, zero_at, zero):
+        # f_k exactly 0 at a stage gives the former numpy division's outcome,
+        # with no exception or warning
+        def rotation():
+            calls = []
+
+            def f(t, z):
+                calls.append(t)
+                return (zero if len(calls) - 1 == zero_at else z[1], -z[0])
+
+            return f
+
+        cfg = IntegratorConfig()
+        want = _numpy_henon_step(rotation(), 0, 0.0, 0.0, y, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ode._henon_step(rotation(), 0, 0.0, 0.0, y, cfg)
+        assert repr(got) == repr(want)
+        assert (got is None) == (zero_at is None)
 
 
 def test_span_end_without_tail_step():
