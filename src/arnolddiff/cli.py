@@ -154,8 +154,7 @@ def cmd_highway(cfg, integrator):
     orbit_rows = (
         [k, t, *state, tau, lstar]
         for k, (orb, _T) in enumerate(fam)
-        for t, state, tau, lstar in zip(
-            orb.t.tolist(), orb.states[:, :4].tolist(), orb.tau.tolist(), orb.lstar.tolist())
+        for t, state, tau, lstar in zip(orb.t, orb.states, orb.tau, orb.lstar)
     )
     orbit_header = ["orbit", "t[time]", "I1[action]", "I2[action]", "theta1[rad]",
                     "theta2[rad]", "tau_star[time]", "lstar[energy]"]
@@ -181,7 +180,8 @@ def cmd_diffuse(cfg, integrator):
     except ValueError as exc:
         raise ConfigError(f"bad [diffuse] run: {exc}") from None
     if eps <= 0.0:
-        eps0, _ = diffusion.epsilon_threshold(path, delta, float(np.abs(wp).max()) + 1.0, params)
+        bound = max(abs(c) for p in wp for c in p) + 1.0
+        eps0, _ = diffusion.epsilon_threshold(path, delta, bound, params)
         eps = min(0.5 * eps0, 1e-3)
     start = (*wp[0], v["theta1"], v["theta2"])
     orb = diffusion.build_pseudo_orbit(path, start, params, eps=eps)
@@ -270,7 +270,7 @@ def cmd_check(cfg, integrator):
     worst = 0.0
     f = rhs(params)
     for _ in range(20):
-        x = np.array([0.0, 0.0, *rng.uniform(-3, 3, 2), *rng.uniform(0, TWO_PI, 3)])
+        x = (0.0, 0.0, *rng.uniform(-3, 3, 2).tolist(), *rng.uniform(0, TWO_PI, 3).tolist())
         d = f(0.0, x)
         worst = max(worst, abs(d[0]), abs(d[1]))
     gate("invariant-set (p=q=0) is flow-invariant", worst == 0.0, f"max|pdot,qdot|={worst:.1e}")
@@ -283,8 +283,8 @@ def cmd_check(cfg, integrator):
 
     worst = 0.0
     for _ in range(3):
-        i1, i2 = rng.uniform(-2, 2, 2)
-        p1, p2, s = rng.uniform(0, TWO_PI, 3)
+        i1, i2 = rng.uniform(-2, 2, 2).tolist()
+        p1, p2, s = rng.uniform(0, TWO_PI, 3).tolist()
         v1 = melnikov.melnikov_potential(i1, i2, p1, p2, s, params)
         v2 = melnikov.melnikov_potential_quadrature(i1, i2, p1, p2, s, params)
         worst = max(worst, abs(v1 - v2))
@@ -301,7 +301,7 @@ def cmd_check(cfg, integrator):
     worst = 0.0
     worst_sep = 0.0
     for _ in range(100):
-        z = np.array([*rng.uniform(-5, 5, 2), *rng.uniform(0, TWO_PI, 2)])
+        z = (*rng.uniform(-5, 5, 2).tolist(), *rng.uniform(0, TWO_PI, 2).tolist())
         w1, w2 = params.frequencies(z[0], z[1])
         r0 = melnikov.solve_tau_star(0, z, params)
         r1 = melnikov.solve_tau_star(1, z, params)
@@ -318,11 +318,11 @@ def cmd_check(cfg, integrator):
 
     worst = 0.0
     for _ in range(10):
-        z = np.array([*rng.uniform(-4, 4, 2), *rng.uniform(0, TWO_PI, 2)])
+        z = (*rng.uniform(-4, 4, 2).tolist(), *rng.uniform(0, TWO_PI, 2).tolist())
         _v, _tau, dI, dTH = melnikov.reduced_poincare_grad(0, z, params)
         h = 1e-6
         for k, an in enumerate((*dI, *dTH)):
-            zp, zm = z.copy(), z.copy()
+            zp, zm = list(z), list(z)
             zp[k] += h
             zm[k] -= h
             fd = (
@@ -334,10 +334,10 @@ def cmd_check(cfg, integrator):
 
     worst = 0.0
     for _ in range(20):
-        z = np.array([*rng.uniform(-4, 4, 2), *rng.uniform(0, TWO_PI, 2)])
+        z = (*rng.uniform(-4, 4, 2).tolist(), *rng.uniform(0, TWO_PI, 2).tolist())
         ps, _ts = melnikov.psi(0, z, params)
         back = melnikov.psi_inverse(0, z[0], z[1], *ps, params)
-        d = np.abs(np.mod(back - z[2:] + np.pi, TWO_PI) - np.pi).max()
+        d = max(abs((b - a + math.pi) % TWO_PI - math.pi) for b, a in zip(back, z[2:]))
         worst = max(worst, d)
     gate("psi inversion round-trip", worst < 1e-10, f"max={worst:.1e}")
 
@@ -351,7 +351,7 @@ def cmd_check(cfg, integrator):
         str(cls),
     )
 
-    x = np.array([*rng.uniform(-2, 2, 2), *rng.uniform(0, TWO_PI, 2), 0.0])
+    x = (*rng.uniform(-2, 2, 2).tolist(), *rng.uniform(0, TWO_PI, 2).tolist(), 0.0)
     tr = inner.inner_flow(x, 50.0, params, cfg=integrator)
     f_before = inner.first_integrals(x, params)
     f_after = inner.first_integrals(tr, params)

@@ -537,7 +537,8 @@ def time_estimate(omega_range, orbit, eps, params):
     from scipy.interpolate import CubicSpline
 
     w0, wf = omega_range
-    w1 = orbit.omega1(params)
+    states, tau = np.array(orbit.states), np.array(orbit.tau)
+    w1 = params.Omega1 * states[:, 0]
     lo, hi = float(np.min(w1)), float(np.max(w1))
     if min(w0, wf) < lo - 1e-9 or max(w0, wf) > hi + 1e-9:
         raise RangeNotCovered(
@@ -545,8 +546,8 @@ def time_estimate(omega_range, orbit, eps, params):
         )
     order = np.argsort(w1)
     w_s = w1[order]
-    th_s = orbit.states[order, 2]
-    ta_s = orbit.tau[order]
+    th_s = states[order, 2]
+    ta_s = tau[order]
     keep = np.concatenate(([True], np.diff(w_s) > 1e-12))
     w_s, th_s, ta_s = w_s[keep], th_s[keep], ta_s[keep]
     th_spl = CubicSpline(w_s, th_s)
@@ -567,8 +568,8 @@ def time_estimate(omega_range, orbit, eps, params):
     sh = kernels.SINH_HALF_PI
     Mw1 = _bigM(w0, wf)
     i2_range = (
-        params.Omega2 * float(np.min(orbit.states[:, 1])),
-        params.Omega2 * float(np.max(orbit.states[:, 1])),
+        params.Omega2 * float(np.min(states[:, 1])),
+        params.Omega2 * float(np.max(states[:, 1])),
     )
     Mw2 = _bigM(*i2_range)
     C = 16.0 * (
@@ -627,7 +628,7 @@ def verify_scattering_jump(state, j, eps, params, cfg=EXCURSION_INTEGRATOR):
     f = _augmented_rhs(p2)
     back = integrate(f, y_mid, (0.0, -T), cfg, record=False)
     fwd = integrate(f, y_mid, (0.0, T), cfg, record=False)
-    yb, yf = back.final.tolist(), fwd.final.tolist()
+    yb, yf = back.final, fwd.final
     d_end = max(_nhim_distance(yb), _nhim_distance(yf))
     # O(sqrt(eps)) is the closest approach reachable from the unperturbed
     # homoclinic point: e^{-T} shrinks but the eps-transverse error grows e^T.

@@ -10,8 +10,6 @@ which the level is a conserved quantity.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels, melnikov
 from .errors import AsymptoticsUnreliable, EventNotFound, LevelDrift
 from .model import wrap_angle
@@ -124,19 +122,16 @@ def symmetric_highway_theta(ibar, branch, params):
 
 @dataclass
 class HighwayOrbit:
-    t: np.ndarray
-    states: np.ndarray          # (n, 4): I1, I2, theta1, theta2 (angles on lift)
-    tau: np.ndarray
-    lstar: np.ndarray
+    t: list                     # floats
+    states: list                # rows I1, I2, theta1, theta2 (angles on lift)
+    tau: list                   # floats
+    lstar: list                 # floats
     branch_label: str
     level: float
 
     @property
     def level_error(self):
-        return float(np.max(np.abs(self.lstar - self.level)))
-
-    def omega1(self, params):
-        return params.Omega1 * self.states[:, 0]
+        return max(abs(v - self.level) for v in self.lstar)
 
 
 def highway_trace(seed, params, stop, cfg=TRACE_INTEGRATOR, drift_tol=1e-7):
@@ -153,18 +148,16 @@ def highway_trace(seed, params, stop, cfg=TRACE_INTEGRATOR, drift_tol=1e-7):
     traj = integrate(flow_rhs(0, params), seed, (0.0, t_end), cfg, record=True, section=section)
     if not traj.crossings:
         raise EventNotFound(f"no crossing of {section} within t = {t_end:g}")
-    n = traj.y.shape[0]
-    tau = np.empty(n)
-    ls = np.empty(n)
+    tau = []
+    ls = []
     guess = None
-    for k, (i1, i2, t1, t2) in enumerate(traj.y.tolist()):
-        val, tk = kernels.lstar(
+    for i1, i2, t1, t2 in traj.y:
+        val, guess = kernels.lstar(
             0, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
             i1, i2, t1, t2, guess,
         )
-        tau[k] = tk
-        ls[k] = val
-        guess = tk
+        tau.append(guess)
+        ls.append(val)
     mid = wrap_angle(seed[2])
     label = BRANCH_UP if abs(mid - 1.5 * math.pi) < 0.5 * math.pi else BRANCH_DOWN
     orbit = HighwayOrbit(traj.t, traj.y, tau, ls, label, level_value(params))
@@ -205,5 +198,5 @@ def trace_family_between_sections(i1_seeds, i2_from, i2_to, params, cfg=TRACE_IN
         orbit = highway_trace(
             state, params, stop=(1, i2_to, direction), cfg=cfg, drift_tol=drift_tol
         )
-        out.append((orbit, float(orbit.t[-1])))
+        out.append((orbit, orbit.t[-1]))
     return out

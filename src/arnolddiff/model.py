@@ -13,10 +13,13 @@ pseudo-orbit builder) take any 4-sequence and return reduced states, angle
 pairs and gradient pairs as tuples of Python floats.  So are the points
 they pass on: ``ActionPath.waypoints`` and its ball centers, the Highway
 and portrait seeds (``highway_seed``, ``adjust_seed_to_level``), section
-landings (``Trajectory.crossings``) and the ``JumpCheck`` pairs.  numpy
-arrays are used where array work is done: trajectories, grids, Highway
-orbits and the stacked CSV/summary columns; ``SectionPoint.state`` is an
-array too, since perfbench's self-test edits a ``.copy()`` of it.
+landings (``Trajectory.crossings``), end states (``Trajectory.final``,
+``inner_flow``) and the ``JumpCheck`` pairs.  An integrated orbit stays as
+the integrator produced it: ``Trajectory`` and ``HighwayOrbit`` hold lists
+of floats and of rows; only ``time_estimate`` makes arrays of one, for its
+splines.  numpy arrays are used where array work is done: grids and the
+stacked CSV/summary columns; ``SectionPoint.state`` is an array too, since
+perfbench's self-test edits a ``.copy()`` of it.
 """
 
 import math

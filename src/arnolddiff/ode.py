@@ -27,36 +27,32 @@ import linecache
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import EventNotFound, MaxStepsExceeded, StepSizeUnderflow
 
-# Fehlberg 7(8) coefficients.
-_C = np.array(
-    [0.0, 2 / 27, 1 / 9, 1 / 6, 5 / 12, 1 / 2, 5 / 6, 1 / 6, 2 / 3, 1 / 3, 1.0, 0.0, 1.0]
+# Fehlberg 7(8) coefficients; row i of _A holds a_i0 ... a_i,i-1.
+_C = (0.0, 2 / 27, 1 / 9, 1 / 6, 5 / 12, 1 / 2, 5 / 6, 1 / 6, 2 / 3, 1 / 3, 1.0, 0.0, 1.0)
+_A = (
+    (),
+    (2 / 27,),
+    (1 / 36, 1 / 12),
+    (1 / 24, 0, 1 / 8),
+    (5 / 12, 0, -25 / 16, 25 / 16),
+    (1 / 20, 0, 0, 1 / 4, 1 / 5),
+    (-25 / 108, 0, 0, 125 / 108, -65 / 27, 125 / 54),
+    (31 / 300, 0, 0, 0, 61 / 225, -2 / 9, 13 / 900),
+    (2, 0, 0, -53 / 6, 704 / 45, -107 / 9, 67 / 90, 3),
+    (-91 / 108, 0, 0, 23 / 108, -976 / 135, 311 / 54, -19 / 60, 17 / 6, -1 / 12),
+    (
+        2383 / 4100, 0, 0, -341 / 164, 4496 / 1025, -301 / 82, 2133 / 4100,
+        45 / 82, 45 / 164, 18 / 41,
+    ),
+    (3 / 205, 0, 0, 0, 0, -6 / 41, -3 / 205, -3 / 41, 3 / 41, 6 / 41, 0),
+    (
+        -1777 / 4100, 0, 0, -341 / 164, 4496 / 1025, -289 / 82, 2193 / 4100,
+        51 / 82, 33 / 164, 12 / 41, 0, 1,
+    ),
 )
-_A = np.zeros((13, 13))
-_A[1, 0] = 2 / 27
-_A[2, :2] = (1 / 36, 1 / 12)
-_A[3, :3] = (1 / 24, 0, 1 / 8)
-_A[4, :4] = (5 / 12, 0, -25 / 16, 25 / 16)
-_A[5, :5] = (1 / 20, 0, 0, 1 / 4, 1 / 5)
-_A[6, :6] = (-25 / 108, 0, 0, 125 / 108, -65 / 27, 125 / 54)
-_A[7, :7] = (31 / 300, 0, 0, 0, 61 / 225, -2 / 9, 13 / 900)
-_A[8, :8] = (2, 0, 0, -53 / 6, 704 / 45, -107 / 9, 67 / 90, 3)
-_A[9, :9] = (-91 / 108, 0, 0, 23 / 108, -976 / 135, 311 / 54, -19 / 60, 17 / 6, -1 / 12)
-_A[10, :10] = (
-    2383 / 4100, 0, 0, -341 / 164, 4496 / 1025, -301 / 82, 2133 / 4100,
-    45 / 82, 45 / 164, 18 / 41,
-)
-_A[11, :11] = (3 / 205, 0, 0, 0, 0, -6 / 41, -3 / 205, -3 / 41, 3 / 41, 6 / 41, 0)
-_A[12, :12] = (
-    -1777 / 4100, 0, 0, -341 / 164, 4496 / 1025, -289 / 82, 2193 / 4100,
-    51 / 82, 33 / 164, 12 / 41, 0, 1,
-)
-_B8 = np.array(
-    [0, 0, 0, 0, 0, 34 / 105, 9 / 35, 9 / 35, 9 / 280, 9 / 280, 0, 41 / 840, 41 / 840]
-)
+_B8 = (0, 0, 0, 0, 0, 34 / 105, 9 / 35, 9 / 35, 9 / 280, 9 / 280, 0, 41 / 840, 41 / 840)
 _ERRW = 41 / 840  # error = h*ERRW*(k0 + k10 - k11 - k12)
 
 _SAFETY = 0.9
@@ -115,15 +111,15 @@ class Section:
 
 @dataclass
 class Trajectory:
-    t: np.ndarray
-    y: np.ndarray
+    t: list                 # floats
+    y: list                 # rows as the steps returned them: float lists, a landing tuple
     n_accepted: int = 0
     n_rejected: int = 0
     crossings: list = field(default_factory=list)   # (t, y) landings on a Section, y a tuple
 
     @property
     def final(self):
-        return self.y[-1]
+        return tuple(self.y[-1])
 
 
 def _step_source():
@@ -133,10 +129,10 @@ def _step_source():
     included; coefficients are float literals (repr round-trips exactly).
     """
 
-    def stage(row, n):
-        xs = ", ".join(f"x{r}" for r in range(n))
-        ks = ", ".join(f"k{r}" for r in range(n))
-        terms = " + ".join(f"{float(row[r])!r} * x{r}" for r in range(n))
+    def stage(row):
+        xs = ", ".join(f"x{r}" for r in range(len(row)))
+        ks = ", ".join(f"k{r}" for r in range(len(row)))
+        terms = " + ".join(f"{float(a)!r} * x{r}" for r, a in enumerate(row))
         return f"[v + h * ({terms}) for v, {xs} in zip(y, {ks})]"
 
     lines = [
@@ -145,9 +141,9 @@ def _step_source():
         "    k0 = f(t, y)",
     ]
     for i in range(1, 13):
-        lines.append(f"    k{i} = f(t + {float(_C[i])!r} * h, {stage(_A[i], i)})")
+        lines.append(f"    k{i} = f(t + {_C[i]!r} * h, {stage(_A[i])})")
     lines += [
-        f"    y8 = {stage(_B8, 13)}",
+        f"    y8 = {stage(_B8)}",
         f"    he = h * {_ERRW!r}",
         "    err = [he * (x0 + x10 - x11 - x12) for x0, x10, x11, x12 in zip(k0, k10, k11, k12)]",
         "    return y8, err",
@@ -251,7 +247,7 @@ def _integrate(f, y0, t0, t1, cfg, record, section, max_crossings):
     if not record:
         ts.append(t)
         ys.append(y)
-    return Trajectory(np.array(ts), np.array(ys), n_acc, n_rej, crossings)
+    return Trajectory(ts, ys, n_acc, n_rej, crossings)
 
 
 def _land(f, section, t0, y0, t1, y1, cfg):

@@ -165,9 +165,10 @@ def test_c08_highway_level_and_asymptote():
     slope, off_far, _ = highway.highway_asymptote(P_REF)
     st, _res = highway.highway_seed(10.0, 10.0 * slope + off_far - 0.3, P_REF)
     tail = highway.highway_trace(st, P_REF, stop=(0, 12.0, +1), drift_tol=1e-6)
-    gap12 = abs(tail.states[-1, 1] - (slope * 12.0 + off_far))
-    w = tail.states[:, 0] > 11.0
-    gaps = np.abs(tail.states[w, 1] - (slope * tail.states[w, 0] + off_far))
+    states = np.asarray(tail.states)
+    gap12 = abs(states[-1, 1] - (slope * 12.0 + off_far))
+    w = states[:, 0] > 11.0
+    gaps = np.abs(states[w, 1] - (slope * states[w, 0] + off_far))
     decreasing = bool(np.all(np.diff(gaps) < 1e-9))
     _gate(8, "Highway level + straight-line tail", 120.0, t0,
           lvl_err < 1e-7 and gap12 < 0.1 and decreasing,
@@ -181,13 +182,14 @@ def test_c09_symmetric_oracle():
     th0 = highway.symmetric_highway_theta(-6.0, "H", P_SYM)
     seed = np.array([-6.0, -6.0, th0, th0])
     orb = highway.highway_trace(seed, P_SYM, stop=(0, 5.5, +1), drift_tol=1e-6)
+    states = np.asarray(orb.states)
     worst = 0.0
     n = 0
     for k in range(len(orb.t)):
-        ib = orb.states[k, 0]
+        ib = states[k, 0]
         if -5.0 <= ib <= 5.0:
             ref = highway.symmetric_highway_theta(ib, "H", P_SYM)
-            d = abs((orb.states[k, 2] - ref + math.pi) % TWO_PI - math.pi)
+            d = abs((states[k, 2] - ref + math.pi) % TWO_PI - math.pi)
             worst = max(worst, d)
             n += 1
     _gate(9, "symmetric closed form vs traced orbit", 60.0, t0,
@@ -243,7 +245,7 @@ def test_c12_time_estimate_consistency():
     st, _res = highway.highway_seed(7.0, -7.0, P_REF)
     orb = highway.highway_trace(st, P_REF, stop=(0, 8.3, +1), drift_tol=1e-6)
     est = diffusion.time_estimate((7.05, 8.2), orb, 1e-3, P_REF)
-    w1 = orb.omega1(P_REF)
+    w1 = P_REF.Omega1 * np.asarray(orb.states)[:, 0]
     t_lo = float(np.interp(7.05, w1, orb.t))
     t_hi = float(np.interp(8.2, w1, orb.t))
     wall = t_hi - t_lo

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from arnolddiff import diffusion, highway, melnikov, ode, scattering
+from arnolddiff import diffusion, highway, inner, melnikov, ode, scattering
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -65,11 +65,11 @@ def test_src_uses_no_simd_transcendental():
     assert found == []
 
 
-def test_model_and_inner_import_no_numpy():
-    # numpy holds arrays; these two modules handle scalars and float tuples only
+def test_model_inner_ode_and_highway_import_no_numpy():
+    # numpy holds arrays; these modules handle scalars, float tuples and float lists only
     src = Path(__file__).resolve().parents[1] / "src" / "arnolddiff"
     found = []
-    for name in ("model.py", "inner.py"):
+    for name in ("model.py", "inner.py", "ode.py", "highway.py"):
         for node in ast.walk(ast.parse((src / name).read_text())):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -82,8 +82,9 @@ def test_model_and_inner_import_no_numpy():
 
 
 def test_points_are_float_tuples(params, params_fig5):
-    # seeds, landings, path points and jump pairs are tuples of exactly float,
-    # also from numpy scalar inputs such as the CLI's linspace grids
+    # seeds, landings, flowed states, path points and jump pairs are tuples of
+    # exactly float, and Highway orbits lists of exactly float, also from numpy
+    # scalar inputs such as the CLI's linspace grids
     def floats(x, n):
         return type(x) is tuple and len(x) == n and all(type(v) is float for v in x)
 
@@ -97,6 +98,11 @@ def test_points_are_float_tuples(params, params_fig5):
                          scattering.SECTION_INTEGRATOR, record=False,
                          section=ode.Section(0, 0.0, 1), max_crossings=2)
     assert traj.crossings and all(floats(y, 4) for _t, y in traj.crossings)
+    assert floats(inner.inner_flow(np.array([1.0, 1.0, c, c, 0.0]), 2.0, params), 5)
+    orb = highway.highway_trace(state, params, stop=(1, -6.0, 1))
+    for column in (orb.t, orb.tau, orb.lstar):
+        assert type(column) is list and all(type(v) is float for v in column)
+    assert all(len(row) == 4 and all(type(v) is float for v in row) for row in orb.states)
     path = diffusion.stairstep(diffusion.ActionPath(np.array([[1.0, 1.0], [1.3, 1.2]]), 0.1))
     assert type(path.waypoints) is tuple and all(floats(p, 2) for p in path.waypoints)
     centers = diffusion._ball_centers(path)

@@ -121,7 +121,7 @@ class TestTrace:
         st, _ = highway.highway_seed(7.0, -7.0, params)
         orb = highway.highway_trace(st, params, stop=(1, 0.0, +1))
         assert orb.level_error < 1e-9
-        assert np.all(np.diff(orb.states[:, 1]) > -1e-12)
+        assert np.all(np.diff(np.asarray(orb.states)[:, 1]) > -1e-12)
         assert orb.branch_label == highway.BRANCH_UP
 
     def test_one_integration_per_trace(self, params, monkeypatch):
@@ -140,8 +140,9 @@ class TestTrace:
         st, _ = highway.highway_seed(7.0, -7.0, params)
         orb = highway.highway_trace(st, params, stop=(1, 0.0, +1))
         assert len(calls) == 1
-        assert orb.states[-1, 1] == 0.0
-        assert orb.states[-2, 1] < 0.0 and orb.t[-2] < orb.t[-1]
+        states = np.asarray(orb.states)
+        assert states[-1, 1] == 0.0
+        assert states[-2, 1] < 0.0 and orb.t[-2] < orb.t[-1]
 
     def test_forward_backward_glue(self, params):
         # forward to the matching section, then backward to the seed section:
@@ -165,7 +166,8 @@ class TestTrace:
         # no Highway orbit stays in a compact action region
         st, _ = highway.highway_seed(10.0, 9.0, params)
         orb = highway.highway_trace(st, params, stop=(0, 10.5, +1), drift_tol=1e-6)
-        assert np.hypot(orb.states[-1, 0], orb.states[-1, 1]) > 10.0
+        states = np.asarray(orb.states)
+        assert np.hypot(states[-1, 0], states[-1, 1]) > 10.0
 
     def test_equilibria_not_on_level(self, params):
         A3 = highway.level_value(params)

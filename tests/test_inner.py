@@ -100,8 +100,9 @@ class TestErgodize:
         traj = integrate(inner.inner_rhs(params), x0, (0.0, max(res.t_star, 1.0)))
         bound1 = 2.0 * math.sqrt(2.0 * params.eps * abs(params.a1) / params.Omega1)
         bound2 = 2.0 * math.sqrt(2.0 * params.eps * abs(params.a2) / params.Omega2)
-        assert np.abs(traj.y[:, 0] - st[0]).max() <= bound1
-        assert np.abs(traj.y[:, 1] - st[1]).max() <= bound2
+        y = np.asarray(traj.y)
+        assert np.abs(y[:, 0] - st[0]).max() <= bound1
+        assert np.abs(y[:, 1] - st[1]).max() <= bound2
 
     def test_linear_approximation_accuracy(self, params):
         # angle error of the frozen-action rotation stays below delta/10

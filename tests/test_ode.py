@@ -67,7 +67,7 @@ def projectile(t, y):
 class TestIntegrate:
     def test_harmonic_period(self):
         traj = integrate(harmonic, [1.0, 0.0], (0.0, 2 * math.pi))
-        assert np.abs(traj.final - [1.0, 0.0]).max() < 1e-10
+        assert np.abs(np.asarray(traj.final) - [1.0, 0.0]).max() < 1e-10
 
     def test_separatrix_closed_form(self):
         p = ModelParams(0.3, 0.1, 1.0, eps=0.0)
@@ -79,7 +79,7 @@ class TestIntegrate:
 
     def test_backward(self):
         traj = integrate(harmonic, [1.0, 0.0], (0.0, -math.pi / 2))
-        assert np.abs(traj.final - [0.0, 1.0]).max() < 1e-10
+        assert np.abs(np.asarray(traj.final) - [0.0, 1.0]).max() < 1e-10
 
     def test_time_reversal_roundtrip(self):
         cfg = IntegratorConfig()
@@ -347,7 +347,7 @@ def test_span_end_without_tail_step():
     assert traj.t[-1] == t1
     assert traj.n_accepted == 1
     dt = t1 - t0
-    assert np.abs(traj.final - [math.cos(dt), -math.sin(dt)]).max() < 1e-15
+    assert np.abs(np.asarray(traj.final) - [math.cos(dt), -math.sin(dt)]).max() < 1e-15
 
 
 def test_non_finite_span_rejected():
@@ -419,7 +419,7 @@ def test_step_keeps_zero_coefficient_products():
         return (math.inf,) if len(states) == 2 else (1.0,)
 
     y8, err = rkf78_step(f, 0.0, [0.5], 0.1)
-    zero_a1 = [i for i in range(2, 13) if ode._A[i, 1] == 0.0]
+    zero_a1 = [i for i in range(2, 13) if ode._A[i][1] == 0.0]
     assert zero_a1 == [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
     for i in zero_a1:
         assert math.isnan(states[i][0])

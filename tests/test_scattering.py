@@ -34,7 +34,7 @@ class TestMap:
         for _ in range(1000):
             zmap = scattering.scattering_map(0, zmap, params, eps=eps).after
         traj = integrate(scattering.flow_rhs(0, params), z, (0.0, 1000 * eps))
-        gap = np.abs(zmap - traj.final).max()
+        gap = np.abs(np.asarray(zmap) - np.asarray(traj.final)).max()
         assert gap < 10 * eps
 
     def test_level_change_quadratic(self, params):
