@@ -90,7 +90,7 @@ def cmd_crest(cfg, integrator):
     return {"crest.csv": (header, rows())}, {
         "kind": info.kind, "vertical_component": info.vertical_component,
         "tangency_possible": info.tangency_possible,
-        "tangency_margin": float(melnikov.tangency_margin(i1, i2, params)),
+        "tangency_margin": float(info.tangency_margin),
     }
 
 

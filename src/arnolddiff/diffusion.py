@@ -27,9 +27,9 @@ from .errors import (
     WindowUnreachable,
 )
 from .model import TWO_PI, separatrix
-from .numerics import quad
+from .numerics import cubic_spline, quad
 from .ode import IntegratorConfig, integrate
-from .scattering import scattering_map
+from .scattering import calibrate_remainder, scattering_map
 
 GUARD_EXPONENT = 0.5          # keep paths (eps^0.5)-clear of the origin, at least delta
 WINDOW_MARGIN = 0.3           # angular margin inside the (pi, 2pi) windows
@@ -459,8 +459,6 @@ def epsilon_threshold(path, delta, R, params, remainder_const=None):
     if not math.isfinite(m) or m == 0.0:
         raise DegenerateDirection("no usable jump speed found along the path")
     if remainder_const is None:
-        from .scattering import calibrate_remainder
-
         remainder_const = calibrate_remainder(0, params, eps=1e-3, box=R, n=5)
     eps0 = min(m / (2.0 * remainder_const), 2.0 * delta / m)
     return eps0, {"m": m, "M": remainder_const, "branch_m_over_2M": m / (2.0 * remainder_const), "branch_2delta_over_m": 2.0 * delta / m}
@@ -528,14 +526,12 @@ def time_estimate(omega_range, orbit, eps, params):
 
     T_s comes from the quadrature
         (1/(2 pi a1 Omega1)) * int -sinh(pi w1/2) / (w1 sin(theta1 - w1 tau*)) dw1
-    over the orbit's stored (theta1, tau*) samples; C is the explicit
-    homoclinic-window constant built from the amplitude ratios and
-    M(w) = max |w - alpha(w)| over the swept range.
+    over the orbit's stored (theta1, tau*) samples, each interpolated in w1
+    by a not-a-knot cubic spline; C is the explicit homoclinic-window
+    constant built from the amplitude ratios and M(w) = max |w - alpha(w)|
+    over the swept range.  Raises RangeNotCovered when the orbit's w1 does
+    not span omega_range or takes fewer than 4 distinct values.
     """
-    # scipy is imported here, not at module level, so that loading the
-    # package does not load it
-    from scipy.interpolate import CubicSpline
-
     w0, wf = omega_range
     states, tau = np.array(orbit.states), np.array(orbit.tau)
     w1 = params.Omega1 * states[:, 0]
@@ -549,9 +545,13 @@ def time_estimate(omega_range, orbit, eps, params):
     th_s = states[order, 2]
     ta_s = tau[order]
     keep = np.concatenate(([True], np.diff(w_s) > 1e-12))
-    w_s, th_s, ta_s = w_s[keep], th_s[keep], ta_s[keep]
-    th_spl = CubicSpline(w_s, th_s)
-    ta_spl = CubicSpline(w_s, ta_s)
+    w_s, th_s, ta_s = w_s[keep].tolist(), th_s[keep].tolist(), ta_s[keep].tolist()
+    if len(w_s) < 4:
+        raise RangeNotCovered(
+            f"orbit has {len(w_s)} distinct omega1 samples; the spline needs at least 4"
+        )
+    th_spl = cubic_spline(w_s, th_s)
+    ta_spl = cubic_spline(w_s, ta_s)
 
     pref = 1.0 / (2.0 * math.pi * params.a1 * params.Omega1)
 

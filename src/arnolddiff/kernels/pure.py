@@ -8,7 +8,7 @@ crest-line intersection time ``tau_star``, the reduced generating function
 Callers import them from ``arnolddiff.kernels``, which re-exports this
 module; it stays a module of its own so that the span tracer in
 ``perfbench/spans.py`` can rebind ``pure.tau_star`` (see the last line
-below).  Grid scans (``scattering.find_equilibria``) call these scalar
+below).  Grid scans (``scattering.calibrate_remainder``) call these scalar
 functions point by point rather than keeping a numpy copy of A, A' or tau*.
 
 Conventions: branch surfaces are indexed by an integer j, with offset

@@ -94,12 +94,16 @@ class CrestInfo:
     eta is that case's parametrization phi_i = eta(branch, phi_j, s); both
     are None when not applicable.  The horizontal parametrization
     s = xi_j(phi) is ``crest_branch`` (``kernels.branch_offset``).
+    tangency_margin is ``tangency_margin`` at these actions and
+    tangency_possible says whether it is <= 0; both are None when the
+    classification skipped the tangency check.
     """
 
     kind: str
     vertical_component: Optional[int] = None
     eta: Optional[Callable] = None
     tangency_possible: Optional[bool] = None
+    tangency_margin: Optional[float] = None
 
 
 def classify_crest(i1, i2, params, check_tangency=True):
@@ -107,11 +111,12 @@ def classify_crest(i1, i2, params, check_tangency=True):
     w1, w2 = params.frequencies(i1, i2)
     b1 = params.mu1 * kernels.alpha(w1)
     b2 = params.mu2 * kernels.alpha(w2)
-    tang = None
+    tang = margin = None
     if check_tangency:
-        tang = tangency_margin(i1, i2, params) <= 0.0
+        margin = tangency_margin(i1, i2, params)
+        tang = margin <= 0.0
     if abs(b1) + abs(b2) <= 1.0:
-        return CrestInfo(HORIZONTAL, tangency_possible=tang)
+        return CrestInfo(HORIZONTAL, tangency_possible=tang, tangency_margin=margin)
     comp = None
     if abs(b1) >= 1.0 + abs(b2):
         comp = 1
@@ -127,8 +132,9 @@ def classify_crest(i1, i2, params, check_tangency=True):
             root = math.asin(y)
             return root if branch_label == 0 else math.pi - root
 
-        return CrestInfo(VERTICAL, vertical_component=comp, eta=eta, tangency_possible=tang)
-    return CrestInfo(UNSEPARATED, tangency_possible=tang)
+        return CrestInfo(VERTICAL, vertical_component=comp, eta=eta, tangency_possible=tang,
+                         tangency_margin=margin)
+    return CrestInfo(UNSEPARATED, tangency_possible=tang, tangency_margin=margin)
 
 
 def crest_branch(j, i1, i2, phi1, phi2, params):

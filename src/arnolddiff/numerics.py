@@ -1,18 +1,25 @@
-"""Brent's root bracketing and QUADPACK's QAGS quadrature in plain Python.
+"""Brent's root bracketing, QUADPACK's QAGS quadrature and the not-a-knot
+cubic spline in plain Python.
 
-Both are line-for-line ports of the routines scipy runs: ``brentq`` of
+All three are line-for-line ports of the routines scipy runs: ``brentq`` of
 scipy's ``brentq.c`` (R. P. Brent, *Algorithms for Minimization Without
-Derivatives*, 1973, ch. 4) and ``quad`` of QUADPACK's DQAGSE with DQK21,
+Derivatives*, 1973, ch. 4), ``quad`` of QUADPACK's DQAGSE with DQK21,
 DQPSRT and DQELG (R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber and
-D. K. Kahaner, *QUADPACK*, 1983).  They keep the order of every
-floating-point operation and of every call to ``f``, so they return the
-same bits as ``scipy.optimize.brentq`` and ``scipy.integrate.quad`` (finite
-limits, no weight, no break points) after the same number of evaluations.
+D. K. Kahaner, *QUADPACK*, 1983), and ``cubic_spline`` of
+``CubicSpline(x, y)`` with not-a-knot ends (C. de Boor, *A Practical Guide
+to Splines*, 1978): its tridiagonal system, solved by reference LAPACK's
+DGTSV, then ``CubicHermiteSpline``'s coefficients and ``PPoly``'s
+evaluation.  They keep the order of every floating-point operation and of
+every call to ``f``, so they return the same bits as
+``scipy.optimize.brentq``, ``scipy.integrate.quad`` (finite limits, no
+weight, no break points) and ``scipy.interpolate.CubicSpline`` (n >= 4
+samples) after the same number of evaluations.
 
-Why they exist: importing ``scipy.optimize`` and ``scipy.integrate`` costs
-about 0.45 s and 45 MB, more than a typical CLI command computes, and the
-package needs just these two routines from them.  As a side effect, the
-numbers no longer depend on which scipy build is installed.
+Why they exist: importing ``scipy.optimize``, ``scipy.integrate`` and
+``scipy.interpolate`` costs about 0.5 s and 45 MB, more than a typical CLI
+command computes, and the package needs just these three routines from
+them.  As a side effect, the numbers no longer depend on which scipy build
+is installed.
 
 Where the C code divides by zero, or ``pow`` overflows, and gets an
 infinity or NaN that only feeds a comparison, Python raises instead; those
@@ -21,8 +28,9 @@ few spots catch the exception and carry on as the C code does.
 
 import math
 import warnings
+from bisect import bisect_right
 
-__all__ = ["IntegrationWarning", "brentq", "quad"]
+__all__ = ["IntegrationWarning", "brentq", "cubic_spline", "quad"]
 
 _EPMACH = 2.220446049250313e-16          # d1mach(4) = DBL_EPSILON
 _UFLOW = 2.2250738585072014e-308         # d1mach(1) = DBL_MIN
@@ -613,3 +621,90 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     if ier > 2:
         ier -= 1
     return result, abserr, ier
+
+
+def cubic_spline(x, y):
+    """The not-a-knot cubic spline through (x[i], y[i]), as a function of one float.
+
+    ``x`` holds n >= 4 strictly increasing floats and ``y`` as many finite
+    floats.  Beyond the ends the spline extrapolates the end cubics.
+    Raises ValueError for fewer than 4 samples or ``x`` not increasing.
+    """
+    n = len(x)
+    if n < 4 or len(y) != n:
+        raise ValueError(f"need n >= 4 samples and as many values, got {n} and {len(y)}")
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    dx = [x[i + 1] - x[i] for i in range(n - 1)]
+    if not all(h > 0.0 for h in dx):
+        raise ValueError("`x` must be strictly increasing sequence.")
+    slope = [(y[i + 1] - y[i]) / dx[i] for i in range(n - 1)]
+
+    # CubicSpline.__init__: slopes s[i] solve the tridiagonal system with
+    # sub-diagonal dl, diagonal d, super-diagonal du and right-hand side b;
+    # rows 0 and n-1 are the not-a-knot conditions
+    lo, hi = x[2] - x[0], x[-1] - x[-3]
+    dl = dx[1:] + [hi]
+    d = [dx[1]] + [2 * (dx[i - 1] + dx[i]) for i in range(1, n - 1)] + [dx[-2]]
+    du = [lo] + dx[:-1]
+    b = (
+        [((dx[0] + 2 * lo) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / lo]
+        + [3 * (dx[i] * slope[i - 1] + dx[i - 1] * slope[i]) for i in range(1, n - 1)]
+        + [(dx[-1] ** 2 * slope[-2] + (2 * hi + dx[-1]) * dx[-2] * slope[-1]) / hi]
+    )
+    s = _gtsv(dl, d, du, b)
+
+    # CubicHermiteSpline: row i holds the power coefficients of interval i,
+    # highest first
+    coef = []
+    for i in range(n - 1):
+        t = (s[i] + s[i + 1] - 2 * slope[i]) / dx[i]
+        coef.append((t / dx[i], (slope[i] - s[i]) / dx[i] - t, s[i], y[i]))
+    last = n - 2
+
+    def spline(xv):
+        # PPoly's find_interval (x[i] <= xv < x[i+1], the end intervals
+        # extended outwards) and evaluate_poly1
+        i = min(max(bisect_right(x, xv) - 1, 0), last)
+        c0, c1, c2, c3 = coef[i]
+        h = xv - x[i]
+        hh = h * h
+        return 0.0 + c3 + c2 * h + c1 * hh + c0 * (hh * h)
+
+    return spline
+
+
+def _gtsv(dl, d, du, b):
+    """Reference LAPACK DGTSV for one right-hand side: Gaussian elimination
+    with partial pivoting; the lists are overwritten and the solution is
+    returned."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            # no row interchange
+            if d[i] == 0.0:
+                raise ValueError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i+1; dl[i] becomes the second super-diagonal
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise ValueError("singular matrix")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b

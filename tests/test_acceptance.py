@@ -14,6 +14,7 @@ import pytest
 
 from arnolddiff import diffusion, highway, melnikov, scattering
 from arnolddiff.model import ModelParams
+from equilibria import find_equilibria
 
 TWO_PI = 2.0 * math.pi
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -126,7 +127,7 @@ def test_c05_gradient_checks():
 
 def test_c06_equilibria_certificate():
     t0 = time.time()
-    eq = scattering.find_equilibria(0, P_REF)
+    eq = find_equilibria(0, P_REF)
     got = sorted((round(z[2], 8), round(z[3], 8)) for z in eq)
     pi8 = round(math.pi, 8)
     expect = [(0.0, 0.0), (0.0, pi8), (pi8, 0.0), (pi8, pi8)]

@@ -484,6 +484,14 @@ class TestTimeEstimate:
         with pytest.raises(RangeNotCovered):
             diffusion.time_estimate((1.0, 7.0), orb, 1e-3, p)
 
+    def test_too_few_samples(self, orbit):
+        # the not-a-knot spline needs 4 distinct omega1 samples
+        orb, p = orbit
+        short = dataclasses.replace(orb, states=orb.states[:3], tau=orb.tau[:3])
+        w = [p.Omega1 * row[0] for row in short.states]
+        with pytest.raises(RangeNotCovered, match="has 3 distinct omega1 samples"):
+            diffusion.time_estimate((w[0], w[2]), short, 1e-3, p)
+
     @pytest.mark.parametrize("w_lo, w_hi", [(0.0, 1.0), (1.0, 2.0)])
     def test_window_scan_is_the_scalar_kernel(self, w_lo, w_hi):
         # M(w) of the window constant C carries the Python leaf's bits

@@ -19,6 +19,7 @@ import numpy as np
 from arnolddiff import diffusion, highway, inner, melnikov, ode, scattering
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src" / "arnolddiff"
 
 
 def _regen():
@@ -51,9 +52,8 @@ def test_src_uses_no_simd_transcendental():
     # on AVX2 and AVX-512 machines these numpy functions round differently
     # from libm, which would make the table depend on the CPU
     banned = {"sinh", "cosh", "exp", "arcsin"}
-    src = Path(__file__).resolve().parents[1] / "src" / "arnolddiff"
     found = []
-    for path in sorted(src.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 names = [node.attr] if node.value.id in ("np", "numpy") else []
@@ -65,19 +65,33 @@ def test_src_uses_no_simd_transcendental():
     assert found == []
 
 
+def _imports(path, package):
+    """file:line and module of every import of package or its submodules, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == package]
+    return found
+
+
 def test_model_inner_ode_and_highway_import_no_numpy():
     # numpy holds arrays; these modules handle scalars, float tuples and float lists only
-    src = Path(__file__).resolve().parents[1] / "src" / "arnolddiff"
     found = []
     for name in ("model.py", "inner.py", "ode.py", "highway.py"):
-        for node in ast.walk(ast.parse((src / name).read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == "numpy"]
+        found += _imports(SRC / name, "numpy")
+    assert found == []
+
+
+def test_src_imports_no_scipy():
+    # scipy is the tests' reference for the numerics ports, not a runtime dependency
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        found += _imports(path, "scipy")
     assert found == []
 
 

@@ -1,8 +1,11 @@
 """Bit parity of arnolddiff.numerics with the scipy routines it ports.
 
-scipy is the reference here and is imported by no other module on the CLI's
-path.  Each comparison is on the repr of the result (so NaN compares), the
-number of calls to f, the warnings issued and the type of any exception.
+scipy is the reference here; no module under ``src/arnolddiff`` imports it.
+``brentq`` and ``quad`` are compared on the repr of the result (so NaN
+compares), the number of calls to f, the warnings issued and the type of
+any exception; ``cubic_spline`` on the repr of its value at every knot and
+on a grid reaching past both ends, for the Highway orbits that
+``diffusion.time_estimate`` interpolates and for random tables.
 """
 
 import math
@@ -96,8 +99,8 @@ class TestQuadProductionIntegrands:
     @pytest.mark.parametrize("w0, wf", [(7.05, 8.2), (8.2, 7.05), (7.5, 7.6)])
     def test_time_estimate_integrand(self, w0, wf):
         w = np.linspace(7.0, 8.3, 40)
-        th = CubicSpline(w, 0.3 + 0.05 * np.sin(3.0 * w))
-        ta = CubicSpline(w, -1.2 + 0.01 * w)
+        th = numerics.cubic_spline(w.tolist(), (0.3 + 0.05 * np.sin(3.0 * w)).tolist())
+        ta = numerics.cubic_spline(w.tolist(), (-1.2 + 0.01 * w).tolist())
         pref = 1.0 / (2.0 * math.pi * 0.3)
 
         def integrand(x):
@@ -179,6 +182,90 @@ class TestQuadHardIntegrals:
                 kwargs["epsrel"] = rng.choice([1e-13, 1e-8, 1e-3])
             f = rng.choice(families)(rng.uniform(-2.0, 2.0))
             _same_quad(f, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), **kwargs)
+
+
+P_HIGHWAY = ModelParams(0.3, 0.1, 1.0, 1.0, 1.0, eps=1e-3)
+# (seed I1, stop I1) of Highway orbits from I2 = -7 traced as `time-estimate`
+# traces them; 7 -> 8.3 is its default (golden) run
+ORBITS = [(7.0, 8.3), (7.0, 7.05), (7.5, 9.0), (8.0, 9.3)]
+
+
+@pytest.fixture(scope="module")
+def highway_orbits():
+    out = {}
+    for i1, stop in ORBITS:
+        st, _ = highway.highway_seed(i1, -7.0, P_HIGHWAY)
+        out[i1, stop] = highway.highway_trace(st, P_HIGHWAY, stop=(0, stop, +1), drift_tol=1e-6)
+    return out
+
+
+def _default_range(i1, stop):
+    """`time-estimate`'s default (omega_lo, omega_hi) for a trace from i1 to stop."""
+    return P_HIGHWAY.Omega1 * (i1 + 0.02), P_HIGHWAY.Omega1 * (stop - 0.05)
+
+
+def _spline_mismatches(x, y):
+    """Points where numerics.cubic_spline and scipy's CubicSpline differ by repr."""
+    ours, ref = numerics.cubic_spline(x, y), CubicSpline(x, y)
+    span = x[-1] - x[0]
+    grid = np.linspace(x[0] - 0.1 * span, x[-1] + 0.1 * span, 1001).tolist()
+    return [v for v in x + grid if repr(ours(v)) != repr(float(ref(v)))]
+
+
+class TestCubicSpline:
+    @pytest.mark.parametrize("i1, stop", ORBITS)
+    def test_highway_orbit_tables(self, monkeypatch, highway_orbits, i1, stop):
+        # the (omega1, theta1) and (omega1, tau*) tables time_estimate builds
+        tables = []
+
+        def recording(x, y):
+            tables.append((x, y))
+            return numerics.cubic_spline(x, y)
+
+        monkeypatch.setattr(diffusion, "cubic_spline", recording)
+        diffusion.time_estimate(_default_range(i1, stop), highway_orbits[i1, stop], 1e-3,
+                                P_HIGHWAY)
+        assert len(tables) == 2
+        for x, y in tables:
+            assert _spline_mismatches(x, y) == []
+
+    def test_random_tables(self):
+        # the last gap exceeds the two before it: DGTSV swaps rows 1 and 2
+        assert _spline_mismatches([0.0, 1.0, 2.0, 100.0], [1.0, -2.0, 0.5, 3.0]) == []
+        rng = np.random.default_rng(31)
+        for k in range(200):
+            n = int(rng.integers(4, 40))
+            if k % 2:
+                # very uneven gaps reach DGTSV's row interchange too
+                x = np.cumsum(rng.exponential(1.0, n) ** 6 + 1e-3) - 3.0
+            else:
+                x = np.sort(rng.uniform(-10.0, 10.0, n)) * 10.0 ** rng.integers(-3, 3)
+            y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+            assert _spline_mismatches(x.tolist(), y.tolist()) == []
+
+    def test_nan_and_ends(self):
+        x, y = [0.0, 1.0, 2.5, 3.0, 4.0], [0.0, 1.0, -1.0, 2.0, 0.0]
+        ours, ref = numerics.cubic_spline(x, y), CubicSpline(x, y)
+        for v in (math.nan, -math.inf, math.inf, -1e300, 4.0, -0.0):
+            assert repr(ours(v)) == repr(float(ref(v)))
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),            # scipy's parabola case, not ported
+        ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 0.0]),  # not strictly increasing
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0]),       # lengths differ
+    ])
+    def test_invalid_tables(self, x, y):
+        with pytest.raises(ValueError):
+            numerics.cubic_spline(x, y)
+
+    @pytest.mark.parametrize("i1, stop", ORBITS[1:])
+    def test_time_estimate(self, monkeypatch, highway_orbits, i1, stop):
+        orb, w_range = highway_orbits[i1, stop], _default_range(i1, stop)
+        got = diffusion.time_estimate(w_range, orb, 1e-3, P_HIGHWAY)
+        monkeypatch.setattr(diffusion, "cubic_spline", CubicSpline)
+        ref = diffusion.time_estimate(w_range, orb, 1e-3, P_HIGHWAY)
+        assert [repr(got.T_s), repr(got.C), repr(got.T_d)] == [
+            repr(ref.T_s), repr(ref.C), repr(ref.T_d)]
 
 
 class TestBrentq:

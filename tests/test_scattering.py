@@ -7,6 +7,7 @@ from arnolddiff import melnikov, ode, scattering
 from arnolddiff.errors import EventNotFound, NotHorizontal
 from arnolddiff.model import ModelParams
 from arnolddiff.ode import integrate
+from equilibria import find_equilibria
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,7 +112,7 @@ class TestFlow:
         ids=["ref", "unequal-omega", "negative-a1"],
     )
     def test_certified_zero_scan(self, p):
-        eq = scattering.find_equilibria(0, p)
+        eq = find_equilibria(0, p)
         got = [tuple(float(v) for v in z) for z in eq]
         pi = math.pi
         assert got == [
@@ -125,7 +126,7 @@ class TestFlow:
         # |mu1| + |mu2| = 1.2: alpha(1.25) ~ 1.03 puts the crest off the
         # horizontal regime at grid actions I1 = I2 = 1.25
         with pytest.raises(NotHorizontal):
-            scattering.find_equilibria(0, ModelParams(0.7, 0.5, 1.0))
+            find_equilibria(0, ModelParams(0.7, 0.5, 1.0))
 
     def test_level_conservation(self, params, rng):
         f = scattering.flow_rhs(0, params)
