@@ -6,12 +6,15 @@ Usage (from the repository root, with ``src/`` on ``PYTHONPATH``):
     python tests/golden/regen.py            # rewrite tests/golden/hashes.json
     python tests/golden/regen.py --print    # print the table, write nothing
 
-There is one run file per command, ``<command>.ini``.  Each runs in-process
-through ``arnolddiff.cli.main`` into a fresh directory, and every CSV and
-``_summary.json`` it writes is hashed; the metadata files carry a
-timestamp and are left out.  ``tests/test_golden.py`` compares the table
-with a fresh run, so a change that moves any output byte names the moved
-files.  A change that rewrites the table lists each moved file, and why it
+Each run file is ``<command>[.<variant>].ini``: one per command, plus
+variants that reach branches the plain file does not (crest's vertical
+and unseparated kinds, diffuse's threshold-chosen eps, melnikov-verify's
+default eps list, check's eps = 0).  Each runs in-process through
+``arnolddiff.cli.main`` into a fresh directory, and every CSV and
+``_summary.json`` it writes is hashed under ``<command>[.<variant>]/<file>``;
+the metadata files carry a timestamp and are left out.
+``tests/test_golden.py`` compares the table with a fresh run, so a change
+that moves any output byte names the moved files.  A change that rewrites the table lists each moved file, and why it
 moved, in CHANGES.md.
 """
 
@@ -25,27 +28,27 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 TABLE = os.path.join(HERE, "hashes.json")
-COMMANDS = ("crest", "tau", "poincare", "highway", "diffuse", "melnikov-verify",
-            "time-estimate", "check")
 
 
 def golden_hashes():
-    """{"<command>/<file>": sha256 hex} over every hashed output of every run file."""
+    """{"<run>/<file>": sha256 hex} over every hashed output of every run file."""
     from arnolddiff.cli import main
 
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
-            out = os.path.join(tmp, command)
-            argv = [command, os.path.join(HERE, f"{command}.ini"), "--output-dir", out]
+        for ini in sorted(name for name in os.listdir(HERE) if name.endswith(".ini")):
+            run = ini[:-len(".ini")]
+            command = run.split(".")[0]
+            out = os.path.join(tmp, run)
+            argv = [command, os.path.join(HERE, ini), "--output-dir", out]
             with contextlib.redirect_stdout(io.StringIO()):  # check prints its lines
                 rc = main(argv)
             if rc != 0:
-                raise RuntimeError(f"{command} exited {rc}")
+                raise RuntimeError(f"{run} exited {rc}")
             for name in sorted(os.listdir(out)):
                 if name.endswith(".csv") or name.endswith("_summary.json"):
                     with open(os.path.join(out, name), "rb") as fh:
-                        table[f"{command}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
+                        table[f"{run}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
     return table
 
 
