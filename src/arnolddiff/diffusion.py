@@ -470,7 +470,8 @@ def step_accounting(orbit, params):
     For each stairstep segment, integrates sinh(pi w/2)/(2 pi a Omega w sbar)
     over the segment's frequency range, with sbar the mean |sin psi| of the
     segment-aligned jumps; the total is the flow time the jumps emulate, so
-    N_s*eps should land within a factor ~2 of it.
+    N_s*eps should land within a factor ~2 of it.  sinh(pi w/2)/w is even
+    and positive (pi/2 at w = 0), so a segment may cross w = 0.
     """
     rec = orbit.scatter_records()
     if len(rec) == 0:
@@ -497,8 +498,8 @@ def step_accounting(orbit, params):
         om, amp = oms[comp], amps[comp]
         pref = 1.0 / (2.0 * math.pi * abs(amp) * om * sbar)
         val, _ = quad(
-            lambda w: pref * math.sinh(0.5 * math.pi * w) / abs(w), om * lo, om * hi,
-            limit=200,
+            lambda w: pref * math.sinh(0.5 * math.pi * w) / w if w else pref * (0.5 * math.pi),
+            om * lo, om * hi, limit=200,
         )
         total += abs(val)
     return orbit.n_scatter * orbit.eps, total

@@ -343,6 +343,17 @@ class TestRuns:
         assert summary["max_deviation"] <= 0.1
         assert summary["final_gap"] <= 0.1
 
+    def test_diffuse_across_zero_frequency(self, cfg_file, tmp_path):
+        # the segment's frequency range is symmetric, so the step accounting's
+        # quadrature evaluates its centre w = 0 and sums both signs of w
+        f = tmp_path / "cross.ini"
+        f.write_text(cfg_file.read_text()
+                     + "\n[diffuse]\nwaypoints = -0.3,3; 0.3,3\neps = 1e-3\n")
+        assert main(["diffuse", str(f)]) == 0
+        summary = json.loads((tmp_path / "out" / "diffuse_summary.json").read_text())
+        ratio = summary["Ns_times_eps"] / summary["segment_quadrature_time"]
+        assert 0.5 <= ratio <= 2.0
+
     def test_crest_reference_surface_grid(self, cfg_file, tmp_path):
         # mu1 = mu2 = 0.4 at unit frequencies: two-surface CSV on the full grid
         text = cfg_file.read_text().replace("a1 = 0.3", "a1 = 0.4").replace(
