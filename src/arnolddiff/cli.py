@@ -28,12 +28,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, diffusion, highway, inner, kernels, melnikov, scattering
 from .config import RunConfig, write_json, write_metadata
 from .errors import ArnolddiffError, ConfigError, InvariantViolation
 from .model import TWO_PI, ModelParams, hamiltonian, rhs, separatrix
+from .numerics import linspace
 from .ode import IntegratorConfig
 
 
@@ -58,16 +57,12 @@ def _write_csv(path, header, rows):
         raise
 
 
-def _summary(outdir, command, data):
-    return write_json(os.path.join(outdir, f"{command}_summary.json"), command, data)
-
-
 def cmd_crest(cfg, integrator):
     params = cfg.model_params()
     v = cfg.values("crest")
     i1, i2, n = v["i1"], v["i2"], v["grid"]
     info = melnikov.classify_crest(i1, i2, params)
-    ph = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    ph = linspace(0.0, TWO_PI, n, endpoint=False)
     if info.kind == melnikov.VERTICAL:
         header = ["phi_other[rad]", "s[rad]", "phi_M[rad]", "phi_m[rad]", "valid"]
         branch = info.eta
@@ -82,15 +77,15 @@ def cmd_crest(cfg, integrator):
         for a in ph:
             for b in ph:
                 try:
-                    values = [float(branch(0, a, b)), float(branch(1, a, b)), 1]
+                    values = [branch(0, a, b), branch(1, a, b), 1]
                 except ValueError:
                     values = [0.0, 0.0, 0]
-                yield [float(a), float(b), *values]
+                yield [a, b, *values]
 
     return {"crest.csv": (header, rows())}, {
         "kind": info.kind, "vertical_component": info.vertical_component,
         "tangency_possible": info.tangency_possible,
-        "tangency_margin": float(info.tangency_margin),
+        "tangency_margin": info.tangency_margin,
     }
 
 
@@ -98,7 +93,7 @@ def cmd_tau(cfg, integrator):
     params = cfg.model_params()
     v = cfg.values("tau")
     i1, i2, n = v["i1"], v["i2"], v["grid"]
-    th = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    th = linspace(0.0, TWO_PI, n, endpoint=False)
 
     def rows():
         for t1 in th:
@@ -108,7 +103,7 @@ def cmd_tau(cfg, integrator):
                 r1 = melnikov.solve_tau_star(1, z, params)
                 l0 = melnikov.reduced_poincare(0, z, params, guess=r0.value)
                 l1 = melnikov.reduced_poincare(1, z, params, guess=r1.value)
-                yield [float(t1), float(t2), r0.value, l0, r0.residual, r1.value, l1, r1.residual]
+                yield [t1, t2, r0.value, l0, r0.residual, r1.value, l1, r1.residual]
 
     header = ["theta1[rad]", "theta2[rad]", "tau0[time]", "lstar0[energy]", "res0[energy]",
               "tau1[time]", "lstar1[energy]", "res1[energy]"]
@@ -124,7 +119,7 @@ def cmd_poincare(cfg, integrator):
     i2s = lp[1] if v["seed_i2"] is None else v["seed_i2"]
     level = melnikov.reduced_poincare(j, lp, params)
     seeds = [
-        (i1s, i2s, th1g, t2) for t2 in np.linspace(v["theta2_lo"], v["theta2_hi"], v["n_seeds"])
+        (i1s, i2s, th1g, t2) for t2 in linspace(v["theta2_lo"], v["theta2_hi"], v["n_seeds"])
     ]
     pts = scattering.poincare_section(
         j, level, v["section_i1"], seeds, v["t_max"], params,
@@ -148,7 +143,7 @@ def cmd_highway(cfg, integrator):
     v = cfg.values("highway")
     if v["i2_to"] == v["i2_from"]:
         raise ConfigError("[highway] i2_to must differ from i2_from")
-    seeds = np.linspace(v["i1_lo"], v["i1_hi"], v["n_seeds"])
+    seeds = linspace(v["i1_lo"], v["i1_hi"], v["n_seeds"])
     fam = highway.trace_family_between_sections(
         seeds, v["i2_from"], v["i2_to"], params, cfg=integrator, drift_tol=v["drift_tol"])
     orbit_rows = (
@@ -158,7 +153,7 @@ def cmd_highway(cfg, integrator):
     )
     orbit_header = ["orbit", "t[time]", "I1[action]", "I2[action]", "theta1[rad]",
                     "theta2[rad]", "tau_star[time]", "lstar[energy]"]
-    times = ([float(s), float(T)] for s, (_orb, T) in zip(seeds, fam))
+    times = ([s, T] for s, (_orb, T) in zip(seeds, fam))
     tables = {"highway_orbits.csv": (orbit_header, orbit_rows),
               "highway_times.csv": (["seed_I1[action]", "transit_time[time]"], times)}
     slope, off_far, off_near = highway.highway_asymptote(params)
@@ -171,6 +166,8 @@ def cmd_highway(cfg, integrator):
 
 
 def cmd_diffuse(cfg, integrator):
+    import numpy as np  # np.histogram's bin edges and counts: array work
+
     params = cfg.model_params()
     v = cfg.values("diffuse")
     wp, delta, eps = v["waypoints"], v["delta"], v["eps"]
@@ -211,11 +208,8 @@ def cmd_melnikov_verify(cfg, integrator):
     st, j, eps_list = v["state"], v["branch"], v["eps_list"]
     checks = [diffusion.verify_scattering_jump(st, j, eps, params, cfg=integrator)
               for eps in eps_list]
-    rows = [
-        [float(eps), float(c.measured[0]), float(c.measured[1]), float(c.predicted[0]),
-         float(c.predicted[1]), float(c.discrepancy), float(c.excursion_time)]
-        for eps, c in zip(eps_list, checks)
-    ]
+    rows = [[eps, *c.measured, *c.predicted, c.discrepancy, c.excursion_time]
+            for eps, c in zip(eps_list, checks)]
     header = ["eps", "measured_dI1[action]", "measured_dI2[action]", "predicted_dI1[action]",
               "predicted_dI2[action]", "discrepancy[action]", "excursion_T[time]"]
     summ = {"state": st, "branch": j, "eps": eps_list,
@@ -253,6 +247,8 @@ def cmd_time_estimate(cfg, integrator):
 
 def cmd_check(cfg, integrator):
     """Invariant suite; prints one PASS/FAIL line per check."""
+    import numpy as np  # default_rng's stream picks the checked states
+
     params = cfg.model_params()
     if params.eps == 0.0:
         params = dataclasses.replace(params, eps=1e-3)
@@ -392,7 +388,7 @@ def run(command, cfg, outdir_override=None):
     tables, summary = fn(cfg, integrator)
     for name, (header, rows) in tables.items():
         _write_csv(os.path.join(outdir, name), header, rows)
-    _summary(outdir, command, summary)
+    write_json(os.path.join(outdir, f"{command}_summary.json"), command, summary)
     if summary.get("failures"):
         raise InvariantViolation(f"{summary['failures']} invariant check(s) failed")
     write_metadata(outdir, command, cfg, integrator)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
-import numpy as np
-
 from . import inner, kernels, melnikov
 from .errors import (
     DegenerateDirection,
@@ -27,7 +25,7 @@ from .errors import (
     WindowUnreachable,
 )
 from .model import TWO_PI, separatrix
-from .numerics import cubic_spline, quad
+from .numerics import cubic_spline, linspace, quad
 from .ode import IntegratorConfig, integrate
 from .scattering import calibrate_remainder, scattering_map
 
@@ -229,15 +227,6 @@ class PseudoOrbit:
     @property
     def max_deviation(self):
         return max(s.dist for s in self.steps)
-
-    def scatter_records(self):
-        """(I1, I2, psi1, psi2) at every jump, for step accounting."""
-        rec = [
-            (s.state[0], s.state[1], s.psi[0], s.psi[1])
-            for s in self.steps
-            if s.kind == "S"
-        ]
-        return np.array(rec)
 
 
 def _window_for(u, delta, params):
@@ -473,7 +462,13 @@ def step_accounting(orbit, params):
     N_s*eps should land within a factor ~2 of it.  sinh(pi w/2)/w is even
     and positive (pi/2 at w = 0), so a segment may cross w = 0.
     """
-    rec = orbit.scatter_records()
+    import numpy as np  # the masked pairwise means: array work
+
+    # (I1, I2, |sin psi1|, |sin psi2|) at every jump
+    rec = np.array([
+        (s.state[0], s.state[1], abs(math.sin(s.psi[0])), abs(math.sin(s.psi[1])))
+        for s in orbit.steps if s.kind == "S"
+    ])
     if len(rec) == 0:
         return 0.0, 0.0
     total = 0.0
@@ -492,7 +487,7 @@ def step_accounting(orbit, params):
         )
         if not np.any(near):
             continue
-        sbar = float(np.mean(np.abs(np.sin(rec[near, 2 + comp]))))
+        sbar = float(np.mean(rec[near, 2 + comp]))
         if sbar <= 0.0:
             continue
         om, amp = oms[comp], amps[comp]
@@ -518,8 +513,8 @@ class TimeEstimate:
 
 def _bigM(w_lo, w_hi):
     """max over [w_lo, w_hi] of |w - alpha(w)| by dense scan."""
-    w = np.linspace(min(w_lo, w_hi), max(w_lo, w_hi), 4001)
-    return float(np.max(np.abs(w - melnikov.alpha(w))))
+    return max(abs(w - kernels.alpha(w))
+               for w in linspace(min(w_lo, w_hi), max(w_lo, w_hi), 4001))
 
 
 def time_estimate(omega_range, orbit, eps, params):
@@ -531,22 +526,23 @@ def time_estimate(omega_range, orbit, eps, params):
     by a not-a-knot cubic spline; C is the explicit homoclinic-window
     constant built from the amplitude ratios and M(w) = max |w - alpha(w)|
     over the swept range.  Raises RangeNotCovered when the orbit's w1 does
-    not span omega_range or takes fewer than 4 distinct values.
+    not span omega_range or takes fewer than 4 distinct values.  The samples
+    are sorted by w1 (stably: of tied samples the first in orbit order
+    leads), and one closer than 1e-12 to its sorted predecessor is dropped.
     """
     w0, wf = omega_range
-    states, tau = np.array(orbit.states), np.array(orbit.tau)
-    w1 = params.Omega1 * states[:, 0]
-    lo, hi = float(np.min(w1)), float(np.max(w1))
+    states = orbit.states
+    w1 = [params.Omega1 * row[0] for row in states]
+    lo, hi = min(w1), max(w1)
     if min(w0, wf) < lo - 1e-9 or max(w0, wf) > hi + 1e-9:
         raise RangeNotCovered(
             f"orbit covers omega1 in [{lo:.4g}, {hi:.4g}], requested [{w0}, {wf}]"
         )
-    order = np.argsort(w1)
-    w_s = w1[order]
-    th_s = states[order, 2]
-    ta_s = tau[order]
-    keep = np.concatenate(([True], np.diff(w_s) > 1e-12))
-    w_s, th_s, ta_s = w_s[keep].tolist(), th_s[keep].tolist(), ta_s[keep].tolist()
+    order = sorted(range(len(w1)), key=w1.__getitem__)
+    keep = order[:1] + [k for p, k in zip(order, order[1:]) if w1[k] - w1[p] > 1e-12]
+    w_s = [w1[k] for k in keep]
+    th_s = [states[k][2] for k in keep]
+    ta_s = [orbit.tau[k] for k in keep]
     if len(w_s) < 4:
         raise RangeNotCovered(
             f"orbit has {len(w_s)} distinct omega1 samples; the spline needs at least 4"
@@ -568,11 +564,8 @@ def time_estimate(omega_range, orbit, eps, params):
         raise ValueError("amplitude ratios too large for the window constant")
     sh = kernels.SINH_HALF_PI
     Mw1 = _bigM(w0, wf)
-    i2_range = (
-        params.Omega2 * float(np.min(states[:, 1])),
-        params.Omega2 * float(np.max(states[:, 1])),
-    )
-    Mw2 = _bigM(*i2_range)
+    i2s = [row[1] for row in states]
+    Mw2 = _bigM(params.Omega2 * min(i2s), params.Omega2 * max(i2s))
     C = 16.0 * (
         abs(params.a1)
         + (2.0 * abs(params.a3 * params.mu1) * sh * mu1 / den) * Mw1

@@ -22,23 +22,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import kernels
 from .model import TWO_PI
-from .numerics import quad
+from .numerics import arange, linspace, quad, solve_2x2
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 UNSEPARATED = "unseparated"
-
-
-def alpha(w):
-    """Crest weight alpha(w) (odd in w): ``kernels.alpha``, point by point on arrays."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 0:
-        return kernels.alpha(float(w))
-    return np.fromiter(map(kernels.alpha, w.ravel().tolist()), float, w.size).reshape(w.shape)
 
 
 @dataclass(frozen=True)
@@ -147,19 +137,26 @@ def tangency_margin(i1, i2, params, grid=256):
     """1 - max_phi f_I(phi); positive means lines cross the crest transversally.
 
     The maximum of the trigonometric surface f_I is located on a coarse grid
-    and polished with at most 10 Newton steps on its gradient.
+    (the first maximum in row-major order) and polished with at most 10
+    Newton steps on its gradient, each solving the 2x2 Hessian system with
+    ``numerics.solve_2x2``; a singular Hessian ends the polish.
     """
     w1, w2 = params.frequencies(i1, i2)
     c1 = w1 * kernels.alpha(w1) * params.mu1
     c2 = w2 * kernels.alpha(w2) * params.mu2
     s1 = kernels.alpha(w1) * params.mu1
     s2 = kernels.alpha(w2) * params.mu2
-    ph = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    PH1, PH2 = np.meshgrid(ph, ph, indexing="ij")
-    F = (c1 * np.cos(PH1) + c2 * np.cos(PH2)) ** 2 + (s1 * np.sin(PH1) + s2 * np.sin(PH2)) ** 2
-    k = np.unravel_index(np.argmax(F), F.shape)
-    x = np.array([PH1[k], PH2[k]])
-    best = float(F[k])
+    ph = linspace(0.0, TWO_PI, grid, endpoint=False)
+    u1 = [c1 * math.cos(p) for p in ph]
+    v1 = [s1 * math.sin(p) for p in ph]
+    uv2 = [(c2 * math.cos(p), s2 * math.sin(p)) for p in ph]
+    best = None
+    for i, (a, b) in enumerate(zip(u1, v1)):
+        row = [(a + c) * (a + c) + (b + d) * (b + d) for c, d in uv2]
+        top = max(row)
+        if best is None or top > best:
+            best, k = top, (i, row.index(top))
+    x = (ph[k[0]], ph[k[1]])
 
     def fval(p):
         u = c1 * math.cos(p[0]) + c2 * math.cos(p[1])
@@ -171,21 +168,18 @@ def tangency_margin(i1, i2, params, grid=256):
         cos2, sin2 = math.cos(p[1]), math.sin(p[1])
         u = c1 * cos1 + c2 * cos2
         v = s1 * sin1 + s2 * sin2
-        g = np.array(
-            [-2 * u * c1 * sin1 + 2 * v * s1 * cos1, -2 * u * c2 * sin2 + 2 * v * s2 * cos2]
-        )
+        g = (-2 * u * c1 * sin1 + 2 * v * s1 * cos1, -2 * u * c2 * sin2 + 2 * v * s2 * cos2)
         h11 = 2 * (c1 * sin1) ** 2 - 2 * u * c1 * cos1 + 2 * (s1 * cos1) ** 2 - 2 * v * s1 * sin1
         h22 = 2 * (c2 * sin2) ** 2 - 2 * u * c2 * cos2 + 2 * (s2 * cos2) ** 2 - 2 * v * s2 * sin2
         h12 = 2 * c1 * sin1 * c2 * sin2 + 2 * s1 * cos1 * s2 * cos2
-        return g, np.array([[h11, h12], [h12, h22]])
+        return g, h11, h12, h22
 
     for _ in range(10):
-        g, h = grad_hess(x)
-        try:
-            step = np.linalg.solve(h, g)
-        except np.linalg.LinAlgError:
+        g, h11, h12, h22 = grad_hess(x)
+        step = solve_2x2(h11, h12, h12, h22, *g)
+        if step is None:
             break
-        x_new = x - step
+        x_new = (x[0] - step[0], x[1] - step[1])
         if fval(x_new) >= best:
             x = x_new
             best = fval(x_new)
@@ -247,11 +241,11 @@ def psi_inverse(j, i1, i2, psi1, psi2, params):
 
 def scan_alpha_bounds(span=20.0, step=1e-4):
     """Dense-scan suprema of |alpha| and |w alpha| with golden-section refinement."""
-    w = np.arange(-span, span + step, step)
-    a = np.abs(alpha(w))
-    wa = np.abs(w * a)
-    i1 = int(np.argmax(a))
-    i2 = int(np.argmax(wa))
+    w = arange(-span, span + step, step)
+    a = [abs(kernels.alpha(x)) for x in w]
+    wa = [abs(x * ax) for x, ax in zip(w, a)]
+    i1 = max(range(len(w)), key=a.__getitem__)
+    i2 = max(range(len(w)), key=wa.__getitem__)
 
     def refine(fn, x0, h):
         lo, hi = x0 - h, x0 + h
@@ -268,8 +262,6 @@ def scan_alpha_bounds(span=20.0, step=1e-4):
         x = 0.5 * (lo + hi)
         return fn(x)
 
-    sup_a = max(float(a[i1]), refine(lambda x: abs(kernels.alpha(x)), float(w[i1]), step))
-    sup_wa = max(
-        float(wa[i2]), refine(lambda x: abs(x * kernels.alpha(x)), float(w[i2]), step)
-    )
+    sup_a = max(a[i1], refine(lambda x: abs(kernels.alpha(x)), w[i1], step))
+    sup_wa = max(wa[i2], refine(lambda x: abs(x * kernels.alpha(x)), w[i2], step))
     return sup_a, sup_wa

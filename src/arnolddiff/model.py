@@ -16,10 +16,12 @@ and portrait seeds (``highway_seed``, ``adjust_seed_to_level``), section
 landings (``Trajectory.crossings``), end states (``Trajectory.final``,
 ``inner_flow``) and the ``JumpCheck`` pairs.  An integrated orbit stays as
 the integrator produced it: ``Trajectory`` and ``HighwayOrbit`` hold lists
-of floats and of rows; only ``time_estimate`` makes arrays of one, for its
-splines.  numpy arrays are used where array work is done: grids and the
-stacked CSV/summary columns; ``SectionPoint.state`` is an array too, since
-perfbench's self-test edits a ``.copy()`` of it.
+of floats and of rows, and ``SectionPoint.state`` is the float list of its
+landing.  Grids (``numerics.linspace`` and ``arange``) are float lists too.
+No module imports numpy at module level; three functions import it where
+arrays are the work: ``cli.cmd_check`` (its ``default_rng`` stream),
+``cli.cmd_diffuse`` (``np.histogram``) and ``diffusion.step_accounting``
+(its masked means).
 """
 
 import math

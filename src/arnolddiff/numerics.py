@@ -18,8 +18,16 @@ samples) after the same number of evaluations.
 Why they exist: importing ``scipy.optimize`` and ``scipy.integrate`` costs
 about 0.45 s and 45 MB, and ``scipy.interpolate`` alone about 0.5 s and
 50 MB over numpy, more than a typical CLI command computes; the package
-needs just these three routines from them.  As a side effect, the numbers no longer depend on which scipy build
-is installed.
+needs just these three routines from them.  As a side effect, the numbers
+no longer depend on which scipy build is installed.
+
+The small grids and the one linear solve that the scalar layers took from
+numpy are here too, for the same reason: ``import numpy`` is about half of
+``import arnolddiff.cli``'s start-up.  ``linspace`` and ``arange`` return
+the points of ``np.linspace`` and ``np.arange`` as float lists, and
+``solve_2x2`` solves a 2x2 system in reference LAPACK's DGETRF2/DGETRS
+order, which ``np.linalg.solve`` follows on OpenBLAS's cores without FMA
+(its FMA cores round differently, so the bits depended on the CPU).
 
 Where the C code divides by zero, or ``pow`` overflows, and gets an
 infinity or NaN that only feeds a comparison, Python raises instead; those
@@ -30,7 +38,8 @@ import math
 import warnings
 from bisect import bisect_right
 
-__all__ = ["IntegrationWarning", "brentq", "cubic_spline", "quad"]
+__all__ = ["IntegrationWarning", "arange", "brentq", "cubic_spline", "linspace", "quad",
+           "solve_2x2"]
 
 _EPMACH = 2.220446049250313e-16          # d1mach(4) = DBL_EPSILON
 _UFLOW = 2.2250738585072014e-308         # d1mach(1) = DBL_MIN
@@ -708,3 +717,62 @@ def _gtsv(dl, d, du, b):
     for i in range(n - 3, -1, -1):
         b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
     return b
+
+
+def linspace(start, stop, num, endpoint=True):
+    """``num`` evenly spaced floats from start to stop, as ``np.linspace`` makes them.
+
+    Point i is ``i*step + start`` with ``step = (stop - start)/div`` (div is
+    num - 1, or num without the endpoint); the last point is ``stop`` itself
+    when the endpoint is included and num > 1.  numpy's fallback for a step
+    that underflows to zero, ``(i/div)*(stop - start) + start``, is kept.
+    """
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    div = num - 1 if endpoint else num
+    step = delta / div if div > 0 else 0.0
+    if step != 0.0:
+        out = [i * step + start for i in range(num)]
+    else:   # a single point, or a step that underflows: numpy scales delta
+        out = [i / max(div, 1) * delta + start for i in range(num)]
+    if endpoint and num > 1:
+        out[-1] = stop
+    return out
+
+
+def arange(start, stop, step):
+    """The floats from start towards stop by step, as ``np.arange`` makes them.
+
+    There are ceil((stop - start)/step) of them: start, start + step, and
+    from the third on ``start + i*d`` with d = (start + step) - start.
+    """
+    start = float(start)
+    n = max(math.ceil((stop - start) / step), 0)
+    d = (start + step) - start
+    out = [start + i * d for i in range(n)]
+    if n > 1:
+        out[1] = start + step
+    return out
+
+
+def solve_2x2(a11, a12, a21, a22, b1, b2):
+    """(x1, x2) solving [[a11, a12], [a21, a22]] x = (b1, b2), or None if singular.
+
+    LU with partial pivoting in reference LAPACK's DGETRF2 and DGETRS order,
+    which is what ``np.linalg.solve`` computes on OpenBLAS's cores without
+    FMA: the first of the largest first-column entries is the pivot, the
+    other is scaled by the pivot's reciprocal (divided by the pivot when
+    that is below DBL_MIN, where OpenBLAS's reciprocal would overflow), and
+    the triangular solves divide by the diagonal.  An exactly zero pivot
+    returns None, where DGESV reports a singular matrix.
+    """
+    if abs(a21) > abs(a11):
+        a11, a12, a21, a22, b1, b2 = a21, a22, a11, a12, b2, b1
+    if a11 == 0.0:
+        return None
+    l21 = a21 * (1.0 / a11) if abs(a11) >= _UFLOW else a21 / a11
+    u22 = a22 - l21 * a12
+    if u22 == 0.0:
+        return None
+    x2 = (b2 - b1 * l21) / u22
+    return (b1 - x2 * a12) / a11, x2

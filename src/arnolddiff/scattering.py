@@ -11,12 +11,10 @@ that flow up to O(eps^2)).  Only j = 0 and j = 1 are used in practice.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels, melnikov, ode
 from .errors import EventNotFound
 from .model import TWO_PI, wrap_angle
-from .numerics import brentq
+from .numerics import brentq, linspace
 # integrate_to_event is unused here but stays a module attribute: the span
 # tracer in perfbench/spans.py rebinds it by name
 from .ode import IntegratorConfig, Section, integrate_to_event  # noqa: F401
@@ -68,14 +66,15 @@ class SectionPoint:
     t: float
     i2: float
     theta2: float
-    state: np.ndarray         # an array: perfbench's _shift_state edits a .copy() of it
+    state: list               # (I1, I2, theta1, theta2) floats; perfbench edits a .copy()
 
 
 def adjust_seed_to_level(j, i1, i2, theta1_guess, theta2, level, params):
     """Root-solve in theta1 so the seed sits on the prescribed L*_j level.
 
-    The interval [guess - 1.5, guess + 1.5] is scanned for sign changes
-    and the root nearest the guess is polished with Brent's method
+    The interval [guess - 1.5, guess + 1.5] is scanned at 81 points for
+    sign changes, and the root whose bracket midpoint is nearest the guess
+    (the first of equals) is polished with Brent's method
     (``numerics.brentq``, the same bits as scipy's).  Returns the seed
     (I1, I2, theta1, theta2) as floats.
     """
@@ -84,14 +83,13 @@ def adjust_seed_to_level(j, i1, i2, theta1_guess, theta2, level, params):
         return melnikov.reduced_poincare(j, (i1, i2, th1, theta2), params) - level
 
     width = 1.5
-    grid = np.linspace(theta1_guess - width, theta1_guess + width, 81)
-    vals = np.array([f(t) for t in grid])
-    sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
-    if sign_change.size == 0:
+    grid = linspace(theta1_guess - width, theta1_guess + width, 81)
+    vals = [f(t) for t in grid]
+    sign_change = [i for i in range(80) if vals[i] * vals[i + 1] <= 0.0]
+    if not sign_change:
         raise EventNotFound(f"no crossing of L*_{j} = {level!r} for theta1 in "
                             f"{theta1_guess:g} +- {width:g}")
-    mids = 0.5 * (grid[sign_change] + grid[sign_change + 1])
-    k = sign_change[np.argmin(np.abs(mids - theta1_guess))]
+    k = min(sign_change, key=lambda i: abs(0.5 * (grid[i] + grid[i + 1]) - theta1_guess))
     th1 = brentq(f, grid[k], grid[k + 1], xtol=1e-14)
     return float(i1), float(i2), float(th1), float(theta2)
 
@@ -129,7 +127,7 @@ def poincare_section(
         if not traj.crossings:
             raise EventNotFound(f"orbit {orbit_id} never crossed I1={section_i1}")
         for te, ye in traj.crossings:
-            out.append(SectionPoint(orbit_id, te, ye[1], wrap_angle(ye[3]), np.array(ye)))
+            out.append(SectionPoint(orbit_id, te, ye[1], wrap_angle(ye[3]), list(ye)))
     return out
 
 
@@ -159,8 +157,8 @@ def transversality_certificate(j, state, params):
 def calibrate_remainder(j, params, eps, box=5.0, n=6):
     """Empirical constant K with |L*_j(S_j z) - L*_j(z)| <= K eps^2 on a grid."""
     worst = 0.0
-    iv = np.linspace(-box, box, n)
-    tv = np.linspace(0.1, TWO_PI, n, endpoint=False)
+    iv = linspace(-box, box, n)
+    tv = linspace(0.1, TWO_PI, n, endpoint=False)
     for i1 in iv:
         for i2 in iv:
             for t1 in tv:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from arnolddiff import diffusion, highway, melnikov, scattering
+from arnolddiff import diffusion, highway, kernels, melnikov, scattering
 from arnolddiff.model import ModelParams
 from equilibria import find_equilibria
 
@@ -83,8 +83,8 @@ def test_c04_tau_star_residuals_and_uniqueness():
             + c.A3 * math.sin(-r.value)
         )
         worst_res = max(worst_res, abs(res))
-        b1 = P_REF.mu1 * melnikov.alpha(w1)
-        b2 = P_REF.mu2 * melnikov.alpha(w2)
+        b1 = P_REF.mu1 * kernels.alpha(w1)
+        b2 = P_REF.mu2 * kernels.alpha(w2)
         kap = math.asin(abs(b1) + abs(b2))
         taus = np.linspace(-math.pi * j - kap - 1e-9, -math.pi * j + kap + 1e-9, 48)
         sgn = -1.0 if j % 2 == 0 else 1.0

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -6,12 +7,13 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from arnolddiff import config, melnikov, scattering
-from arnolddiff.cli import COMMANDS, _summary, main
-from arnolddiff.config import RunConfig
+from arnolddiff.cli import COMMANDS, main
+from arnolddiff.config import RunConfig, write_json
 from arnolddiff.errors import InvariantViolation, NoConvergence
 
 BASE = """\
@@ -169,7 +171,8 @@ class TestConfig:
 
     def test_summary_rejects_nan(self, tmp_path):
         with pytest.raises(InvariantViolation, match="crest: .*crest_summary.json"):
-            _summary(str(tmp_path), "crest", {"tangency_margin": math.nan})
+            write_json(str(tmp_path / "crest_summary.json"), "crest",
+                       {"tangency_margin": math.nan})
         assert not (tmp_path / "crest_summary.json").exists()
 
     def test_nan_summary_exits_4(self, cfg_file, capsys, monkeypatch):
@@ -316,6 +319,45 @@ class TestRuns:
             capture_output=True, text=True, env=subprocess_env,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_scalar_commands_do_not_import_numpy(self, tmp_path, subprocess_env):
+        # only check's random states, diffuse's histogram and its step
+        # accounting use numpy: the other commands run in an interpreter that
+        # refuses it and write the golden bytes
+        golden = Path(__file__).resolve().parent / "golden"
+        scalar = {"crest", "tau", "poincare", "highway", "melnikov-verify", "time-estimate"}
+        runs = sorted(p.stem for p in golden.glob("*.ini") if p.stem.split(".")[0] in scalar)
+        assert {run.split(".")[0] for run in runs} == scalar
+        argv = []
+        for run in runs:
+            argv += [run.split(".")[0], str(golden / f"{run}.ini"), str(tmp_path / run)]
+        script = (
+            "import sys\n"
+            "class RefuseNumpy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'numpy':\n"
+            "            raise ImportError(f'numpy refused: {name}')\n"
+            "sys.meta_path.insert(0, RefuseNumpy())\n"
+            "from arnolddiff.cli import main\n"
+            "args = sys.argv[1:]\n"
+            "for command, ini, out in zip(args[::3], args[1::3], args[2::3]):\n"
+            "    rc = main([command, ini, '--output-dir', out])\n"
+            "    if rc != 0:\n"
+            "        sys.exit(f'{command} {ini} exited {rc}')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=subprocess_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = json.loads((golden / "hashes.json").read_text())
+        want = {k: v for k, v in want.items() if k.split("/")[0] in runs}
+        got = {
+            f"{run}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+            for run in runs for f in (tmp_path / run).iterdir()
+            if f.name.endswith(".csv") or f.name.endswith("_summary.json")
+        }
+        assert got == want
 
     def test_crest_vertical_parametrization_csv(self, cfg_file, tmp_path):
         text = cfg_file.read_text().replace("a1 = 0.3", "a1 = 1.7").replace(

@@ -279,8 +279,8 @@ class TestBuilder:
         assert orb.meta["final_gap"] <= 0.1
         assert orb.n_scatter > 100
         # jumps in the tracked component are positive on average
-        rec = orb.scatter_records()
-        assert np.mean(np.sin(rec[:, 2])) < 0.0  # psi1 mostly in (pi, 2pi)
+        psi1 = [s.psi[0] for s in orb.steps if s.kind == "S"]
+        assert sum(map(math.sin, psi1)) < 0.0  # psi1 mostly in (pi, 2pi)
 
     def test_one_gradient_per_jump(self, params, monkeypatch):
         grad, psi = melnikov.reduced_poincare_grad, melnikov.psi
@@ -404,6 +404,23 @@ class TestBuilder:
         orb = diffusion.build_pseudo_orbit(path, np.array([1.0, 1.0, 2.0, 4.4]), params)
         ns_eps, t_quad = diffusion.step_accounting(orb, params)
         assert 0.5 * t_quad <= ns_eps <= 2.0 * t_quad
+
+
+    @pytest.mark.parametrize("waypoints, start", [
+        (((1.0, 1.0), (1.02, 1.4)), (1.0, 1.0, 2.0, 4.4)),     # the golden diffuse run
+        # pseudo_orbit-shaped: a 0.4 climb in I2 with a 0.02 drift in I1
+        (((1.3, 1.1), (1.32, 1.5)), (1.3, 1.1, 0.5, 5.0)),
+        (((2.6, 1.3), (2.58, 1.7)), (2.6, 1.3, 3.0, 1.2)),
+        (((4.1, 1.0), (4.12, 1.4)), (4.1, 1.0, 5.5, 2.5)),
+    ])
+    def test_step_accounting_sines_are_numpy_sines(self, params, waypoints, start):
+        # step_accounting takes abs(math.sin(psi)) per jump where it took
+        # np.abs(np.sin(...)) of the masked psi column; they agree bit for bit
+        path = diffusion.stairstep(diffusion.ActionPath(waypoints, 0.1))
+        orb = diffusion.build_pseudo_orbit(path, start, params, eps=1e-3)
+        psi = [p for s in orb.steps if s.kind == "S" for p in s.psi]
+        assert len(psi) > 1000
+        assert repr([abs(math.sin(p)) for p in psi]) == repr(np.abs(np.sin(psi)).tolist())
 
 
 class TestEpsilonThreshold:

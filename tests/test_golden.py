@@ -1,7 +1,8 @@
 """Every command's output bytes equal the committed table, on any CPU.
 
-``tests/golden/`` holds one run file per command and ``hashes.json``, the
-SHA-256 of every CSV and ``_summary.json`` they write (see
+``tests/golden/`` holds a run file per command, variants that reach other
+output branches, and ``hashes.json``, the SHA-256 of every CSV and
+``_summary.json`` they write (see
 ``tests/golden/regen.py``, which rewrites the table).  There is no
 tolerance: a change that moves one output bit is named here by file.
 """
@@ -51,7 +52,7 @@ def test_outputs_do_not_depend_on_blas_core_or_simd_level(subprocess_env):
 def test_src_uses_no_simd_transcendental():
     # on AVX2 and AVX-512 machines these numpy functions round differently
     # from libm, which would make the table depend on the CPU
-    banned = {"sinh", "cosh", "exp", "arcsin"}
+    banned = {"sin", "cos", "sinh", "cosh", "exp", "arcsin"}
     found = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -65,26 +66,54 @@ def test_src_uses_no_simd_transcendental():
     assert found == []
 
 
+def _modules(node):
+    """The modules an import statement names ([] for any other node)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
+
+
 def _imports(path, package):
     """file:line and module of every import of package or its submodules, at any depth."""
+    return [f"{path.name}:{node.lineno} {m}" for node in ast.walk(ast.parse(path.read_text()))
+            for m in _modules(node) if m.split(".")[0] == package]
+
+
+def _numpy_importers(path):
+    """(file, enclosing function or None at module level) of every numpy import."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
-        else:
-            continue
-        found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == package]
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if any(m.split(".")[0] == "numpy" for m in _modules(child)):
+                found.append((path.name, function))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
     return found
 
 
-def test_model_inner_ode_and_highway_import_no_numpy():
-    # numpy holds arrays; these modules handle scalars, float tuples and float lists only
+def test_no_module_imports_numpy_at_module_level():
+    # importing the package, the CLI included, loads no numpy
     found = []
-    for name in ("model.py", "inner.py", "ode.py", "highway.py"):
-        found += _imports(SRC / name, "numpy")
+    for path in sorted(SRC.rglob("*.py")):
+        found += [f for f in _numpy_importers(path) if f[1] is None]
     assert found == []
+
+
+def test_numpy_is_imported_only_where_arrays_are_the_work():
+    # check's default_rng stream, diffuse's histogram and step_accounting's
+    # masked means; every other layer works on Python floats
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        found.update(_numpy_importers(path))
+    assert found == {("cli.py", "cmd_check"), ("cli.py", "cmd_diffuse"),
+                     ("diffusion.py", "step_accounting")}
 
 
 def test_src_imports_no_scipy():
@@ -97,8 +126,8 @@ def test_src_imports_no_scipy():
 
 def test_points_are_float_tuples(params, params_fig5):
     # seeds, landings, flowed states, path points and jump pairs are tuples of
-    # exactly float, and Highway orbits lists of exactly float, also from numpy
-    # scalar inputs such as the CLI's linspace grids
+    # exactly float, and Highway orbits and section states lists of exactly
+    # float, also from numpy scalar inputs
     def floats(x, n):
         return type(x) is tuple and len(x) == n and all(type(v) is float for v in x)
 
@@ -112,6 +141,10 @@ def test_points_are_float_tuples(params, params_fig5):
                          scattering.SECTION_INTEGRATOR, record=False,
                          section=ode.Section(0, 0.0, 1), max_crossings=2)
     assert traj.crossings and all(floats(y, 4) for _t, y in traj.crossings)
+    pts = scattering.poincare_section(0, level, 0.0, [(0.0, 0.0, c, np.float64(c + 0.1))],
+                                      120.0, params_fig5, max_crossings=2)
+    assert pts and all(type(p.state) is list and len(p.state) == 4 for p in pts)
+    assert all(type(v) is float for p in pts for v in p.state)
     assert floats(inner.inner_flow(np.array([1.0, 1.0, c, c, 0.0]), 2.0, params), 5)
     orb = highway.highway_trace(state, params, stop=(1, -6.0, 1))
     for column in (orb.t, orb.tau, orb.lstar):

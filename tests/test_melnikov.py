@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from arnolddiff import kernels, melnikov
+from arnolddiff import kernels, melnikov, numerics
 from arnolddiff.errors import NoConvergence, NotHorizontal
 from arnolddiff.model import ModelParams
 
@@ -15,21 +15,21 @@ A_AT_UNIT_FREQ = 2.7302778013234311
 
 class TestAlpha:
     def test_unit_value(self):
-        assert melnikov.alpha(1.0) == pytest.approx(1.0, abs=0.0)
+        assert kernels.alpha(1.0) == pytest.approx(1.0, abs=0.0)
 
     def test_zero_limit(self):
-        assert melnikov.alpha(0.0) == 0.0
+        assert kernels.alpha(0.0) == 0.0
         # linear behavior near zero with slope 2 sinh(pi/2)/pi
         slope = 2.0 * kernels.SINH_HALF_PI / math.pi
-        assert melnikov.alpha(1e-8) == pytest.approx(1e-8 * slope, rel=1e-10)
+        assert kernels.alpha(1e-8) == pytest.approx(1e-8 * slope, rel=1e-10)
 
     def test_odd(self, rng):
         for w in rng.uniform(0.01, 10.0, 30):
-            assert melnikov.alpha(-w) == pytest.approx(-melnikov.alpha(float(w)), rel=1e-14)
+            assert kernels.alpha(-w) == pytest.approx(-kernels.alpha(float(w)), rel=1e-14)
 
     def test_series_branch_continuity(self):
-        lo = melnikov.alpha(0.063661)  # just below the series cutoff
-        hi = melnikov.alpha(0.063663)
+        lo = kernels.alpha(0.063661)  # just below the series cutoff
+        hi = kernels.alpha(0.063663)
         assert abs(hi - lo) < 1e-5
 
     def test_certified_suprema(self):
@@ -40,19 +40,19 @@ class TestAlpha:
         assert sup_a <= kernels.ALPHA_SUP
         assert sup_wa <= kernels.OMEGA_ALPHA_SUP
 
-    def test_vector_matches_scalar(self, rng):
-        w = rng.uniform(-15, 15, 200)
-        v = melnikov.alpha(w)
-        for wi, vi in zip(w[:40], v[:40]):
-            assert vi == melnikov.alpha(float(wi))
-        assert melnikov.alpha(w.reshape(20, 10)).tolist() == v.reshape(20, 10).tolist()
+    @pytest.mark.parametrize("step", [1e-3, 1e-4])
+    def test_scan_grid_is_numpy_arange(self, step, monkeypatch):
+        # the c02 scan walks np.arange's grid, so its suprema keep the bits
+        # of the array scan it replaces
+        grids = []
 
-    def test_array_is_the_scalar_kernel(self):
-        # the c02 scan grid: every point has kernels.alpha's bits, so the
-        # dense scans (window constant C, certified suprema) do not depend
-        # on the SIMD level numpy dispatches to
-        w = np.arange(-20.0, 20.0 + 1e-4, 1e-4)
-        assert melnikov.alpha(w).tolist() == [kernels.alpha(x) for x in w.tolist()]
+        def recording(*args):
+            grids.append(numerics.arange(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(melnikov, "arange", recording)
+        melnikov.scan_alpha_bounds(span=20.0, step=step)
+        assert repr(grids) == repr([np.arange(-20.0, 20.0 + step, step).tolist()])
 
 
 class TestCoeffs:
@@ -132,8 +132,8 @@ class TestClassification:
     def test_vertical_parametrization_residual(self):
         p = ModelParams(1.7, 0.4, 1.0)
         info = melnikov.classify_crest(1.0, 1.0, p, check_tangency=False)
-        b1 = p.mu1 * melnikov.alpha(1.0)
-        b2 = p.mu2 * melnikov.alpha(1.0)
+        b1 = p.mu1 * kernels.alpha(1.0)
+        b2 = p.mu2 * kernels.alpha(1.0)
         for br in (0, 1):
             for (pj, s) in ((0.3, 1.1), (2.0, 4.5), (5.9, 0.2)):
                 ph1 = info.eta(br, pj, s)
@@ -160,8 +160,8 @@ class TestBranches:
             s = melnikov.crest_branch(j, i1, i2, p1, p2, params)
             w1, w2 = params.frequencies(i1, i2)
             res = (
-                melnikov.alpha(w1) * params.mu1 * math.sin(p1)
-                + melnikov.alpha(w2) * params.mu2 * math.sin(p2)
+                kernels.alpha(w1) * params.mu1 * math.sin(p1)
+                + kernels.alpha(w2) * params.mu2 * math.sin(p2)
                 + math.sin(s)
             )
             assert abs(res) < 1e-14
@@ -197,12 +197,71 @@ class TestTangency:
         assert found
 
 
+    @pytest.mark.parametrize("grid, cases", [(64, 500), (256, 20)])
+    def test_matches_the_array_scan(self, grid, cases):
+        rng = np.random.default_rng(grid)
+        for _ in range(cases):
+            a1, a2 = rng.uniform(-1.0, 1.0, 2).tolist()
+            om1, om2 = rng.uniform(0.2, 2.0, 2).tolist()
+            i1, i2 = rng.uniform(-4.0, 4.0, 2).tolist()
+            p = ModelParams(a1, a2, 1.0, om1, om2)
+            got = melnikov.tangency_margin(i1, i2, p, grid=grid)
+            assert repr(got) == repr(_tangency_margin_array(i1, i2, p, grid))
+
+
+def _tangency_margin_array(i1, i2, params, grid):
+    """The numpy tangency_margin that the scalar scan replaces, as the oracle."""
+    w1, w2 = params.frequencies(i1, i2)
+    c1 = w1 * kernels.alpha(w1) * params.mu1
+    c2 = w2 * kernels.alpha(w2) * params.mu2
+    s1 = kernels.alpha(w1) * params.mu1
+    s2 = kernels.alpha(w2) * params.mu2
+    ph = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    PH1, PH2 = np.meshgrid(ph, ph, indexing="ij")
+    F = (c1 * np.cos(PH1) + c2 * np.cos(PH2)) ** 2 + (s1 * np.sin(PH1) + s2 * np.sin(PH2)) ** 2
+    k = np.unravel_index(np.argmax(F), F.shape)
+    x = np.array([PH1[k], PH2[k]])
+    best = float(F[k])
+
+    def fval(p):
+        u = c1 * math.cos(p[0]) + c2 * math.cos(p[1])
+        v = s1 * math.sin(p[0]) + s2 * math.sin(p[1])
+        return u * u + v * v
+
+    def grad_hess(p):
+        cos1, sin1 = math.cos(p[0]), math.sin(p[0])
+        cos2, sin2 = math.cos(p[1]), math.sin(p[1])
+        u = c1 * cos1 + c2 * cos2
+        v = s1 * sin1 + s2 * sin2
+        g = np.array(
+            [-2 * u * c1 * sin1 + 2 * v * s1 * cos1, -2 * u * c2 * sin2 + 2 * v * s2 * cos2]
+        )
+        h11 = 2 * (c1 * sin1) ** 2 - 2 * u * c1 * cos1 + 2 * (s1 * cos1) ** 2 - 2 * v * s1 * sin1
+        h22 = 2 * (c2 * sin2) ** 2 - 2 * u * c2 * cos2 + 2 * (s2 * cos2) ** 2 - 2 * v * s2 * sin2
+        h12 = 2 * c1 * sin1 * c2 * sin2 + 2 * s1 * cos1 * s2 * cos2
+        return g, np.array([[h11, h12], [h12, h22]])
+
+    for _ in range(10):
+        g, h = grad_hess(x)
+        try:
+            step = np.linalg.solve(h, g)
+        except np.linalg.LinAlgError:
+            break
+        x_new = x - step
+        if fval(x_new) >= best:
+            x = x_new
+            best = fval(x_new)
+        else:
+            break
+    return 1.0 - best
+
+
 def _bisect_tau(j, state, params, tol=1e-14):
     """Independent plain-bisection oracle for the crossing time."""
     i1, i2, t1, t2 = state
     w1, w2 = params.frequencies(i1, i2)
-    b1 = params.mu1 * melnikov.alpha(w1)
-    b2 = params.mu2 * melnikov.alpha(w2)
+    b1 = params.mu1 * kernels.alpha(w1)
+    b2 = params.mu2 * kernels.alpha(w2)
     kap = math.asin(abs(b1) + abs(b2)) if (b1 or b2) else 0.0
     sgn = -1.0 if j % 2 == 0 else 1.0
 

@@ -1,4 +1,4 @@
-"""Bit parity of arnolddiff.numerics with the scipy routines it ports.
+"""Bit parity of arnolddiff.numerics with the scipy and numpy routines it ports.
 
 scipy is the reference here; no module under ``src/arnolddiff`` imports it.
 ``brentq`` and ``quad`` are compared on the repr of the result (so NaN
@@ -6,10 +6,14 @@ compares), the number of calls to f, the warnings issued and the type of
 any exception; ``cubic_spline`` on the repr of its value at every knot and
 on a grid reaching past both ends, for the Highway orbits that
 ``diffusion.time_estimate`` interpolates and for random tables.
+``linspace``, ``arange`` and ``solve_2x2`` are compared by repr with
+``np.linspace``, ``np.arange`` and ``np.linalg.solve``.
 """
 
 import math
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -261,6 +265,10 @@ class TestCubicSpline:
     @pytest.mark.parametrize("i1, stop", ORBITS[1:])
     def test_time_estimate(self, monkeypatch, highway_orbits, i1, stop):
         orb, w_range = highway_orbits[i1, stop], _default_range(i1, stop)
+        # no tied omega1 samples, so time_estimate's stable sort orders them
+        # as numpy's argsort did
+        w1 = [P_HIGHWAY.Omega1 * row[0] for row in orb.states]
+        assert len(set(w1)) == len(w1)
         got = diffusion.time_estimate(w_range, orb, 1e-3, P_HIGHWAY)
         monkeypatch.setattr(diffusion, "cubic_spline", CubicSpline)
         ref = diffusion.time_estimate(w_range, orb, 1e-3, P_HIGHWAY)
@@ -330,3 +338,53 @@ class TestBrentq:
             if rng.random() < 0.5:
                 a, b = b, a
             _same_brentq(f, a, b, xtol=rng.choice([1e-14, 2e-12, 1e-6]))
+
+
+class TestNumpyGrids:
+    @pytest.mark.parametrize("num", [1, 2, 81, 256, 4001])
+    @pytest.mark.parametrize("endpoint", [True, False])
+    @pytest.mark.parametrize("start, stop", [
+        (0.0, 2.0 * math.pi), (3.85, 3.95), (-5.0, 5.0), (2.4, -1.7), (3.9, 3.9),
+        (-0.0, -0.0), (7.0, 9.0), (5e-324, 1e-323),   # the last: a step that underflows
+    ])
+    def test_linspace(self, num, endpoint, start, stop):
+        ref = np.linspace(start, stop, num, endpoint=endpoint).tolist()
+        assert repr(numerics.linspace(start, stop, num, endpoint=endpoint)) == repr(ref)
+
+    @pytest.mark.parametrize("span, step", [(3.0, 0.1), (1.0, 0.3), (0.5, 0.7), (2.0, 4.0)])
+    def test_arange(self, span, step):
+        # the dense alpha scan's grid (its c02 steps are in test_melnikov)
+        ref = np.arange(-span, span + step, step).tolist()
+        assert repr(numerics.arange(-span, span + step, step)) == repr(ref)
+
+
+_SOLVE_PARITY = """
+import numpy as np
+from arnolddiff.numerics import solve_2x2
+
+rng = np.random.default_rng(2024)
+n = 100_000
+a = rng.standard_normal((n, 2, 2)) * 10.0 ** rng.integers(-3, 4, (n, 2, 2))
+a[::2, 1, 0] = a[::2, 0, 1]          # half symmetric, as tangency_margin's Hessians
+a[::5, 1, 0] = -a[::5, 0, 0]         # pivot ties: the first row stays the pivot
+b = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-3, 4, (n, 2))
+b[::7, 0] = 0.0
+ref = np.linalg.solve(a, b[..., None])[..., 0].tolist()
+got = [solve_2x2(*m[0], *m[1], *v) for m, v in zip(a.tolist(), b.tolist())]
+bad = [k for k in range(n) if repr(got[k]) != repr(tuple(ref[k]))]
+try:
+    np.linalg.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+except np.linalg.LinAlgError:
+    singular = solve_2x2(1.0, 2.0, 2.0, 4.0, 1.0, 1.0) is None
+print(len(bad), singular, bad[:3])
+"""
+
+
+def test_solve_2x2_is_lapack_order(subprocess_env):
+    # OpenBLAS's Sandybridge core has no FMA, so np.linalg.solve there runs
+    # reference LAPACK's operation order, which solve_2x2 keeps
+    env = dict(subprocess_env, OPENBLAS_CORETYPE="Sandybridge")
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_PARITY], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split()[:2] == ["0", "True"], proc.stdout

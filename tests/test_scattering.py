@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from arnolddiff import melnikov, ode, scattering
+from arnolddiff import melnikov, numerics, ode, scattering
 from arnolddiff.errors import EventNotFound, NotHorizontal
 from arnolddiff.model import ModelParams
 from arnolddiff.ode import integrate
@@ -204,6 +204,33 @@ class TestSection:
         lo = min(p.i2 for p in fwd)
         for p in bwd:
             assert lo - 0.5 <= p.i2 <= hi + 0.5
+
+
+    def test_seed_root_matches_the_array_scan(self, params_fig5):
+        # the golden poincare run's seeds, then guesses whose scan windows
+        # hold several sign changes, so the nearest bracket decides
+        lp = (0.0, 0.0, 3.9269908169872414, 3.9269908169872414)
+        level = melnikov.reduced_poincare(0, lp, params_fig5)
+        seeds = [(0.0, 0.0, lp[2], t2) for t2 in np.linspace(3.85, 3.95, 3).tolist()]
+        seeds += [(0.1, -0.2, g, 3.9) for g in np.linspace(2.0, 5.4, 18).tolist()]
+        for seed in seeds:
+            got = scattering.adjust_seed_to_level(0, *seed, level, params_fig5)
+            assert repr(got) == repr(_adjust_seed_array(0, *seed, level, params_fig5))
+
+
+def _adjust_seed_array(j, i1, i2, theta1_guess, theta2, level, params):
+    """The numpy seed solve that the list scan replaces, as the oracle."""
+
+    def f(th1):
+        return melnikov.reduced_poincare(j, (i1, i2, th1, theta2), params) - level
+
+    grid = np.linspace(theta1_guess - 1.5, theta1_guess + 1.5, 81)
+    vals = np.array([f(t) for t in grid])
+    sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
+    mids = 0.5 * (grid[sign_change] + grid[sign_change + 1])
+    k = sign_change[np.argmin(np.abs(mids - theta1_guess))]
+    th1 = numerics.brentq(f, grid[k], grid[k + 1], xtol=1e-14)
+    return float(i1), float(i2), float(th1), float(theta2)
 
 
 class TestTransversality:
