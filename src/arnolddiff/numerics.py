@@ -749,10 +749,7 @@ def arange(start, stop, step):
     start = float(start)
     n = max(math.ceil((stop - start) / step), 0)
     d = (start + step) - start
-    out = [start + i * d for i in range(n)]
-    if n > 1:
-        out[1] = start + step
-    return out
+    return ([start, start + step] + [start + i * d for i in range(2, n)])[:n]
 
 
 def solve_2x2(a11, a12, a21, a22, b1, b2):
