@@ -8,14 +8,23 @@ solve) and the two Python kernels built on them (reduced-function
 gradient, scattering-flow right-hand side) over random states, once with
 the compiled leaves that ``kernels.pure`` is bound to and once with the
 Python leaves (``kernels.PYTHON_LEAVES``, the specification) bound in their
-place; then one integrated workload (a Highway trace between action
-sections) with the compiled leaves.  The per-call figures quoted in the
-README come from this script.
+place.  Then the pseudo-orbit builder's two other costs: the path distance
+(``ActionPath.distance_to``) on a 16-segment stairstepped path, the shape
+of the ``pseudo_orbit`` benchmark's paths, and on an 80-segment one, with
+either leaf; and the CSV writer on 25 000 ``diffuse``-shaped rows, its
+%-format fast path (``cli._write_csv``) against ``csv.writer`` on every
+row (median of 5).  Last, one integrated workload (a Highway trace between
+action sections) with the compiled leaves.  The per-call figures quoted in
+the README come from this script.
 """
 
 import contextlib
+import csv
 import math
+import os
+import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -56,6 +65,55 @@ def _bench_scalar(n, states):
     return out
 
 
+def _bench_path_distance(n, rng):
+    """Seconds per distance_to call on a 16- and an 80-segment stairstepped path."""
+    from arnolddiff import diffusion
+
+    out = {}
+    for climb in (0.4, 2.0):   # delta = 0.1 steps every 0.05: 16 and 80 segments
+        path = diffusion.stairstep(diffusion.ActionPath([(1.0, 1.0), (1.02, 1.0 + climb)], 0.1))
+        points = [(rng.uniform(0.9, 1.12), rng.uniform(0.9, 1.1 + climb)) for _ in range(n)]
+        t0 = time.perf_counter()
+        for p in points:
+            path.distance_to(p)
+        out[f"{len(path.waypoints) - 1} segments"] = (time.perf_counter() - t0) / n
+    return out
+
+
+def _csv_writer(path, header, rows):
+    """The CSV writer without its fast path: csv.writer on every row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(
+            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows
+        )
+
+
+def _bench_csv(rng, n_rows=25_000, repeats=5):
+    """Median seconds to write n_rows diffuse_orbit.csv-shaped rows, by writer."""
+    from arnolddiff.cli import _write_csv
+
+    header = ["step", "kind", "I1", "I2", "theta1", "theta2", "dt", "dist"]
+    rows = [[k, "SI"[k % 2], *rng.uniform(-5.0, 5.0, 2).tolist(),
+             *rng.uniform(0.0, 2 * math.pi, 2).tolist(), float(rng.uniform(0.0, 3.0)),
+             float(rng.uniform(0.0, 0.1))] for k in range(n_rows)]
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, write in (("fast path", _write_csv), ("csv.writer", _csv_writer)):
+            path = os.path.join(tmp, name)
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                write(path, header, iter(rows))
+                times.append(time.perf_counter() - t0)
+            out[name] = statistics.median(times)
+        with open(os.path.join(tmp, "fast path"), "rb") as a, open(
+                os.path.join(tmp, "csv.writer"), "rb") as b:
+            assert a.read() == b.read(), "the two writers wrote different bytes"
+    return out
+
+
 def _bench_trace(params):
     from arnolddiff import highway
 
@@ -82,6 +140,20 @@ def main():
     print(f"{'':>16}" + "".join(f"{k:>12}" for k in names))
     for label, vals in rows.items():
         print(f"{label:>16}" + "".join(f"{vals[k] * 1e6:>12.2f}" for k in names))
+
+    dist = {f"leaves: {kernels.BACKEND}": _bench_path_distance(n, rng)}
+    with _python_leaves():
+        dist["leaves: python"] = _bench_path_distance(n, rng)
+    names = list(next(iter(dist.values())))
+    print(f"\npath distance over {n} points near the path (microseconds per call):")
+    print(f"{'':>16}" + "".join(f"{k:>14}" for k in names))
+    for label, vals in dist.items():
+        print(f"{label:>16}" + "".join(f"{vals[k] * 1e6:>14.2f}" for k in names))
+
+    secs = _bench_csv(rng)
+    print("\nCSV writer, 25 000 diffuse_orbit.csv-shaped rows (median of 5, ms):")
+    for label, t in secs.items():
+        print(f"{label:>16}{t * 1e3:>12.1f}")
 
     from arnolddiff.model import ModelParams
 

@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -36,8 +37,33 @@ from .numerics import linspace
 from .ode import IntegratorConfig
 
 
+# The %-conversion of a cell on _write_csv's fast path, by its type: what
+# csv.writer would write for the cell's "{:.17g}" or str() text.  Only a
+# str cell can hold what csv quotes, so it also has to be _plain.
+_CELL_FORMATS = {float: "%.17g", int: "%s", bool: "%s", type(None): "%s", str: "%s"}
+_QUOTED = frozenset(',"\r\n')
+
+
+def _plain(s):
+    """Whether csv.writer writes the str cell s as it is: s is not empty (a
+    lone empty cell is quoted) and holds no delimiter, quote or line break."""
+    return s != "" and _QUOTED.isdisjoint(s)
+
+
+def _cells(row):
+    return [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
+
+
 def _write_csv(path, header, rows):
     """Write one table, floats with 17 significant digits and the rest by str.
+
+    Rows are written as they come, never held.  The cell types of the first
+    row fix one %-format for the table (``%.17g`` for a float, ``%s`` for an
+    int, bool, None or str), and a row with the same types whose str cells
+    csv would not quote is written as ``fmt % tuple(row)`` plus csv's
+    ``\r\n``: the bytes ``csv.writer`` writes for it, without its per-cell
+    work.  Every other row, and every row of a table whose first row has a
+    cell of another type, goes through ``csv.writer``.
 
     The rows go to a temporary file that replaces ``path`` once the last one
     is out, so a command that fails part-way leaves no CSV behind.
@@ -47,14 +73,37 @@ def _write_csv(path, header, rows):
         with open(part, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            w.writerows(
-                [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows
-            )
+            _write_rows(fh.write, w, iter(rows))
         os.replace(part, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(part)
         raise
+
+
+def _write_rows(write, w, rows):
+    """``_write_csv``'s rows: by ``fmt % tuple(row)`` where it may, else by ``w``."""
+    first = next(rows, None)
+    if first is None:
+        return
+    # lists, not tuples: tuple(map(...)) is allocated larger and shrunk, so
+    # one per row would fill the tuple free list of the row's length
+    types = [*map(type, first)]
+    rows = itertools.chain((first,), rows)
+    if not all(t in _CELL_FORMATS for t in types):
+        w.writerows(map(_cells, rows))
+        return
+    fmt = ",".join(_CELL_FORMATS[t] for t in types) + "\r\n"
+    strs = [k for k, t in enumerate(types) if t is str]
+    for row in rows:
+        if [*map(type, row)] == types:
+            for k in strs:
+                if not (row[k].isalnum() or _plain(row[k])):
+                    break
+            else:
+                write(fmt % tuple(row))
+                continue
+        w.writerow(_cells(row))
 
 
 def cmd_crest(cfg, integrator):
@@ -230,6 +279,9 @@ def cmd_time_estimate(cfg, integrator):
     i1_stop = i1 + 1.3 if v["i1_stop"] is None else v["i1_stop"]
     w0 = params.Omega1 * (i1 + 0.02) if v["omega_lo"] is None else v["omega_lo"]
     wf = params.Omega1 * (i1_stop - 0.05) if v["omega_hi"] is None else v["omega_hi"]
+    if not w0 < wf:
+        raise ConfigError(f"[time] omega window is empty or reversed: omega_lo = {w0!r} "
+                          f"is not below omega_hi = {wf!r}")
     st, _res = highway.highway_seed(i1, i2, params)
     orb = highway.highway_trace(
         st, params, stop=(0, i1_stop, +1),
@@ -253,14 +305,10 @@ def cmd_check(cfg, integrator):
     if params.eps == 0.0:
         params = dataclasses.replace(params, eps=1e-3)
     rng = np.random.default_rng(cfg.seed())
-    failures = 0
     lines = []
 
     def gate(name, ok, detail=""):
-        nonlocal failures
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
-        if not ok:
-            failures += 1
 
     # invariant-set invariance of the full field
     worst = 0.0
@@ -355,7 +403,7 @@ def cmd_check(cfg, integrator):
     gate("rotor integrals conserved by inner flow", drift < 1e-10, f"drift={drift:.1e}")
 
     print("\n".join(lines))
-    return {}, {"failures": failures, "lines": lines}
+    return {}, {"failures": sum(line.startswith("FAIL") for line in lines), "lines": lines}
 
 
 # command -> (function, the run-file section it reads besides [model],

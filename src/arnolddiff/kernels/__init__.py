@@ -1,21 +1,25 @@
-"""Scalar kernels of the crest/scattering hot path.
+"""Scalar kernels of the crest/scattering hot path and the pseudo-orbit builder.
 
-A re-export of ``kernels.pure``, the one specification, whose three leaves
-``alpha``, ``_coeffs`` and ``tau_star`` run compiled from ``_leaves.c``
-with the same bits.  Importing the package builds ``_leaves.c`` once with
-sysconfig's C compiler into ``kernels/__pycache__/``, under a name keyed by
-the hash of the source, the flags and the extension suffix, then rebinds
-``pure.alpha``, ``pure._coeffs`` and ``pure.tau_star`` to the compiled
-leaves and sets ``BACKEND = "c"``.  A warm cache only loads the file.
-Without a compiler, or when the build fails, the Python leaves stay, one
-line on stderr says so, and ``BACKEND`` is ``"python"``.
+A re-export of ``kernels.pure``, the one specification, whose four leaves
+run compiled from ``_leaves.c`` with the same bits: ``alpha``, ``_coeffs``
+and ``tau_star``, and ``path_distance``, the pseudo-orbit builder's
+sup-norm distance from a point to an action path's segment table.
+Importing the package builds ``_leaves.c`` once with sysconfig's C
+compiler into ``kernels/__pycache__/``, under a name keyed by the hash of
+the source, the flags and the extension suffix, then rebinds those four
+names in ``pure`` to the compiled leaves and sets ``BACKEND = "c"``.  A
+warm cache only loads the file.  Without a compiler, or when the build
+fails, the Python leaves stay, one line on stderr says so, and ``BACKEND``
+is ``"python"``.
 
 Everything else (``lstar``, ``lstar_grad``, ``flow_rhs``, ``coeff`` and
 ``coeff_deriv``) stays in Python and reaches the leaves through ``pure``'s
 module globals, because the span tracer in ``perfbench/spans.py`` counts
-the solves made inside them by rebinding ``kernels.pure.tau_star``.
-``PYTHON_LEAVES`` holds the Python leaves, the specification that
-``tests/test_leaves.py`` compares the compiled ones with.
+the solves made inside them by rebinding ``kernels.pure.tau_star``; and
+``diffusion.ActionPath.distance_to``, the method the tracer counts, looks
+``pure.path_distance`` up on every call.  ``PYTHON_LEAVES`` holds the
+Python leaves, the specification that ``tests/test_leaves.py`` compares
+the compiled ones with.
 """
 
 import hashlib
@@ -26,7 +30,8 @@ from importlib.util import module_from_spec, spec_from_file_location
 
 from . import pure
 
-PYTHON_LEAVES = {name: getattr(pure, name) for name in ("alpha", "_coeffs", "tau_star")}
+PYTHON_LEAVES = {name: getattr(pure, name)
+                 for name in ("alpha", "_coeffs", "tau_star", "path_distance")}
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_leaves.c")
 # -ffp-contract=off: no fused multiply-add; -fno-builtin: no libm call folded
@@ -92,7 +97,8 @@ def _compiled_leaves():
 
 _leaves = _compiled_leaves()
 if _leaves is not None:
-    pure.alpha, pure._coeffs, pure.tau_star = _leaves.alpha, _leaves._coeffs, _leaves.tau_star
+    for _name in PYTHON_LEAVES:
+        setattr(pure, _name, getattr(_leaves, _name))
 BACKEND = "python" if _leaves is None else "c"
 
 from .pure import (  # noqa: E402  (re-exported after the rebinding above)
@@ -107,5 +113,6 @@ from .pure import (  # noqa: E402  (re-exported after the rebinding above)
     full_rhs,
     lstar,
     lstar_grad,
+    path_distance,
     tau_star,
 )

@@ -1,4 +1,5 @@
-/* Compiled leaves of the scalar kernels: alpha, _coeffs and tau_star.
+/* Compiled leaves of the scalar kernels: alpha, _coeffs, tau_star and
+ * path_distance.
  *
  * Each function is a line-for-line translation of its namesake in pure.py,
  * the specification: the same float operations in the same order (built
@@ -14,6 +15,8 @@
  * tol and guess keywords.  Every other call (numpy scalars, an int guess,
  * bad arguments) goes to the Python leaf, which pure.py keeps, so types
  * and error messages stay those of the specification there too.
+ * path_distance takes floats only: its point, its scale and every entry of
+ * its segment table must be exact floats, or the Python leaf runs.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -23,7 +26,7 @@
 #define EXACT_INT (1LL << 53)
 
 static double SINH_HALF_PI;            /* pure.SINH_HALF_PI */
-static PyObject *py_alpha, *py_coeffs, *py_tau_star;   /* the Python leaves */
+static PyObject *py_alpha, *py_coeffs, *py_tau_star, *py_path_distance;   /* the Python leaves */
 static PyObject *NotHorizontal, *NoConvergence;        /* pure's error classes */
 
 /* Series of x*cosh(x) - sinh(x) = sum_k 2k x^(2k+1) / (2k+1)!, k >= 1. */
@@ -263,6 +266,63 @@ python:
     return PyObject_Vectorcall(py_tau_star, args, nargsf, kwnames);
 }
 
+/* path_distance(segments, scale, p0, p1): every segment of the table
+ * (a0, a1, d0, d1, den, lo0, hi0, lo1, hi1), evaluated with the Python
+ * leaf's expressions in its order.  The Python leaf's pruning skips only
+ * segments whose residual cannot be below the best so far, so scanning
+ * them all gives the same minimum, and scale (which only sets the pruning
+ * margin) is not read.  A NaN residual ends the scan with NaN, as in
+ * Python: while scale bounds every |coordinate|, as ActionPath's does, no
+ * segment that Python skips can have one. */
+static PyObject *
+leaf_path_distance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
+                   PyObject *kwnames)
+{
+    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 4 || !PyTuple_CheckExact(args[0])
+            || !PyFloat_CheckExact(args[1]) || !PyFloat_CheckExact(args[2])
+            || !PyFloat_CheckExact(args[3]))
+        goto python;
+    PyObject *segments = args[0];
+    Py_ssize_t n = PyTuple_GET_SIZE(segments);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *seg = PyTuple_GET_ITEM(segments, i);
+        if (!PyTuple_CheckExact(seg) || PyTuple_GET_SIZE(seg) != 9)
+            goto python;
+        for (int k = 0; k < 9; k++)
+            if (!PyFloat_CheckExact(PyTuple_GET_ITEM(seg, k)))
+                goto python;
+    }
+    double p0 = PyFloat_AS_DOUBLE(args[2]), p1 = PyFloat_AS_DOUBLE(args[3]);
+    double best = Py_HUGE_VAL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *seg = PyTuple_GET_ITEM(segments, i);
+        double a0 = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(seg, 0));
+        double a1 = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(seg, 1));
+        double d0 = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(seg, 2));
+        double d1 = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(seg, 3));
+        double den = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(seg, 4));
+        double u = 0.0;
+        if (den != 0.0) {
+            u = ((p0 - a0) * d0 + (p1 - a1) * d1) / den;
+            if (u <= 0.0)
+                u = 0.0;
+            else if (u > 1.0)
+                u = 1.0;
+        }
+        double r0 = fabs(p0 - (a0 + u * d0));
+        double r1 = fabs(p1 - (a1 + u * d1));
+        if (isnan(r0) || isnan(r1))
+            return PyFloat_FromDouble(Py_NAN);
+        double r = r0 >= r1 ? r0 : r1;
+        if (r < best)
+            best = r;
+    }
+    return PyFloat_FromDouble(best);
+
+python:
+    return PyObject_Vectorcall(py_path_distance, args, nargsf, kwnames);
+}
+
 static PyMethodDef leaves_methods[] = {
     {"alpha", (PyCFunction)(void (*)(void))leaf_alpha, METH_FASTCALL | METH_KEYWORDS,
      "Crest weight alpha(w); see kernels.pure.alpha."},
@@ -271,12 +331,16 @@ static PyMethodDef leaves_methods[] = {
     {"tau_star", (PyCFunction)(void (*)(void))leaf_tau_star, METH_FASTCALL | METH_KEYWORDS,
      "tau_star(j, w1, w2, mu1, mu2, t1, t2, tol=1e-14, guess=None) -> (tau, g, iterations);"
      " see kernels.pure.tau_star."},
+    {"path_distance", (PyCFunction)(void (*)(void))leaf_path_distance,
+     METH_FASTCALL | METH_KEYWORDS,
+     "path_distance(segments, scale, p0, p1) -> sup-norm distance to the segments;"
+     " see kernels.pure.path_distance."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef leaves_module = {
     PyModuleDef_HEAD_INIT, "arnolddiff.kernels._leaves",
-    "Compiled alpha, _coeffs and tau_star, bit for bit with kernels.pure.", -1, leaves_methods,
+    "Compiled alpha, _coeffs, tau_star and path_distance, bit for bit with kernels.pure.", -1, leaves_methods,
     NULL, NULL, NULL, NULL,
 };
 
@@ -293,14 +357,16 @@ PyInit__leaves(void)
     py_alpha = PyObject_GetAttrString(pure, "alpha");
     py_coeffs = PyObject_GetAttrString(pure, "_coeffs");
     py_tau_star = PyObject_GetAttrString(pure, "tau_star");
+    py_path_distance = PyObject_GetAttrString(pure, "path_distance");
     NotHorizontal = PyObject_GetAttrString(pure, "NotHorizontal");
     NoConvergence = PyObject_GetAttrString(pure, "NoConvergence");
     Py_DECREF(pure);
     if (sh == NULL || py_alpha == NULL || py_coeffs == NULL || py_tau_star == NULL
-            || NotHorizontal == NULL || NoConvergence == NULL)
+            || py_path_distance == NULL || NotHorizontal == NULL || NoConvergence == NULL)
         goto fail;
     if (!PyFloat_CheckExact(sh) || !PyFunction_Check(py_alpha)
             || !PyFunction_Check(py_coeffs) || !PyFunction_Check(py_tau_star)
+            || !PyFunction_Check(py_path_distance)
             || !PyExceptionClass_Check(NotHorizontal) || !PyExceptionClass_Check(NoConvergence)) {
         PyErr_SetString(PyExc_ImportError, "kernels.pure no longer holds the Python leaves");
         goto fail;
@@ -314,6 +380,7 @@ fail:
     Py_CLEAR(py_alpha);
     Py_CLEAR(py_coeffs);
     Py_CLEAR(py_tau_star);
+    Py_CLEAR(py_path_distance);
     Py_CLEAR(NotHorizontal);
     Py_CLEAR(NoConvergence);
     return NULL;

@@ -258,3 +258,71 @@ def full_rhs(sign, a1, a2, a3, om1, om2, eps, p, q, i1, i2, f1, f2, s):
     di1 = eps * a1 * math.sin(f1) * cq
     di2 = eps * a2 * math.sin(f2) * cq
     return dp, dq, di1, di2, om1 * i1, om2 * i2, 1.0
+
+
+def path_distance(segments, scale, p0, p1):
+    """Sup-norm distance from the point (p0, p1) to a polyline's segments.
+
+    ``segments`` is ``ActionPath``'s table: per segment a -> a + d the tuple
+    ``(a0, a1, d0, d1, d . d, lo0, hi0, lo1, hi1)``, the last four its
+    bounding box, and ``scale`` the largest |coordinate| of the waypoints
+    (the pruning below needs it to bound every coordinate of the table).
+    Per segment the projection parameter u = ((p - a) . d) / (d . d) is
+    clipped to [0, 1] (0 on zero-length segments), and the residual is the
+    sup-norm of p - (a + u*d); the distance is the least residual, NaN if
+    any residual is NaN.  The dot products are written out componentwise,
+    so no rounding depends on how a dot product would order its sum.
+
+    Pruning bound: a segment is skipped only when its bounding box is
+    farther (sup-norm) from p than the best residual so far plus
+    ``_SKIP_ULPS`` ulps of m, the largest |coordinate| of p and the
+    waypoints; then its residual cannot be below the best, so the result is
+    bit for bit that of evaluating every segment, as the compiled leaf does.
+    Nothing is skipped when m >= ``_PRUNE_LIMIT`` or p is not finite.
+    """
+    m = max(scale, abs(p0), abs(p1))
+    margin = _SKIP_ULPS * math.ulp(m) if m < _PRUNE_LIMIT else math.inf
+    best = math.inf
+    for a0, a1, d0, d1, den, lo0, hi0, lo1, hi1 in segments:
+        lim = best + margin
+        if lo0 - p0 > lim or p0 - hi0 > lim or lo1 - p1 > lim or p1 - hi1 > lim:
+            continue
+        if den != 0.0:
+            u = ((p0 - a0) * d0 + (p1 - a1) * d1) / den
+            if u <= 0.0:    # as np.clip: -0.0 becomes 0.0, NaN stays
+                u = 0.0
+            elif u > 1.0:
+                u = 1.0
+        else:
+            u = 0.0
+        r0 = abs(p0 - (a0 + u * d0))
+        r1 = abs(p1 - (a1 + u * d1))
+        if r0 != r0 or r1 != r1:
+            return math.nan
+        r = r0 if r0 >= r1 else r1
+        if r < best:
+            best = r
+    return best
+
+
+# Rounding slack of the bounding-box test in path_distance.  Let every
+# |coordinate| be <= m; every quantity below is then below 4m, and rounding
+# it errs by at most ulp(4m)/2 <= 2 ulp(m).
+#   - The computed a + u*d rounds b - a, u*d and the sum, and u*d also
+#     carries the error of b - a: it lies within 8 ulp(m) of the exact
+#     point a + u(b - a) of the segment (u is the clipped computed value,
+#     in [0, 1]), which is inside the box.  It can land outside the box,
+#     towards p, so its true residual is >= gap - 8 ulp(m).
+#   - The threshold lim = best + margin rounds once: lim >= best + margin
+#     - 2 ulp(m).
+#   - Rounding is monotone and lim is a float, so a computed gap > lim
+#     means the true gap > lim; likewise a true residual > best (a float)
+#     rounds to a computed residual >= best.
+# So a computed gap > lim with margin = 16 ulp(m) leaves a true residual
+# > best + 6 ulp(m), and the skipped segment cannot lower the minimum.  A
+# NaN coordinate fails every comparison and an infinite one makes the
+# margin infinite, so then no segment is skipped and NaN still propagates.
+_SKIP_ULPS = 16.0
+# Beyond this |coordinate| d . d can overflow and make u = inf/inf = NaN for
+# a finite point; such paths are scanned whole.
+_PRUNE_LIMIT = 2.0**500

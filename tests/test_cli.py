@@ -9,7 +9,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnolddiff import config, melnikov, scattering
 from arnolddiff.cli import COMMANDS, main
@@ -581,3 +584,93 @@ def test_verify_state_length_exit_code(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(BASE.format(out=tmp_path / "out").replace(STATE, "state = 1,1,1\n"))
     assert main(["melnikov-verify", str(ini)]) == 2
+
+
+@pytest.mark.parametrize("window, named", [
+    ("omega_lo = 8\nomega_hi = 7\n", ("omega_lo = 8.0", "omega_hi = 7.0")),
+    ("i1_stop = 7\n", ("omega_lo = 7.02", "omega_hi = 6.95")),   # the default window reversed
+    ("omega_lo = 7.5\nomega_hi = 7.5\n", ("omega_lo = 7.5", "omega_hi = 7.5")),
+])
+def test_time_estimate_rejects_an_empty_or_reversed_window(tmp_path, capsys, monkeypatch,
+                                                           window, named):
+    from arnolddiff import highway
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a Highway trace ran before the window was checked")
+
+    monkeypatch.setattr(highway, "highway_trace", no_trace)
+    monkeypatch.delenv("ARNOLDDIFF_OUTDIR", raising=False)
+    ini = tmp_path / "run.ini"
+    ini.write_text(BASE.format(out=tmp_path / "out") + "[time]\n" + window)
+    assert main(["time-estimate", str(ini)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert all(text in lines[0] for text in named), lines[0]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def _reference_csv(path, header, rows):
+    """The CSV writer before its %-format fast path: csv.writer on every row."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(
+            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows
+        )
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.0**-1040, 1e308)
+_CELLS = {
+    "float": st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+    "int": st.integers(-(2**70), 2**70),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "float64": st.floats().map(np.float64),
+    "str": st.one_of(st.sampled_from(["I", "S", "", ",", '"', "a,b", 'say "x"', "\r", "\n",
+                                      "x\r\ny", " pad ", "nan", "é"]),
+                     st.text(max_size=6)),
+}
+
+
+@st.composite
+def _table(draw):
+    """Columns of one type each, some rows with other types: the fast path and its exits."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=6))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:   # a row whose types change mid-table
+            rows.append([draw(_CELLS[draw(st.sampled_from(sorted(_CELLS)))]) for _ in kinds])
+        else:
+            rows.append([draw(_CELLS[k]) for k in kinds])
+    as_tuples = draw(st.booleans())
+    return [f"col{k}" for k in range(len(kinds))], [tuple(r) if as_tuples else r for r in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=_table(), lazy=st.booleans())
+def test_write_csv_bytes_equal_csv_writer(tmp_path_factory, table, lazy):
+    from arnolddiff.cli import _write_csv
+
+    header, rows = table
+    d = tmp_path_factory.mktemp("csv")
+    _reference_csv(d / "ref.csv", header, rows)
+    _write_csv(str(d / "fast.csv"), header, (r for r in rows) if lazy else rows)
+    assert (d / "fast.csv").read_bytes() == (d / "ref.csv").read_bytes()
+    assert sorted(p.name for p in d.iterdir()) == ["fast.csv", "ref.csv"]
+
+
+def test_write_csv_header_only_and_single_columns(tmp_path):
+    from arnolddiff.cli import _write_csv
+
+    tables = [
+        (["a", "b"], []), (["a"], iter([])), (["a"], [[""], ["x"], [""]]),
+        (["a"], [["x"], [""], [1.5]]), (["a", "b"], [[np.float64(0.1), 1], [0.1, 1]]),
+        (["a", "b"], [[1, "I"], [2, "S"], [3, "x,y"], [4, ""], [5, "S"], [6.0, "S"]]),
+    ]
+    for k, (header, rows) in enumerate(tables):
+        rows = list(rows)
+        _reference_csv(tmp_path / f"ref{k}.csv", header, rows)
+        _write_csv(str(tmp_path / f"fast{k}.csv"), header, iter(rows))
+        assert (tmp_path / f"fast{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()

@@ -156,7 +156,8 @@ class TestPaths:
 
 
 class TestDistanceBits:
-    """The pruned scalar distance against the former numpy pass, by repr."""
+    """distance_to (the compiled leaf, or without a compiler the pruned Python
+    one) against the former numpy pass, by repr."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -500,6 +501,13 @@ class TestTimeEstimate:
         orb, p = orbit
         with pytest.raises(RangeNotCovered):
             diffusion.time_estimate((1.0, 7.0), orb, 1e-3, p)
+
+    @pytest.mark.parametrize("window", [(8.0, 7.0), (7.02, 6.95), (7.5, 7.5), (7.1, math.nan)])
+    def test_window_must_increase(self, orbit, window):
+        # a reversed window once gave negative T_s and T_d
+        orb, p = orbit
+        with pytest.raises(ValueError, match="omega_range must be increasing"):
+            diffusion.time_estimate(window, orb, 1e-3, p)
 
     def test_too_few_samples(self, orbit):
         # the not-a-knot spline needs 4 distinct omega1 samples

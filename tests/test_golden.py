@@ -157,3 +157,67 @@ def test_points_are_float_tuples(params, params_fig5):
     check = diffusion.verify_scattering_jump(np.array([1.0, 1.0, c, c]), 0, 1e-3, params)
     assert floats(check.measured, 2) and floats(check.predicted, 2)
     assert floats(check.raw_delta, 2)
+
+
+def _statement_lines(tree):
+    """{cmd_* name: [(first, last) line span of each statement it must reach]}.
+
+    A compound statement spans its header, a simple one all its lines.
+    Left out: a ``raise``, the body of an ``except``, a ``try`` (its
+    clauses are checked), and a docstring, ``global`` or ``nonlocal``, which
+    run no code.
+    """
+    spans = {}
+
+    def visit(body, out):
+        for k, node in enumerate(body):
+            if isinstance(node, (ast.Raise, ast.Global, ast.Nonlocal)):
+                continue
+            if (k == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)):
+                continue
+            blocks = [getattr(node, name, []) for name in ("body", "orelse", "finalbody")]
+            blocks = [b for b in blocks if b and isinstance(b[0], ast.stmt)]
+            if not isinstance(node, ast.Try):
+                first = node.decorator_list[0].lineno if getattr(
+                    node, "decorator_list", None) else node.lineno
+                last = blocks[0][0].lineno - 1 if blocks else node.end_lineno
+                out.append((first, max(first, last)))
+            for b in blocks:
+                visit(b, out)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            spans[node.name] = []
+            visit(node.body, spans[node.name])
+    return spans
+
+
+def test_golden_runs_reach_every_statement_of_every_command():
+    # a new output branch without a run file under tests/golden/ fails here
+    from arnolddiff import cli
+
+    filename = cli.__file__
+    reached = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            reached.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == filename else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        table = _regen().golden_hashes()
+    finally:
+        sys.settrace(previous)
+    assert _moved(table) == []
+    with open(filename) as fh:
+        spans = _statement_lines(ast.parse(fh.read()))
+    assert set(spans) == {fn.__name__ for fn, _section, _base in cli.COMMANDS.values()}
+    missed = [f"{name}: cli.py:{first}" for name, lines in spans.items()
+              for first, last in lines if not reached.intersection(range(first, last + 1))]
+    assert missed == []

@@ -1,7 +1,7 @@
 """The compiled leaves against the Python leaves they translate.
 
-``kernels.PYTHON_LEAVES`` holds pure.py's ``alpha``, ``_coeffs`` and
-``tau_star``, the specification; ``kernels._leaves`` holds the compiled
+``kernels.PYTHON_LEAVES`` holds pure.py's ``alpha``, ``_coeffs``,
+``tau_star`` and ``path_distance``, the specification; ``kernels._leaves`` holds the compiled
 ones that ``pure`` is rebound to.  Every call below is made on both, the
 reference with all of ``pure``'s leaves set back to Python, and must give
 the same ``repr`` (bits, NaN, types and iteration counts) or raise the
@@ -9,7 +9,10 @@ same exception type with the same message.  The inputs reuse
 ``test_kernels_parity``'s grids and strategies and add the argument kinds
 the fast path has to treat as pure.py does: ints, numpy scalars, negative
 odd branches, ``guess`` and ``tol`` by position and by keyword, and calls
-that Python rejects.
+that Python rejects.  ``path_distance`` runs on ``ActionPath``'s segment
+tables: stairstepped paths, zero-length segments, coordinates at and beyond
+the pruning limit, non-finite and subnormal points, and the argument kinds
+that must go to the Python leaf.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arnolddiff import kernels
+from arnolddiff import diffusion, kernels
 from arnolddiff.errors import NoConvergence, NotHorizontal
 from arnolddiff.kernels import pure
 from test_kernels_parity import ANGLES, J_GRID, W_GRID, _angle, _guess, _guesses, _w
@@ -209,3 +212,89 @@ def test_flow_property(j, a1, a2, om1, i1, i2, t1, t2, guess):
     args = (j, a1, a2, 1.0, om1, 1.0, i1, i2, t1, t2)
     for name in ("lstar", "lstar_grad", "flow_rhs"):
         _check(name, *args, guess=guess)
+
+
+def _segments(waypoints):
+    path = diffusion.ActionPath(waypoints, 0.1)
+    return path._segments, path._scale
+
+
+_coord = st.floats(-6.0, 6.0, allow_nan=False)
+_point = st.one_of(
+    _coord, st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, math.inf,
+                                          -math.inf, math.nan]))
+
+
+@st.composite
+def _path(draw, stairstepped=True):
+    """1 to 80 segments, some of length 0: alternating axis steps, or any steps."""
+    x, y = draw(_coord), draw(_coord)
+    pts = [(x, y)]
+    step = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    for k in range(draw(st.integers(1, 80))):
+        if not stairstepped:
+            x, y = x + draw(step), y + draw(step)
+        elif k % 2 == 0:
+            x += draw(step)
+        else:
+            y += draw(step)
+        pts.append((x, y))
+    return pts
+
+
+@settings(max_examples=400, deadline=None)
+@given(pts=st.one_of(_path(), _path(stairstepped=False)), p0=_point, p1=_point, data=st.data())
+def test_path_distance_on_random_paths(pts, p0, p1, data):
+    segments, scale = _segments(pts)
+    _check("path_distance", segments, scale, p0, p1)
+    # a point on or next to the path: many segments tie or nearly tie
+    x, y = data.draw(st.sampled_from(pts))
+    _check("path_distance", segments, scale, x, y)
+    _check("path_distance", segments, scale, math.nextafter(x, math.inf), y - 1e-9)
+    _check("path_distance", segments, scale, x + 0.05, y + 0.05)
+
+
+def test_path_distance_special_segments_and_points():
+    paths = [
+        [(1.0, 1.0), (1.0, 1.0)],                                 # one zero-length segment
+        [(1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (2.0, 1.0), (2.0, 3.0)],
+        [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (0.0, 0.0)],
+        [(-1e300, 0.0), (1e300, 0.0)],                            # d . d overflows
+        [(2.0**500, 0.0), (2.0**500, 1.0), (0.0, 1.0)],           # at the pruning limit
+        [(math.nextafter(2.0**500, 0.0), 0.0), (0.0, 0.0), (0.0, 3.0)],
+        [(2.0**501, 2.0**501), (-(2.0**501), 2.0**501), (1.0, 1.0)],   # beyond it
+        [(1.7e308, 0.0), (-1.7e308, 0.0), (0.0, 1.0)],            # b - a overflows
+        [(1e-300, 0.0), (3e-300, 1e-310), (3e-300, 5e-324)],      # subnormal
+    ]
+    points = [(0.0, 0.0), (1.0, 1.0), (1.5, 0.5), (2.0**500, 0.5), (2.0**501, 1.0),
+              (-(2.0**500), 2.0**500), (1e308, -1e308), (2e-300, 5e-324), (5e-324, 0.0),
+              (-0.0, -0.0), (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
+              (math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf), (math.nan, math.inf)]
+    for pts in paths:
+        segments, scale = _segments(pts)
+        for p0, p1 in points:
+            _check("path_distance", segments, scale, p0, p1)
+    segments, scale = _segments(paths[1])
+    _check("path_distance", (), scale, 1.0, 1.0)                  # no segment: inf
+
+
+def test_path_distance_argument_kinds():
+    segments, scale = _segments([(1.0, 1.0), (3.0, 1.0), (3.0, 2.0)])
+    row = segments[0]
+    for p0, p1 in [(np.float64(2.0), 1.5), (2.0, np.float64(1.5)), (2, 1.5), (2.0, 1),
+                   (True, 1.0), (2**60, 1.0), (10**400, 1.0), (np.float32(2.0), 1.0),
+                   (None, 1.0), ("2", 1.0)]:
+        _check("path_distance", segments, scale, p0, p1)
+    for scale_arg in (3, np.float64(3.0), None):
+        _check("path_distance", segments, scale_arg, 2.0, 1.5)
+    tables = [
+        list(segments), (list(row),), (row[:8],), (row + (0.0,),),
+        ((*row[:2], 2, *row[3:]),), ((*row[:8], np.float64(row[8])),),
+        (row, (*row[:4], np.float64(row[4]), *row[5:])), (row, None), "segments", None,
+    ]
+    for table in tables:
+        _check("path_distance", table, scale, 2.0, 1.5)
+    _check("path_distance", segments, scale, 2.0)
+    _check("path_distance", segments, scale, 2.0, 1.5, 0.0)
+    _check("path_distance", segments, scale, 2.0, p1=1.5)
+    _check("path_distance", segments=segments, scale=scale, p0=2.0, p1=1.5)

@@ -19,38 +19,44 @@ from pathlib import Path
 import pytest
 
 import arnolddiff
-from arnolddiff import kernels
+from arnolddiff import diffusion, kernels
 
 CC = sysconfig.get_config_var("CC")
 HAVE_CC = bool(CC) and shutil.which(CC.split()[0]) is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler: nothing is compiled")
 
-PROBE = ("import sys; from arnolddiff import kernels; "
+PROBE = ("import sys; from arnolddiff import diffusion, kernels; "
+         "path = diffusion.ActionPath([(0.3, 1.0), (2.0, 1.0), (2.0, 2.7), (-1.1, 2.7)], 0.1); "
          "print(kernels.BACKEND, kernels.__file__.startswith(sys.argv[1]), "
          "repr(kernels.tau_star(-3, 1.3, 0.7, 0.3, 0.1, 2.0, 4.0)), "
-         "repr(kernels.flow_rhs(1, 0.3, 0.1, 1.0, 1.0, 1.0, 1.2, -0.4, 5.0, 1.0)))")
+         "repr(kernels.flow_rhs(1, 0.3, 0.1, 1.0, 1.0, 1.0, 1.2, -0.4, 5.0, 1.0)), "
+         "repr(path.distance_to((1.1, 1.9))))")
 
 
 @needs_cc
 def test_reference_counts_do_not_drift():
     leaves = kernels._leaves
     w1, w2, mu1, mu2, t1, t2, guess, tol = 1.3, 0.7, 0.3, 0.1, 2.0, 4.0, 3.0 * 3.14159, 1e-14
-    objs = (None, w1, w2, mu1, t1, guess, tol)
+    path = diffusion.ActionPath([(0.3, 1.0), (2.0, 1.0), (2.0, 2.7), (-1.1, 2.7)], 0.1)
+    segments, scale = path._segments, path._scale
+    objs = (None, w1, w2, mu1, t1, guess, tol, segments, segments[1], segments[1][2], scale)
     # garbage left by earlier tests holds references to None too: collect
     # it first, and keep the collector from freeing more during the loops
     gc.collect()
     gc.disable()
     try:
         before = [sys.getrefcount(o) for o in objs]
-        _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol)
+        _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale)
         drift = [sys.getrefcount(o) - b for o, b in zip(objs, before)]
     finally:
         gc.enable()
     assert all(abs(d) < 100 for d in drift), drift
 
 
-def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol):
+def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale):
     for _ in range(100_000):
+        leaves.path_distance(segments, scale, t1, w1)
+        leaves.path_distance(segments, scale, float("nan"), w1)
         leaves.alpha(w1)
         leaves._coeffs(w1, mu1)
         leaves.tau_star(-3, w1, w2, mu1, mu2, t1, t2)
@@ -59,6 +65,10 @@ def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol):
         leaves.tau_star(-3, w1, w2, mu1, mu2, t1, t2, guess=guess)
         leaves.tau_star(-3, w1, w2, mu1, mu2, t1, t2, guess=None, tol=tol)
     for _ in range(10_000):
+        leaves.path_distance(segments, scale, 2, w1)           # the Python leaf's path
+        leaves.path_distance(list(segments), scale, t1, w1)
+        with pytest.raises(TypeError):
+            leaves.path_distance(segments, scale, t1)
         for args in ((0, w1, w2, 1.0, mu2, t1, t2), (0, w1, w2, mu1, mu2, float("inf"), t2)):
             with pytest.raises(ValueError):
                 leaves.tau_star(*args, tol, None)

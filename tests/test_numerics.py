@@ -204,8 +204,11 @@ def highway_orbits():
 
 
 def _default_range(i1, stop):
-    """`time-estimate`'s default (omega_lo, omega_hi) for a trace from i1 to stop."""
-    return P_HIGHWAY.Omega1 * (i1 + 0.02), P_HIGHWAY.Omega1 * (stop - 0.05)
+    """`time-estimate`'s default omega window for a trace from i1 to stop, in
+    increasing order: for the short trace 7.0 -> 7.05 the default
+    (omega_lo, omega_hi) is reversed, which time_estimate rejects."""
+    w = P_HIGHWAY.Omega1 * (i1 + 0.02), P_HIGHWAY.Omega1 * (stop - 0.05)
+    return min(w), max(w)
 
 
 def _spline_mismatches(x, y):
