@@ -274,8 +274,7 @@ def test_path_distance_special_segments_and_points():
         segments, scale = _segments(pts)
         for p0, p1 in points:
             _check("path_distance", segments, scale, p0, p1)
-    segments, scale = _segments(paths[1])
-    _check("path_distance", (), scale, 1.0, 1.0)                  # no segment: inf
+    _check("path_distance", (), 1.0, 1.0, 1.0)                    # no segment: inf
 
 
 def test_path_distance_argument_kinds():
