@@ -424,16 +424,25 @@ def run(command, cfg, outdir_override=None):
     """Validate cfg for the command, run it, then write all of its outputs.
 
     The command's earlier metadata record is removed before it computes.
+    A ConfigError from the command's own checks removes the directories
+    that making the output directory created, as long as they are empty.
     The tables come first, then the summary; a summary that reports failed
     checks raises InvariantViolation before the metadata record is written,
     so a record is present only after a run that succeeded.
     """
     fn, section, base = COMMANDS[command]
     integrator = cfg.validate(section, base)
-    outdir = cfg.output_dir(outdir_override)
+    outdir, made = cfg.output_dir(outdir_override)
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(outdir, f"{command}_metadata.json"))
-    tables, summary = fn(cfg, integrator)
+    try:
+        tables, summary = fn(cfg, integrator)
+    except ConfigError:
+        # a command's own check: leave no output directory, as a schema error does
+        for d in made:
+            with contextlib.suppress(OSError):   # no longer empty
+                os.rmdir(d)
+        raise
     for name, (header, rows) in tables.items():
         _write_csv(os.path.join(outdir, name), header, rows)
     write_json(os.path.join(outdir, f"{command}_summary.json"), command, summary)

@@ -188,19 +188,30 @@ class RunConfig:
             raise ConfigError(f"bad [integrator] section: {exc}") from None
 
     def output_dir(self, override=None):
+        """The run's output directory, made with any missing parents.
+
+        Returns ``(path, made)``: ``made`` lists the directories this call
+        created, deepest first, for ``cli.run`` to remove again when a
+        config error leaves them empty.
+        """
         d = override or os.environ.get(ENV_OUTDIR) or self.values("run")["output_dir"]
+        made = []
+        parent = os.path.abspath(d)
+        while not os.path.isdir(parent):
+            made.append(parent)
+            parent = os.path.dirname(parent)
         try:
             os.makedirs(d, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {d!r}: {exc}") from None
-        return d
+        return d, made
 
     def seed(self):
         return self.values("run")["seed"]
 
 
 def write_metadata(outdir, command, config, integrator):
-    """Per-run provenance record: config hash, version, the run's tolerances."""
+    """Per-run provenance record: config hash, version, every integrator setting."""
     from . import __version__, kernels
 
     meta = {
@@ -208,8 +219,7 @@ def write_metadata(outdir, command, config, integrator):
         "config_sha256": config.digest(),
         "version": __version__,
         "kernel_backend": kernels.BACKEND,
-        "abs_tol": integrator.abs_tol,
-        "rel_tol": integrator.rel_tol,
+        **dataclasses.asdict(integrator),
         "seed": config.seed(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }

@@ -6,28 +6,44 @@ and ``tau_star``, and ``path_distance``, the pseudo-orbit builder's
 sup-norm distance from a point to an action path's segment table.
 Importing the package builds ``_leaves.c`` once with sysconfig's C
 compiler into ``kernels/__pycache__/``, under a name keyed by the hash of
-the source, the flags and the extension suffix, then rebinds those four
-names in ``pure`` to the compiled leaves and sets ``BACKEND = "c"``.  A
-warm cache only loads the file.  Without a compiler, or when the build
-fails, the Python leaves stay, one line on stderr says so, and ``BACKEND``
-is ``"python"``.
+the source, of the emitted step header (below), the flags and the
+extension suffix, then rebinds those four names in ``pure`` to the
+compiled leaves and sets ``BACKEND = "c"``.  A warm cache only loads the
+file.  Without a compiler, or when the build fails, the Python leaves
+stay, one line on stderr says so, and ``BACKEND`` is ``"python"``.
+
+The build also compiles ``flow_step``, one RKF78 step of the scattering
+flow in one C call: ``_leaves.c`` translates ``flow_rhs`` on the compiled
+leaves and includes ``rkf78_step.h``, which ``ode.c_step_source`` writes
+from the tableau behind ``ode.rkf78_step`` (``STEP_HEADER``, emitted at
+every import because it is part of the cache key).  ``scattering.flow_rhs``
+attaches it to its right-hand side as ``f.step``, and ``ode._integrate``
+calls that for the orbit's steps (there, not inside ``ode.rkf78_step``,
+whose ``f`` the span tracer wraps); where ``flow_step`` returns None (an
+argument outside its fast path, or a stage at which the Python kernels
+raise) ``f.step`` runs ``ode.rkf78_step``.  ``flow_step`` is None without
+the compiled leaves, and every step is the Python one.
 
 Everything else (``lstar``, ``lstar_grad``, ``flow_rhs``, ``coeff`` and
 ``coeff_deriv``) stays in Python and reaches the leaves through ``pure``'s
 module globals, because the span tracer in ``perfbench/spans.py`` counts
 the solves made inside them by rebinding ``kernels.pure.tau_star``; and
 ``diffusion.ActionPath.distance_to``, the method the tracer counts, looks
-``pure.path_distance`` up on every call.  ``PYTHON_LEAVES`` holds the
-Python leaves, the specification that ``tests/test_leaves.py`` compares
-the compiled ones with.
+``pure.path_distance`` up on every call.  The solves inside ``flow_step``
+are not seen there: a traced run counts the right-hand sides and solves of
+the steps that stay in Python (landings, deferred steps) only.
+``PYTHON_LEAVES`` holds the Python leaves, the specification that
+``tests/test_leaves.py`` compares the compiled ones with.
 """
 
 import hashlib
 import os
+import shutil
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
 
+from .. import ode
 from . import pure
 
 PYTHON_LEAVES = {name: getattr(pure, name)
@@ -37,12 +53,15 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_leaves.c")
 # -ffp-contract=off: no fused multiply-add; -fno-builtin: no libm call folded
 # at compile time or fused into sincos.  Either would move bits.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
+# the fused step's stage sums, which _leaves.c includes as rkf78_step.h
+STEP_HEADER = ode.c_step_source()
 
 
 def _cached_extension():
-    """Path of the compiled leaves for this source, these flags and this interpreter."""
+    """Path of the compiled leaves for this source, step, these flags and this interpreter."""
     with open(SOURCE, "rb") as fh:
         key = hashlib.sha256(fh.read())
+    key.update(STEP_HEADER.encode())
     key.update(" ".join(CFLAGS).encode())
     key.update(EXTENSION_SUFFIXES[0].encode())
     return os.path.join(os.path.dirname(SOURCE), "__pycache__",
@@ -50,8 +69,9 @@ def _cached_extension():
 
 
 def _build(path):
-    """Compile ``_leaves.c`` to ``path``: into a temporary name, then ``os.replace``,
-    so a concurrent build or load never sees a partial file."""
+    """Compile ``_leaves.c`` to ``path``: in a temporary directory that also holds
+    the emitted ``rkf78_step.h``, then ``os.replace``, so a concurrent build or
+    load never sees a partial file."""
     import subprocess
     import sysconfig
     import tempfile
@@ -60,18 +80,20 @@ def _build(path):
     if not cc:
         raise OSError("sysconfig names no C compiler")
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix="_leaves.", suffix=".tmp", dir=os.path.dirname(path))
-    os.close(fd)
+    tmp = tempfile.mkdtemp(prefix="_leaves.", suffix=".tmp", dir=os.path.dirname(path))
     try:
+        with open(os.path.join(tmp, "rkf78_step.h"), "w") as fh:
+            fh.write(STEP_HEADER)
+        out = os.path.join(tmp, "_leaves.so")
         proc = subprocess.run([*cc.split(), *CFLAGS, "-I" + sysconfig.get_paths()["include"],
-                               SOURCE, "-o", tmp, "-lm"], capture_output=True, text=True)
+                               "-I" + tmp, SOURCE, "-o", out, "-lm"],
+                              capture_output=True, text=True)
         if proc.returncode != 0:
             first = (proc.stderr.strip().splitlines() or [""])[0]
             raise OSError(f"{cc} exited {proc.returncode}: {first}")
-        os.replace(tmp, path)
+        os.replace(out, path)
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _load(path):
@@ -100,6 +122,8 @@ if _leaves is not None:
     for _name in PYTHON_LEAVES:
         setattr(pure, _name, getattr(_leaves, _name))
 BACKEND = "python" if _leaves is None else "c"
+# the fused scattering-flow step; None leaves every step to ode.rkf78_step
+flow_step = None if _leaves is None else _leaves.flow_step
 
 from .pure import (  # noqa: E402  (re-exported after the rebinding above)
     ALPHA_SUP,

@@ -1,5 +1,5 @@
 /* Compiled leaves of the scalar kernels: alpha, _coeffs, tau_star and
- * path_distance.
+ * path_distance; and flow_step, one RKF78 step of the scattering flow.
  *
  * Each function is a line-for-line translation of its namesake in pure.py,
  * the specification: the same float operations in the same order (built
@@ -17,6 +17,14 @@
  * and error messages stay those of the specification there too.
  * path_distance takes floats only: its point, its scale and every entry of
  * its segment table must be exact floats, or the Python leaf runs.
+ *
+ * flow_step runs ode.rkf78_step on pure.flow_rhs in C: the right-hand side
+ * is lstar_grad's lines on c_tau_star and c_coeffs, and the stage sums are
+ * the file rkf78_step.h, which ode.c_step_source emits from the Fehlberg
+ * tableau at build time (kernels/__init__.py), so the tableau and its
+ * summation order exist once.  Where its inputs or a stage leave the fast
+ * path it returns None and the Python step redoes the step
+ * (scattering.flow_rhs).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -61,14 +69,29 @@ as_double(PyObject *o, double *x)
     return 0;
 }
 
-/* math.sin: ValueError("math domain error") for an infinity. */
+/* What a solve raised, if anything: c_tau_star's result, which
+ * raise_status turns into pure.py's exception and the fused step into a
+ * deferral to the Python step. */
+enum { SOLVED, NOT_HORIZONTAL, NO_CONVERGENCE, DOMAIN_ERROR };
+
+static PyObject *
+raise_status(int status)
+{
+    if (status == NOT_HORIZONTAL)
+        PyErr_SetString(NotHorizontal, "crest is not a horizontal graph at this I");
+    else if (status == NO_CONVERGENCE)
+        PyErr_SetString(NoConvergence, "tau_star iteration failed to converge");
+    else
+        PyErr_SetString(PyExc_ValueError, "math domain error");
+    return NULL;
+}
+
+/* math.sin; 0 where it raises ValueError, for an infinity. */
 static int
 py_sin(double x, double *r)
 {
-    if (isinf(x)) {
-        PyErr_SetString(PyExc_ValueError, "math domain error");
+    if (isinf(x))
         return 0;
-    }
     *r = sin(x);
     return 1;
 }
@@ -126,7 +149,7 @@ c_coeffs(double w, double a, double *A, double *dA)
     *dA = sh2 == 0.0 ? 0.0 : 2.0 * M_PI * a * num / sh2;
 }
 
-/* tau_star's solve; 0 with an exception set on failure. */
+/* tau_star's solve: SOLVED, or the status of what pure.tau_star raises. */
 static int
 c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
            double t1, double t2, double tol, const double *guess,
@@ -135,10 +158,8 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
     double b1 = mu1 * c_alpha(w1);
     double b2 = mu2 * c_alpha(w2);
     double smax = fabs(b1) + fabs(b2);
-    if (smax >= 1.0) {
-        PyErr_SetString(NotHorizontal, "crest is not a horizontal graph at this I");
-        return 0;
-    }
+    if (smax >= 1.0)
+        return NOT_HORIZONTAL;
     double kap = smax > 0.0 ? asin(smax) : 0.0;
     double sgn = odd ? 1.0 : -1.0;
     double pj = M_PI * j;
@@ -151,7 +172,7 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
         double ps1 = t1 - tau * w1;
         double ps2 = t2 - tau * w2;
         if (!py_sin(ps1, &s1) || !py_sin(ps2, &s2))
-            return 0;
+            return DOMAIN_ERROR;
         x = b1 * s1 + b2 * s2;
         if (x > 1.0)
             x = 1.0;
@@ -162,7 +183,7 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
             *tau_out = tau;
             *g_out = g;
             *it_out = it;
-            return 1;
+            return SOLVED;
         }
         if (g >= 0.0)
             hi = tau;
@@ -182,17 +203,15 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
     if (it == 121)
         it = 120;   /* range(1, 121) leaves its last value */
     if (!py_sin(t1 - tau * w1, &s1) || !py_sin(t2 - tau * w2, &s2))
-        return 0;
+        return DOMAIN_ERROR;
     x = b1 * s1 + b2 * s2;
     g = tau + pj + sgn * asin(py_min(py_max(x, -1.0), 1.0));
-    if (!(fabs(g) <= 1e-10)) {   /* a NaN residual is no root either */
-        PyErr_SetString(NoConvergence, "tau_star iteration failed to converge");
-        return 0;
-    }
+    if (!(fabs(g) <= 1e-10))   /* a NaN residual is no root either */
+        return NO_CONVERGENCE;
     *tau_out = tau;
     *g_out = g;
     *it_out = it;
-    return 1;
+    return SOLVED;
 }
 
 static PyObject *
@@ -257,13 +276,97 @@ leaf_tau_star(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
             goto python;   /* an int guess can come back as the int itself */
         guess = PyFloat_AS_DOUBLE(guess_o);
     }
-    if (!c_tau_star(j % 2 != 0, (double)j, v[0], v[1], v[2], v[3], v[4], v[5], tol,
-                    guess_o == Py_None ? NULL : &guess, &tau, &g, &it))
-        return NULL;
+    int status = c_tau_star(j % 2 != 0, (double)j, v[0], v[1], v[2], v[3], v[4], v[5], tol,
+                            guess_o == Py_None ? NULL : &guess, &tau, &g, &it);
+    if (status != SOLVED)
+        return raise_status(status);
     return Py_BuildValue("(ddl)", tau, g, it);
 
 python:
     return PyObject_Vectorcall(py_tau_star, args, nargsf, kwnames);
+}
+
+/* The scattering flow of one branch and one parameter set: the arguments of
+ * pure.flow_rhs before the state, with mu_i = a_i / a3 divided once (a3 != 0). */
+struct flow {
+    int odd;
+    double j, a1, a2, om1, om2, mu1, mu2;
+};
+
+#define RKF78_DIM 4
+
+/* pure.flow_rhs(j, a1, a2, a3, om1, om2, *y)[:4], with no guess, through
+ * lstar_grad's lines; L itself is not formed (a cos of the finite tau* cannot
+ * raise).  0 where pure.py raises, which is in the solve only: a solved tau
+ * is one at which c_tau_star took sin(t_i - tau*w_i), so ps1 and ps2 below
+ * are finite and their sin and cos raise nothing in Python. */
+static int
+rkf78_rhs(const void *ctx, const double *y, double *dy)
+{
+    const struct flow *p = ctx;
+    double w1 = p->om1 * y[0];
+    double w2 = p->om2 * y[1];
+    double tau, g, A1, dA1, A2, dA2;
+    long it;
+    if (c_tau_star(p->odd, p->j, w1, w2, p->mu1, p->mu2, y[2], y[3], 1e-14, NULL,
+                   &tau, &g, &it) != SOLVED)
+        return 0;
+    double ps1 = y[2] - w1 * tau;
+    double ps2 = y[3] - w2 * tau;
+    c_coeffs(w1, p->a1, &A1, &dA1);
+    c_coeffs(w2, p->a2, &A2, &dA2);
+    double s1 = sin(ps1), s2 = sin(ps2), c1 = cos(ps1), c2 = cos(ps2);
+    dy[0] = -A1 * s1;
+    dy[1] = -A2 * s2;
+    dy[2] = -(p->om1 * (dA1 * c1 + tau * A1 * s1));
+    dy[3] = -(p->om2 * (dA2 * c2 + tau * A2 * s2));
+    return 1;
+}
+
+/* rkf78_step(ctx, y, h, y8, err), written by ode.c_step_source from the
+ * tableau when the leaves are built. */
+#include "rkf78_step.h"
+
+/* flow_step(j, a1, a2, a3, om1, om2, y, h) -> (y8, err): one
+ * ode.rkf78_step of scattering.flow_rhs(j, params) from the state y (a list
+ * or tuple of four numbers), in one call.  It never raises: it returns None
+ * for an argument outside the fast path (as_double's; j an int of magnitude
+ * <= 2**53), for a3 == 0, and at a stage where pure.py would raise, and its
+ * caller then redoes the step in Python, which gives the same numbers or
+ * raises. */
+static PyObject *
+leaf_flow_step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
+               PyObject *kwnames)
+{
+    struct flow p;
+    double a3, h, y[RKF78_DIM], y8[RKF78_DIM], err[RKF78_DIM];
+    long long j;
+    int overflow;
+
+    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 8 || !PyLong_CheckExact(args[0]))
+        Py_RETURN_NONE;
+    j = PyLong_AsLongLongAndOverflow(args[0], &overflow);
+    if (overflow || j > EXACT_INT || j < -EXACT_INT)
+        Py_RETURN_NONE;
+    if (!as_double(args[1], &p.a1) || !as_double(args[2], &p.a2) || !as_double(args[3], &a3)
+            || !as_double(args[4], &p.om1) || !as_double(args[5], &p.om2)
+            || !as_double(args[7], &h) || a3 == 0.0)
+        Py_RETURN_NONE;
+    PyObject *ys = args[6];
+    if (!(PyList_CheckExact(ys) || PyTuple_CheckExact(ys))
+            || PySequence_Fast_GET_SIZE(ys) != RKF78_DIM)
+        Py_RETURN_NONE;
+    for (int c = 0; c < RKF78_DIM; c++)
+        if (!as_double(PySequence_Fast_GET_ITEM(ys, c), &y[c]))
+            Py_RETURN_NONE;
+    p.odd = j % 2 != 0;
+    p.j = (double)j;
+    p.mu1 = p.a1 / a3;
+    p.mu2 = p.a2 / a3;
+    if (!rkf78_step(&p, y, h, y8, err))
+        Py_RETURN_NONE;
+    return Py_BuildValue("([dddd][dddd])", y8[0], y8[1], y8[2], y8[3],
+                         err[0], err[1], err[2], err[3]);
 }
 
 /* path_distance(segments, scale, p0, p1): every segment of the table
@@ -335,12 +438,16 @@ static PyMethodDef leaves_methods[] = {
      METH_FASTCALL | METH_KEYWORDS,
      "path_distance(segments, scale, p0, p1) -> sup-norm distance to the segments;"
      " see kernels.pure.path_distance."},
+    {"flow_step", (PyCFunction)(void (*)(void))leaf_flow_step, METH_FASTCALL | METH_KEYWORDS,
+     "flow_step(j, a1, a2, a3, om1, om2, y, h) -> (y8, err), or None where the Python"
+     " step must run; see scattering.flow_rhs."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef leaves_module = {
     PyModuleDef_HEAD_INIT, "arnolddiff.kernels._leaves",
-    "Compiled alpha, _coeffs, tau_star and path_distance, bit for bit with kernels.pure.", -1, leaves_methods,
+    "Compiled alpha, _coeffs, tau_star and path_distance, bit for bit with kernels.pure,"
+    " and the fused scattering-flow step flow_step.", -1, leaves_methods,
     NULL, NULL, NULL, NULL,
 };
 

@@ -21,6 +21,18 @@ for the CPU, and different kernels round differently; a fixed order makes
 every number a function of the inputs alone (it equals what numpy gives
 under ``OPENBLAS_CORETYPE=Sandybridge``).  Plain float arithmetic is also
 about twice as fast as numpy scalars on four- to nine-component states.
+
+The same generator writes the step in C (``c_step_source``), which the
+compiled kernels include as the fused scattering-flow step: a right-hand
+side from ``scattering.flow_rhs`` carries it as ``f.step(t, y, h)``, with
+the bits of ``rkf78_step(f, t, y, h)``, and redoes the step with
+``rkf78_step`` wherever the C step declines.  ``_integrate`` takes
+``f.step`` for every step of the orbit when it is there.  The dispatch lives
+in ``_integrate`` and not in ``rkf78_step`` because a caller may wrap
+``rkf78_step`` and the ``f`` it is handed (the benchmark's span tracer
+does): behind ``rkf78_step`` the wrapped f carries no ``step``, so traced
+runs would stay on the Python step.  Landings (``_land``, ``_henon_step``)
+and ``_error_norm`` stay in Python.
 """
 
 import linecache
@@ -122,18 +134,31 @@ class Trajectory:
         return tuple(self.y[-1])
 
 
-def _step_source():
-    """Source of ``rkf78_step``: one line per stage, written out from the tableau.
+def _stage_sums(operand):
+    """The tableau's sums as source text: stages 1 to 12, then y8.
 
-    Stage i sums a_i0*k0 + a_i1*k1 + ... left to right, zero coefficients
-    included; coefficients are float literals (repr round-trips exactly).
+    Sum i is a_i0*k0 + a_i1*k1 + ... left to right, zero coefficients
+    included; coefficients are float literals (repr round-trips exactly) and
+    ``operand(r)`` is the text that names k_r.  Both step generators below
+    write their sums from here, so the tableau and its order exist once.
     """
+    return [" + ".join(f"{float(a)!r} * {operand(r)}" for r, a in enumerate(row))
+            for row in (*_A[1:], _B8)]
 
-    def stage(row):
-        xs = ", ".join(f"x{r}" for r in range(len(row)))
-        ks = ", ".join(f"k{r}" for r in range(len(row)))
-        terms = " + ".join(f"{float(a)!r} * x{r}" for r, a in enumerate(row))
-        return f"[v + h * ({terms}) for v, {xs} in zip(y, {ks})]"
+
+def _error_sum(operand):
+    """k0 + k10 - k11 - k12: the error estimate is h*_ERRW times this."""
+    return f"{operand(0)} + {operand(10)} - {operand(11)} - {operand(12)}"
+
+
+def _step_source():
+    """Source of ``rkf78_step``: one line per stage, written out from the tableau."""
+    sums = _stage_sums(lambda r: f"x{r}")
+
+    def stage(i):
+        xs = ", ".join(f"x{r}" for r in range(i))
+        ks = ", ".join(f"k{r}" for r in range(i))
+        return f"[v + h * ({sums[i - 1]}) for v, {xs} in zip(y, {ks})]"
 
     lines = [
         "def rkf78_step(f, t, y, h):",
@@ -141,12 +166,52 @@ def _step_source():
         "    k0 = f(t, y)",
     ]
     for i in range(1, 13):
-        lines.append(f"    k{i} = f(t + {_C[i]!r} * h, {stage(_A[i])})")
+        lines.append(f"    k{i} = f(t + {_C[i]!r} * h, {stage(i)})")
     lines += [
-        f"    y8 = {stage(_B8)}",
+        f"    y8 = {stage(13)}",
         f"    he = h * {_ERRW!r}",
-        "    err = [he * (x0 + x10 - x11 - x12) for x0, x10, x11, x12 in zip(k0, k10, k11, k12)]",
+        f"    err = [he * ({_error_sum(lambda r: f'x{r}')})"
+        " for x0, x10, x11, x12 in zip(k0, k10, k11, k12)]",
         "    return y8, err",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def c_step_source():
+    """C text of ``rkf78_step``, the fused step that ``kernels/_leaves.c`` includes.
+
+    ``static int rkf78_step(ctx, y, h, y8, err)`` takes RKF78_DIM doubles
+    and calls ``rkf78_rhs(ctx, state, k)``, both defined by the including
+    file, for the 13 stages; it returns 0 as soon as a right-hand side does
+    and 1 once ``y8`` and ``err`` hold what the Python ``rkf78_step`` returns.
+    The flow is autonomous there, so no stage time is formed.  The sums are
+    ``_stage_sums``' and ``_error_sum``'s, the Python step's text with k_r[c]
+    for x_r; the compiler flags keep them unfused and unreordered.
+    """
+    sums = _stage_sums(lambda r: f"k{r}[c]")
+    loop = "    for (c = 0; c < RKF78_DIM; c++)\n"
+    lines = [
+        "/* Emitted by arnolddiff.ode.c_step_source from the Fehlberg tableau. */",
+        "static int",
+        "rkf78_step(const void *ctx, const double *y, double h, double *y8, double *err)",
+        "{",
+        "    double " + ", ".join(f"k{r}[RKF78_DIM]" for r in range(13)) + ", s[RKF78_DIM], he;",
+        "    int c;",
+        "    if (!rkf78_rhs(ctx, y, k0))",
+        "        return 0;",
+    ]
+    for i in range(1, 13):
+        lines += [
+            loop + f"        s[c] = y[c] + h * ({sums[i - 1]});",
+            f"    if (!rkf78_rhs(ctx, s, k{i}))",
+            "        return 0;",
+        ]
+    lines += [
+        loop + f"        y8[c] = y[c] + h * ({sums[12]});",
+        f"    he = h * {_ERRW!r};",
+        loop + f"        err[c] = he * ({_error_sum(lambda r: f'k{r}[c]')});",
+        "    return 1;",
+        "}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -197,6 +262,7 @@ def integrate(f, y0, t_span, cfg=IntegratorConfig(), record=True, section=None, 
 
 def _integrate(f, y0, t0, t1, cfg, record, section, max_crossings):
     direction = 1.0 if t1 > t0 else -1.0
+    step = getattr(f, "step", None)   # a fused step; see the module docstring
     y = list(map(float, y0))
     t = t0
     h = direction * min(cfg.h_init, cfg.h_max, abs(t1 - t0))
@@ -213,7 +279,7 @@ def _integrate(f, y0, t0, t1, cfg, record, section, max_crossings):
         clipped = abs(h) >= abs(t1 - t)
         if clipped:
             h = t1 - t
-        y_new, err = rkf78_step(f, t, y, h)
+        y_new, err = rkf78_step(f, t, y, h) if step is None else step(t, y, h)
         enorm = _error_norm(err, y, y_new, cfg)
         if enorm <= 1.0:
             t_prev, y_prev = t, y

@@ -49,14 +49,32 @@ def scattering_map(j, state, params, eps=None):
 
 
 def flow_rhs(j, params):
-    """Scattering flow as f(t, y) for the integrator."""
+    """Scattering flow as f(t, y) for the integrator, with its fused step.
+
+    When the compiled leaves loaded, f also carries ``f.step(t, y, h)``:
+    ``ode.rkf78_step(f, t, y, h)`` with the same bits in one call of
+    ``kernels.flow_step``, which runs the 13 stages in C.  Where that call
+    returns None (an argument outside its fast path, or a stage at which
+    the Python kernels raise), ``f.step`` runs ``ode.rkf78_step`` itself,
+    looked up on the module, and returns or raises what it does.
+    ``ode._integrate`` takes ``f.step`` for the orbit's steps, rather than
+    ``rkf78_step`` taking it from its ``f``, which a tracer may have wrapped;
+    a landing's steps stay in Python.
+    """
     a1, a2, a3 = params.a1, params.a2, params.a3
     om1, om2 = params.Omega1, params.Omega2
     frhs = kernels.flow_rhs
+    fused = kernels.flow_step
 
     def f(t, y):
         return frhs(j, a1, a2, a3, om1, om2, y[0], y[1], y[2], y[3])[:4]
 
+    def step(t, y, h):
+        out = fused(j, a1, a2, a3, om1, om2, y, h)
+        return ode.rkf78_step(f, t, y, h) if out is None else out
+
+    if fused is not None:
+        f.step = step
     return f
 
 

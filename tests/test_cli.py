@@ -213,6 +213,17 @@ class TestRuns:
         meta = json.loads((out / "crest_metadata.json").read_text())
         assert meta["config_sha256"] == RunConfig.load(cfg_file).digest()
 
+    def test_metadata_records_every_integrator_setting(self, cfg_file, tmp_path):
+        ini = cfg_file.read_text().replace("[integrator]\n", "[integrator]\nh_max = 2.5\n"
+                                           "max_steps = 123456\nh_min = 1e-11\n")
+        cfg_file.write_text(ini + SECTIONS["poincare"])
+        assert main(["poincare", str(cfg_file)]) == 0
+        meta = json.loads((tmp_path / "out" / "poincare_metadata.json").read_text())
+        want = dataclasses.replace(scattering.SECTION_INTEGRATOR, h_max=2.5, max_steps=123456,
+                                   h_min=1e-11)
+        assert {f.name: meta[f.name] for f in dataclasses.fields(want)} == dataclasses.asdict(want)
+        assert type(meta["max_steps"]) is int and meta["h_init"] == 1e-2
+
     def test_crest_computes_tangency_margin_once(self, cfg_file, tmp_path, monkeypatch):
         margin, calls = melnikov.tangency_margin, []
 
@@ -518,6 +529,11 @@ PROBES = [
     ("time-estimate", "[time]\neps = nan\n", 2, "config error:"),
     ("time-estimate", "[time]\nseed_i1 = inf\n", 2, "config error:"),
     ("time-estimate", "[time]\nseed_i1 = 1e3\nseed_i2 = -1e3\n", 3, "AsymptoticsUnreliable:"),
+    # the commands' own checks, made once the output directory exists
+    ("time-estimate", "[time]\nomega_lo = 8\nomega_hi = 7\n", 2, "config error:"),
+    ("highway", "[highway]\ni2_from = 3\ni2_to = 3\n", 2, "config error:"),
+    ("diffuse", "[diffuse]\nwaypoints = 0,0; 1,0\n", 2, "config error:"),
+    ("diffuse", "[diffuse]\nwaypoints = 1,1; 1.3,1\ndelta = 2\n", 2, "config error:"),
     ("crest", "[crest]\ni1 = 1\ni2 = 1\ngrid = 100000000000\n", 2, "config error:"),
     ("crest", "[crest]\ni1 = 1\ni2 = 1\ngrid = 257\n", 2, "config error:"),
     ("tau", "[tau]\ni1 = 1\ni2 = 1\ngrid = 257\n", 2, "config error:"),
@@ -554,6 +570,7 @@ MODEL_PROBES = [
     ("time-estimate", "a1 = 0.4\na2 = 0.4\n", 2, "config error:"),  # window constant den <= 0
     ("time-estimate", "a1 = 0\na2 = 0.1\n", 2, "config error:"),  # T_s divides by a1
     ("time-estimate", "a1 = 0.3\na2 = 0.35\n", 2, "config error:"),  # 0.625 <= |mu| < 0.682
+    ("diffuse", "a1 = 0.4\na2 = 0.4\n", 2, "config error:"),  # outside the diffusion regime
     ("highway", "a1 = 0.3\na2 = 0\n", 3, "AsymptoticsUnreliable:"),  # highway_seed's A2 = 0
     ("highway", "a1 = 1\na2 = 1\n", 3, "NotHorizontal:"),  # the orbit leaves the regime
     ("poincare", "a1 = 1\na2 = 1\n", 3, "NotHorizontal:"),
@@ -575,6 +592,8 @@ def test_model_probe_exit_code(tmp_path, capsys, command, model, code, prefix):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
     assert not list(tmp_path.glob("out/*.csv"))
+    if code == 2:
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError,
@@ -606,7 +625,7 @@ def test_time_estimate_rejects_an_empty_or_reversed_window(tmp_path, capsys, mon
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:")
     assert all(text in lines[0] for text in named), lines[0]
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def _reference_csv(path, header, rows):

@@ -12,7 +12,12 @@ odd branches, ``guess`` and ``tol`` by position and by keyword, and calls
 that Python rejects.  ``path_distance`` runs on ``ActionPath``'s segment
 tables: stairstepped paths, zero-length segments, coordinates at and beyond
 the pruning limit, non-finite and subnormal points, and the argument kinds
-that must go to the Python leaf.
+that must go to the Python leaf.  The fused scattering-flow step
+``f.step`` of ``scattering.flow_rhs`` is compared with ``ode.rkf78_step``
+on the same ``f`` in the same way, on every branch from -3 to 3, int and
+float parameters, steps of both signs from subnormal to 1e300, non-finite
+and huge states, states outside the horizontal regime, and tuple or numpy
+components; every step it defers must run ``ode.rkf78_step``.
 """
 
 import contextlib
@@ -25,9 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arnolddiff import diffusion, kernels
+from arnolddiff import diffusion, highway, kernels, melnikov, ode, scattering
 from arnolddiff.errors import NoConvergence, NotHorizontal
 from arnolddiff.kernels import pure
+from arnolddiff.model import ModelParams
 from test_kernels_parity import ANGLES, J_GRID, W_GRID, _angle, _guess, _guesses, _w
 
 LEAVES = tuple(kernels.PYTHON_LEAVES)
@@ -47,6 +53,7 @@ def test_compiled_backend_whenever_a_compiler_exists():
         assert getattr(pure, name) is getattr(kernels._leaves, name)
         assert getattr(pure, name) is not kernels.PYTHON_LEAVES[name]
     assert kernels.tau_star is kernels._leaves.tau_star
+    assert kernels.flow_step is kernels._leaves.flow_step
 
 
 @contextlib.contextmanager
@@ -297,3 +304,130 @@ def test_path_distance_argument_kinds():
     _check("path_distance", segments, scale, 2.0, 1.5, 0.0)
     _check("path_distance", segments, scale, 2.0, p1=1.5)
     _check("path_distance", segments=segments, scale=scale, p0=2.0, p1=1.5)
+
+
+# ---- the fused scattering-flow step against the Python step ----
+
+FLOW_PARAMS = (
+    ModelParams(0.2, 0.3, 1.0),              # the portrait's set
+    ModelParams(0.3, 0.1, -1.0, 0.7, 1.3),
+    ModelParams(0, 1, 3, 2, 1),              # int amplitudes and rotor coefficients
+    ModelParams(0.6, 0.5, 1.0),              # not horizontal near |I| = 1.2
+    ModelParams(0.3, 0.1, 0.0),              # a3 = 0: not horizontal anywhere
+)
+FLOW_STATES = (
+    [0.1, -0.5, 3.9269908169872414, 3.9269908169872414],
+    [1.2, 1.2, 0.5, 2.0],
+    [-3.0, 4.5, -1.0, 12.0],
+    [math.nan, 0.5, 1.0, 2.0],
+    [0.5, 0.5, math.nan, 2.0],
+    [math.inf, 0.5, 1.0, 2.0],
+    [0.5, -math.inf, 1.0, 2.0],
+    [0.5, 0.5, 1.0, math.inf],
+    [1e308, 0.5, 1.0, 2.0],                  # the angle t - tau*w overflows: sin(inf)
+    [0.5, -1e300, 1.0, 2.0],
+    [0.5, 0.5, 1e300, -1e300],
+)
+FLOW_STEPS = (0.5, -0.5, 3.0, -7.0, 1e-300, -5e-324, 0.0, 1e3, -1e300)
+
+
+def _check_step(f, t, y, h):
+    """f.step against ode.rkf78_step(f, ...): the same repr, or the same error and message."""
+    fused = _outcome(f.step, t, y, h)
+    ref = _outcome(ode.rkf78_step, f, t, y, h)
+    assert fused == ref, f"step{(t, y, h)}: Python {ref}, fused {fused}"
+    return ref
+
+
+def test_flow_step_on_grid():
+    errors = set()
+    for params in FLOW_PARAMS:
+        for j in range(-3, 4):
+            f = scattering.flow_rhs(j, params)
+            for y in FLOW_STATES:
+                for h in FLOW_STEPS:
+                    ref = _check_step(f, 0.0, y, h)
+                    if isinstance(ref, tuple):
+                        errors.add(ref)
+    # every way the Python step raises was met
+    assert {err for err, _msg in errors} == {NotHorizontal, NoConvergence, ValueError}
+    assert (ValueError, "math domain error") in errors
+    assert (NotHorizontal, "crest is not a horizontal graph at a3 = 0") in errors
+
+
+def test_flow_step_argument_kinds():
+    y = FLOW_STATES[0]
+    f = scattering.flow_rhs(1, FLOW_PARAMS[0])
+    states = [tuple(y), [np.float64(y[0]), *y[1:]], [*y[:3], np.float32(y[3])],
+              [0, 1, 3, 4], [2**53, 1.0, 3.0, 4.0], [2**60, 1.0, 3.0, 4.0], [True, 1.0, 3.0, 4.0],
+              [*y, 1.0], y[:3], (), None, "abcd", np.array(y)]
+    for ys in states:
+        for h in (0.5, -2, np.float64(0.5), 2**60, True, None):
+            for t in (0.0, 3, np.float64(1.5)):
+                _check_step(f, t, ys, h)
+    for j in (np.int64(1), 1.0, 2**53, 2**53 + 1, True):
+        _check_step(scattering.flow_rhs(j, FLOW_PARAMS[0]), 0.0, y, 0.5)
+    for params in (ModelParams(np.float64(0.2), 0.3, 1.0), ModelParams(0.2, 0.3, 2**60),
+                   ModelParams(0.2, 0.3, 1.0, np.float64(1.0)), ModelParams(0.2, 0.3, True)):
+        _check_step(scattering.flow_rhs(0, params), 0.0, y, 0.5)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # numpy scalar states
+def test_every_deferral_runs_the_python_step(monkeypatch):
+    # the flows are built first: the step looks ode.rkf78_step up when it defers
+    flows = [(j, params, scattering.flow_rhs(j, params))
+             for params in FLOW_PARAMS + (ModelParams(np.float64(0.2), 0.3, 1.0),)
+             for j in (-3, 0, 1)]
+    calls = []
+    step = ode.rkf78_step
+
+    def recording(f, t, y, h):
+        calls.append(h)
+        return step(f, t, y, h)
+
+    monkeypatch.setattr(ode, "rkf78_step", recording)
+    deferred = 0
+    for j, params, f in flows:
+        for y in (*FLOW_STATES, tuple(FLOW_STATES[0]), [np.float64(0.1), *FLOW_STATES[0][1:]]):
+            for h in FLOW_STEPS:
+                calls.clear()
+                fused = kernels.flow_step(j, params.a1, params.a2, params.a3, params.Omega1,
+                                          params.Omega2, y, h)
+                _outcome(f.step, 0.0, y, h)
+                assert calls == ([h] if fused is None else [])
+                deferred += fused is None
+    assert 0 < deferred
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    j=st.integers(-3, 3), a1=st.floats(-0.6, 0.6), a2=st.floats(-0.6, 0.6),
+    a3=st.sampled_from([1.0, -0.7, 2.0]), om1=st.floats(0.1, 2.0),
+    i1=_w, i2=_w, t1=_angle, t2=_angle,
+    h=st.one_of(st.floats(-20.0, 20.0), st.floats(), st.sampled_from([5e-324, -1e-300])),
+)
+def test_flow_step_property(j, a1, a2, a3, om1, i1, i2, t1, t2, h):
+    f = scattering.flow_rhs(j, ModelParams(a1, a2, a3, om1, 1.0))
+    _check_step(f, 0.0, [i1, i2, t1, t2], h)
+
+
+def test_orbits_take_the_fused_step(monkeypatch):
+    # portraits and Highway traces run no Python step of the orbit itself:
+    # what remains are the landings' steps in s
+    stepped = []
+    step = ode.rkf78_step
+
+    def recording(f, t, y, h):
+        stepped.append(f)
+        return step(f, t, y, h)
+
+    monkeypatch.setattr(ode, "rkf78_step", recording)
+    params = ModelParams(0.2, 0.3, 1.0, eps=1e-3)
+    lp = (0.0, 0.0, 3.9269908169872414, 3.9269908169872414)
+    pts = scattering.poincare_section(0, melnikov.reduced_poincare(0, lp, params), 0.0,
+                                      [(0.0, 0.0, lp[2], 3.9)], 400.0, params, max_crossings=4)
+    params = ModelParams(0.3, 0.1, 1.0, eps=1e-3)
+    seed, _ = highway.highway_seed(7.0, -7.0, params)
+    orb = highway.highway_trace(seed, params, stop=(1, 0.0, +1), drift_tol=1e-6)
+    assert len(pts) == 4 and len(orb.t) > 20
+    assert stepped and not any(hasattr(f, "step") for f in stepped)

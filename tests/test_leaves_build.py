@@ -5,10 +5,13 @@ these tests call each leaf many times and watch the reference counts, and
 build the extension cold in copies of the package: two builds at once, a
 build with no compiler on the path, and a build with
 ``PYTHONDONTWRITEBYTECODE=1`` followed by a warm import that must not
-start the compiler.
+start the compiler.  The copy without a compiler also runs the golden
+``poincare`` and ``highway`` files, whose orbits then take the Python step,
+and their outputs must keep the bytes of ``tests/golden/hashes.json``.
 """
 
 import gc
+import json
 import os
 import shutil
 import subprocess
@@ -25,12 +28,36 @@ CC = sysconfig.get_config_var("CC")
 HAVE_CC = bool(CC) and shutil.which(CC.split()[0]) is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler: nothing is compiled")
 
-PROBE = ("import sys; from arnolddiff import diffusion, kernels; "
+# the last value integrates a scattering-flow orbit, by the fused step when
+# it is compiled and by the Python step otherwise
+PROBE = ("import sys; from arnolddiff import diffusion, kernels, ode, scattering; "
+         "from arnolddiff.model import ModelParams; "
          "path = diffusion.ActionPath([(0.3, 1.0), (2.0, 1.0), (2.0, 2.7), (-1.1, 2.7)], 0.1); "
          "print(kernels.BACKEND, kernels.__file__.startswith(sys.argv[1]), "
          "repr(kernels.tau_star(-3, 1.3, 0.7, 0.3, 0.1, 2.0, 4.0)), "
          "repr(kernels.flow_rhs(1, 0.3, 0.1, 1.0, 1.0, 1.0, 1.2, -0.4, 5.0, 1.0)), "
-         "repr(path.distance_to((1.1, 1.9))))")
+         "repr(path.distance_to((1.1, 1.9))), "
+         "repr(ode.integrate(scattering.flow_rhs(1, ModelParams(0.3, 0.1, 1.0)), "
+         "(1.2, -0.4, 5.0, 1.0), (0.0, 3.0), record=False).final))")
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# runs the golden poincare and highway files and prints the SHA-256 of what
+# they write, keyed as in hashes.json
+GOLDEN_RUN = """
+import hashlib, json, os, sys, tempfile
+from arnolddiff.cli import main
+table = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for run in ("poincare", "highway"):
+        out = os.path.join(tmp, run)
+        if main([run, os.path.join(sys.argv[1], run + ".ini"), "--output-dir", out]) != 0:
+            sys.exit(run + " failed")
+        for name in sorted(os.listdir(out)):
+            if name.endswith(".csv") or name.endswith("_summary.json"):
+                with open(os.path.join(out, name), "rb") as fh:
+                    table[run + "/" + name] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(table))
+"""
 
 
 @needs_cc
@@ -39,21 +66,24 @@ def test_reference_counts_do_not_drift():
     w1, w2, mu1, mu2, t1, t2, guess, tol = 1.3, 0.7, 0.3, 0.1, 2.0, 4.0, 3.0 * 3.14159, 1e-14
     path = diffusion.ActionPath([(0.3, 1.0), (2.0, 1.0), (2.0, 2.7), (-1.1, 2.7)], 0.1)
     segments, scale = path._segments, path._scale
-    objs = (None, w1, w2, mu1, t1, guess, tol, segments, segments[1], segments[1][2], scale)
+    y, h = [1.2, -0.4, 5.0, 1.0], 0.5
+    objs = (None, w1, w2, mu1, t1, guess, tol, segments, segments[1], segments[1][2], scale,
+            y, y[0], h)
     # garbage left by earlier tests holds references to None too: collect
     # it first, and keep the collector from freeing more during the loops
     gc.collect()
     gc.disable()
     try:
         before = [sys.getrefcount(o) for o in objs]
-        _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale)
+        _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale, y, h)
         drift = [sys.getrefcount(o) - b for o, b in zip(objs, before)]
     finally:
         gc.enable()
     assert all(abs(d) < 100 for d in drift), drift
 
 
-def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale):
+def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale, y, h):
+    y_tuple, y_huge = tuple(y), [1e308, *y[1:]]
     for _ in range(100_000):
         leaves.path_distance(segments, scale, t1, w1)
         leaves.path_distance(segments, scale, float("nan"), w1)
@@ -75,6 +105,20 @@ def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, sca
         with pytest.raises(ArithmeticError):   # a Newton loop that does not converge
             leaves.tau_star(2, -3.1380395040434976, 14.901022913606923, -0.8415812895109123,
                             -0.36177486189760266, 1118519250588891.5, 57.09645135314122)
+        assert leaves.flow_step(1, mu1, mu2, 1.0, 1.0, 1.0, y, h) is not None
+        assert leaves.flow_step(-3, mu1, mu2, 1.0, 1.0, 1.0, y_tuple, h) is not None
+        # the None returns: a step that pure.py would end in NotHorizontal,
+        # sin(inf), a3 = 0, a non-float component or argument, a bad arity
+        for args in ((0, 1.0, 1.0, 1.0, 1.0, 1.0, [1.2, 1.2, t1, t2], h),
+                     (1, mu1, mu2, 1.0, 1.0, 1.0, y_huge, h),
+                     (0, mu1, mu2, 0.0, 1.0, 1.0, y, h),
+                     (0, mu1, mu2, 1.0, 1.0, 1.0, [*y[:3], None], h),
+                     (0, mu1, mu2, 1.0, 1.0, 1.0, y[:3], h),
+                     (0, mu1, mu2, 1.0, 1.0, 1.0, y, None),
+                     (1.0, mu1, mu2, 1.0, 1.0, 1.0, y, h),
+                     (0, mu1, mu2, 1.0, 1.0, 1.0, y)):
+            assert leaves.flow_step(*args) is None
+        assert leaves.flow_step(0, mu1, mu2, 1.0, 1.0, 1.0, y=y, h=h) is None
 
 
 @pytest.fixture
@@ -122,6 +166,15 @@ def test_missing_compiler_keeps_the_python_leaves(package_copy, tmp_path):
     assert proc.stdout.startswith("python True ")
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("arnolddiff: compiled kernels unavailable")
+    assert _cache(root) == []
+    # the Python step writes the golden portrait and Highway family byte for byte
+    golden = subprocess.run([sys.executable, "-c", GOLDEN_RUN, str(GOLDEN)],
+                            env=dict(env, PATH=str(tmp_path / "empty")),
+                            capture_output=True, text=True, timeout=300)
+    assert golden.returncode == 0, golden.stderr
+    table = json.loads((GOLDEN / "hashes.json").read_text())
+    hashes = json.loads(golden.stdout)
+    assert len(hashes) == 5 and hashes == {k: table[k] for k in hashes}
     assert _cache(root) == []
     if HAVE_CC:   # the Python leaves give the bits the compiled ones give
         assert _probe(root, env).stdout.split(" ", 1)[1] == proc.stdout.split(" ", 1)[1]
