@@ -15,8 +15,11 @@ either leaf; and the CSV writer on 25 000 ``diffuse``-shaped rows, its
 %-format fast path (``cli._write_csv``) against ``csv.writer`` on every
 row (median of 5).  Then one RKF78 step of the scattering flow on the
 steps of a portrait orbit (the golden ``poincare`` run's first seed): the
-fused step ``f.step`` of ``scattering.flow_rhs`` against ``ode.rkf78_step``
-on the same f, after checking that the two give equal reprs on every step.
+compiled step ``kernels.flow_step`` against ``ode.rkf78_step`` on
+``scattering.flow_rhs``, after checking that the two give equal reprs on
+every step.  Then whole orbits, a portrait orbit and a Highway trace, on
+the compiled orbit (``f.orbit``, which ``ode._integrate`` takes) against
+``_integrate``'s Python loop, after checking equal ``Trajectory`` reprs.
 Last, one integrated workload (a Highway trace between action sections)
 with the compiled leaves.  The per-call figures quoted in the README come
 from this script.
@@ -130,12 +133,18 @@ def _bench_step(repeats=3):
     y0 = scattering.adjust_seed_to_level(0, 0.0, 0.0, lp[2], 3.85, level, params)
     traj = ode.integrate(f, y0, (0.0, 400.0), scattering.SECTION_INTEGRATOR)
     steps = [(y, t1 - t0) for t0, t1, y in zip(traj.t, traj.t[1:], traj.y)]
-    if not hasattr(f, "step"):
+    if kernels.flow_step is None:
         return None, len(steps)
+
+    def fused(t, y, h):
+        return kernels.flow_step(0, params.a1, params.a2, params.a3, params.Omega1,
+                                 params.Omega2, y, h)
+
     for y, h in steps:
-        assert repr(f.step(0.0, y, h)) == repr(ode.rkf78_step(f, 0.0, y, h)), (y, h)
+        assert repr(fused(0.0, y, h)) == repr(ode.rkf78_step(f, 0.0, y, h)), (y, h)
     out = {}
-    for name, step in (("fused", f.step), ("python", lambda t, y, h: ode.rkf78_step(f, t, y, h))):
+    for name, step in (("C step", fused), ("Python step",
+                                             lambda t, y, h: ode.rkf78_step(f, t, y, h))):
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
@@ -144,6 +153,49 @@ def _bench_step(repeats=3):
             times.append((time.perf_counter() - t0) / len(steps))
         out[name] = statistics.median(times)
     return out, len(steps)
+
+
+def _bench_orbits(repeats=5):
+    """Median seconds per orbit, compiled orbit and Python loop.
+
+    A portrait orbit (the golden ``poincare`` run's first seed, to its six
+    upward landings on I1 = 0) and a Highway trace (I2 = -7 -> 0, every step
+    recorded), each after checking that the two ``Trajectory`` objects have
+    equal reprs.  The Python loop is ``ode._integrate`` on the same f seen
+    through a plain function, which carries no compiled orbit.
+    """
+    from arnolddiff import highway, melnikov, ode, scattering
+    from arnolddiff.model import ModelParams
+
+    if kernels.flow_orbit is None:
+        return None
+    portrait = ModelParams(0.2, 0.3, 1.0, eps=1e-3)
+    lp = (0.0, 0.0, 3.9269908169872414, 3.9269908169872414)
+    level = melnikov.reduced_poincare(0, lp, portrait)
+    y0 = scattering.adjust_seed_to_level(0, 0.0, 0.0, lp[2], 3.85, level, portrait)
+    trace = ModelParams(0.3, 0.1, 1.0, eps=1e-3)
+    seed, _ = highway.highway_seed(7.0, -7.0, trace)
+    orbits = {
+        "portrait orbit": (scattering.flow_rhs(0, portrait), (
+            y0, 0.0, 400.0, scattering.SECTION_INTEGRATOR, False, ode.Section(0, 0.0, 1), 6)),
+        "Highway trace": (scattering.flow_rhs(0, trace), (
+            seed, 0.0, 1e12, highway.TRACE_INTEGRATOR, True, ode.Section(1, 0.0, 1), 1)),
+    }
+    out = {}
+    for name, (f, args) in orbits.items():
+        def loop(t, y, f=f):
+            return f(t, y)
+
+        assert repr(ode._integrate(f, *args)) == repr(ode._integrate(loop, *args)), name
+        out[name] = {}
+        for label, g in (("C orbit", f), ("Python loop", loop)):
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                ode._integrate(g, *args)
+                times.append(time.perf_counter() - t0)
+            out[name][label] = statistics.median(times)
+    return out
 
 
 def _bench_trace(params):
@@ -191,10 +243,21 @@ def main():
     print(f"\nRKF78 step of the scattering flow, {n_steps} steps of a portrait orbit"
           " (median of 3, microseconds per step):")
     if step is None:
-        print("  no fused step: the compiled leaves did not load")
+        print("  no compiled step: the compiled leaves did not load")
     else:
         for label, t in step.items():
             print(f"{label:>16}{t * 1e6:>12.2f}")
+
+    orbits = _bench_orbits()
+    print("\nscattering-flow orbits, compiled orbit against the Python loop"
+          " (median of 5, ms per orbit):")
+    if orbits is None:
+        print("  no compiled orbit: the compiled leaves did not load")
+    else:
+        labels = list(next(iter(orbits.values())))
+        print(f"{'':>16}" + "".join(f"{k:>14}" for k in labels))
+        for name, vals in orbits.items():
+            print(f"{name:>16}" + "".join(f"{vals[k] * 1e3:>14.2f}" for k in labels))
 
     from arnolddiff.model import ModelParams
 

@@ -12,17 +12,25 @@ compiled leaves and sets ``BACKEND = "c"``.  A warm cache only loads the
 file.  Without a compiler, or when the build fails, the Python leaves
 stay, one line on stderr says so, and ``BACKEND`` is ``"python"``.
 
-The build also compiles ``flow_step``, one RKF78 step of the scattering
-flow in one C call: ``_leaves.c`` translates ``flow_rhs`` on the compiled
-leaves and includes ``rkf78_step.h``, which ``ode.c_step_source`` writes
-from the tableau behind ``ode.rkf78_step`` (``STEP_HEADER``, emitted at
-every import because it is part of the cache key).  ``scattering.flow_rhs``
-attaches it to its right-hand side as ``f.step``, and ``ode._integrate``
-calls that for the orbit's steps (there, not inside ``ode.rkf78_step``,
-whose ``f`` the span tracer wraps); where ``flow_step`` returns None (an
-argument outside its fast path, or a stage at which the Python kernels
-raise) ``f.step`` runs ``ode.rkf78_step``.  ``flow_step`` is None without
-the compiled leaves, and every step is the Python one.
+The build also compiles the scattering flow's integration:
+``flow_step``, one RKF78 step in one C call, and ``flow_orbit``, a whole
+orbit of ``ode._integrate``.  ``_leaves.c`` translates ``flow_rhs`` on the
+compiled leaves, ``_integrate``'s loop, ``_error_norm``, ``Section.crossed``
+and the common landing (one Henon step in five dimensions), and includes
+``rkf78_step.h``, which ``ode.c_step_source`` writes from the tableau and
+step-size constants behind ``ode.rkf78_step`` and ``_integrate``
+(``STEP_HEADER``, emitted at every import because it is part of the cache
+key).  ``scattering.flow_rhs`` attaches the orbit to its right-hand side as
+``f.orbit``, and ``ode._integrate`` calls that once per orbit (there, not
+behind ``ode.rkf78_step``, whose ``f`` the span tracer wraps); where
+``flow_orbit`` returns None (an argument outside its fast path, a stage at
+which the Python kernels raise, a landing that needs halving or an adaptive
+integration in s) ``_integrate`` runs its Python loop from the start, which
+gives the same ``Trajectory`` or raises the same error.  ``flow_step``
+serves the step's parity tests and the per-step benchmark; nothing in the
+package calls it.  Both are None without the compiled leaves, and every
+orbit runs in Python.  A build that succeeds removes the ``_leaves.*``
+files of other keys from the cache; a warm import removes nothing.
 
 Everything else (``lstar``, ``lstar_grad``, ``flow_rhs``, ``coeff`` and
 ``coeff_deriv``) stays in Python and reaches the leaves through ``pure``'s
@@ -30,8 +38,9 @@ module globals, because the span tracer in ``perfbench/spans.py`` counts
 the solves made inside them by rebinding ``kernels.pure.tau_star``; and
 ``diffusion.ActionPath.distance_to``, the method the tracer counts, looks
 ``pure.path_distance`` up on every call.  The solves inside ``flow_step``
-are not seen there: a traced run counts the right-hand sides and solves of
-the steps that stay in Python (landings, deferred steps) only.
+and ``flow_orbit`` are not seen there: a traced run counts the right-hand
+sides and solves of the orbits that stay in Python only (none on portrait
+or highway_family).
 ``PYTHON_LEAVES`` holds the Python leaves, the specification that
 ``tests/test_leaves.py`` compares the compiled ones with.
 """
@@ -53,7 +62,8 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_leaves.c")
 # -ffp-contract=off: no fused multiply-add; -fno-builtin: no libm call folded
 # at compile time or fused into sincos.  Either would move bits.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
-# the fused step's stage sums, which _leaves.c includes as rkf78_step.h
+# the compiled step's stage sums and step-size constants, which _leaves.c
+# includes as rkf78_step.h
 STEP_HEADER = ode.c_step_source()
 
 
@@ -96,6 +106,20 @@ def _build(path):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def _remove_other_builds(path):
+    """Delete the ``_leaves.*`` files beside ``path``: builds of earlier sources,
+    headers or flags.  Temporary build directories are left alone, and so is a
+    file another process still holds (unlinking a loaded file is harmless)."""
+    cache = os.path.dirname(path)
+    for name in os.listdir(cache):
+        other = os.path.join(cache, name)
+        if name.startswith("_leaves.") and other != path and os.path.isfile(other):
+            try:
+                os.remove(other)
+            except OSError:
+                pass
+
+
 def _load(path):
     name = f"{__name__}._leaves"
     loader = ExtensionFileLoader(name, path)
@@ -110,6 +134,7 @@ def _compiled_leaves():
         path = _cached_extension()
         if not os.path.exists(path):
             _build(path)
+            _remove_other_builds(path)
         return _load(path)
     except (OSError, ImportError) as exc:
         print(f"arnolddiff: compiled kernels unavailable ({exc}); using the Python kernels",
@@ -122,8 +147,9 @@ if _leaves is not None:
     for _name in PYTHON_LEAVES:
         setattr(pure, _name, getattr(_leaves, _name))
 BACKEND = "python" if _leaves is None else "c"
-# the fused scattering-flow step; None leaves every step to ode.rkf78_step
+# the scattering flow's compiled step and orbit; None without the compiled leaves
 flow_step = None if _leaves is None else _leaves.flow_step
+flow_orbit = None if _leaves is None else _leaves.flow_orbit
 
 from .pure import (  # noqa: E402  (re-exported after the rebinding above)
     ALPHA_SUP,

@@ -1,5 +1,6 @@
 /* Compiled leaves of the scalar kernels: alpha, _coeffs, tau_star and
- * path_distance; and flow_step, one RKF78 step of the scattering flow.
+ * path_distance; and the scattering flow's RKF78 integration: flow_step,
+ * one step, and flow_orbit, a whole orbit of ode._integrate.
  *
  * Each function is a line-for-line translation of its namesake in pure.py,
  * the specification: the same float operations in the same order (built
@@ -19,12 +20,17 @@
  * its segment table must be exact floats, or the Python leaf runs.
  *
  * flow_step runs ode.rkf78_step on pure.flow_rhs in C: the right-hand side
- * is lstar_grad's lines on c_tau_star and c_coeffs, and the stage sums are
+ * is lstar_grad's lines on c_tau_star and coeffs_of, and the stage sums are
  * the file rkf78_step.h, which ode.c_step_source emits from the Fehlberg
- * tableau at build time (kernels/__init__.py), so the tableau and its
- * summation order exist once.  Where its inputs or a stage leave the fast
- * path it returns None and the Python step redoes the step
- * (scattering.flow_rhs).
+ * tableau at build time (kernels/__init__.py), so the tableau, its
+ * summation order and the step-size constants exist once.  flow_orbit
+ * translates ode._integrate in the same way: its step-size control,
+ * _error_norm, Section.crossed, _land's choice of end and one _henon_step
+ * of the landing system (the emitted step in five dimensions), with the
+ * recording of the Python loop and its MaxStepsExceeded and
+ * StepSizeUnderflow.  Neither raises anything else: where their inputs, a
+ * stage or a landing leave the fast path they return None, and the
+ * Python step or loop runs instead (scattering.flow_rhs, ode._integrate).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -36,6 +42,7 @@
 static double SINH_HALF_PI;            /* pure.SINH_HALF_PI */
 static PyObject *py_alpha, *py_coeffs, *py_tau_star, *py_path_distance;   /* the Python leaves */
 static PyObject *NotHorizontal, *NoConvergence;        /* pure's error classes */
+static PyObject *MaxStepsExceeded, *StepSizeUnderflow; /* ode's */
 
 /* Series of x*cosh(x) - sinh(x) = sum_k 2k x^(2k+1) / (2k+1)!, k >= 1. */
 static const double DCOEF[8] = {
@@ -70,8 +77,8 @@ as_double(PyObject *o, double *x)
 }
 
 /* What a solve raised, if anything: c_tau_star's result, which
- * raise_status turns into pure.py's exception and the fused step into a
- * deferral to the Python step. */
+ * raise_status turns into pure.py's exception and the compiled step and
+ * orbit into a None return. */
 enum { SOLVED, NOT_HORIZONTAL, NO_CONVERGENCE, DOMAIN_ERROR };
 
 static PyObject *
@@ -101,12 +108,13 @@ py_sin(double x, double *r)
 static double py_max(double a, double b) { return b > a ? b : a; }
 static double py_min(double a, double b) { return b < a ? b : a; }
 
+/* alpha(w) given x = pi*w/2 and sh = sinh(x), which is read only where
+ * pure.alpha calls sinh: w != 0 and 0.1 <= |x| <= X_OVERFLOW. */
 static double
-c_alpha(double w)
+alpha_of(double w, double x, double sh)
 {
     if (w == 0.0)
         return 0.0;
-    double x = 0.5 * M_PI * w;
     if (fabs(x) > X_OVERFLOW)
         return 0.0;
     if (fabs(x) < 0.1) {
@@ -114,19 +122,27 @@ c_alpha(double w)
         double s = 1.0 - x2 / 6.0 + 7.0 * x2 * x2 / 360.0 - 31.0 * x2 * x2 * x2 / 15120.0;
         return (2.0 / M_PI) * w * SINH_HALF_PI * s;
     }
-    return w * w * SINH_HALF_PI / sinh(x);
+    return w * w * SINH_HALF_PI / sh;
 }
 
-static void
-c_coeffs(double w, double a, double *A, double *dA)
+static double
+c_alpha(double w)
 {
     double x = 0.5 * M_PI * w;
+    int series = w == 0.0 || fabs(x) > X_OVERFLOW || fabs(x) < 0.1;
+    return alpha_of(w, x, series ? 0.0 : sinh(x));
+}
+
+/* _coeffs(w, a) given x = pi*w/2 and sh = sinh(x), read where |x| <= X_OVERFLOW. */
+static void
+coeffs_of(double w, double a, double x, double sh, double *A, double *dA)
+{
     if (fabs(x) > X_OVERFLOW) {
         *A = 0.0;
         *dA = 0.0;
         return;
     }
-    double sh = sinh(x), num;
+    double num;
     if (fabs(x) < 1.0) {
         double x2 = x * x;
         if (fabs(x) < 0.1) {
@@ -149,14 +165,21 @@ c_coeffs(double w, double a, double *A, double *dA)
     *dA = sh2 == 0.0 ? 0.0 : 2.0 * M_PI * a * num / sh2;
 }
 
-/* tau_star's solve: SOLVED, or the status of what pure.tau_star raises. */
-static int
-c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
-           double t1, double t2, double tol, const double *guess,
-           double *tau_out, double *g_out, long *it_out)
+static void
+c_coeffs(double w, double a, double *A, double *dA)
 {
-    double b1 = mu1 * c_alpha(w1);
-    double b2 = mu2 * c_alpha(w2);
+    double x = 0.5 * M_PI * w;
+    coeffs_of(w, a, x, fabs(x) > X_OVERFLOW ? 0.0 : sinh(x), A, dA);
+}
+
+/* tau_star's solve with b_i = mu_i * alpha(w_i) given: SOLVED, or the
+ * status of what pure.tau_star raises.  sin_out receives sin(t_i - tau*w_i)
+ * at the returned tau, which both returns below have just taken. */
+static int
+c_tau_star(int odd, double j, double w1, double w2, double b1, double b2,
+           double t1, double t2, double tol, const double *guess,
+           double *tau_out, double *g_out, long *it_out, double *sin_out)
+{
     double smax = fabs(b1) + fabs(b2);
     if (smax >= 1.0)
         return NOT_HORIZONTAL;
@@ -179,12 +202,8 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
         else if (x < -1.0)
             x = -1.0;
         g = tau + pj + sgn * asin(x);
-        if (fabs(g) <= tol) {
-            *tau_out = tau;
-            *g_out = g;
-            *it_out = it;
-            return SOLVED;
-        }
+        if (fabs(g) <= tol)
+            goto solved;
         if (g >= 0.0)
             hi = tau;
         else
@@ -208,9 +227,12 @@ c_tau_star(int odd, double j, double w1, double w2, double mu1, double mu2,
     g = tau + pj + sgn * asin(py_min(py_max(x, -1.0), 1.0));
     if (!(fabs(g) <= 1e-10))   /* a NaN residual is no root either */
         return NO_CONVERGENCE;
+solved:
     *tau_out = tau;
     *g_out = g;
     *it_out = it;
+    sin_out[0] = s1;
+    sin_out[1] = s2;
     return SOLVED;
 }
 
@@ -239,7 +261,7 @@ leaf_tau_star(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
 {
     Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
     PyObject *tol_o = NULL, *guess_o = Py_None;
-    double v[6], tol = 1e-14, guess, tau, g;
+    double v[6], tol = 1e-14, guess, tau, g, sins[2];
     long long j;
     long it;
     int overflow;
@@ -276,8 +298,9 @@ leaf_tau_star(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
             goto python;   /* an int guess can come back as the int itself */
         guess = PyFloat_AS_DOUBLE(guess_o);
     }
-    int status = c_tau_star(j % 2 != 0, (double)j, v[0], v[1], v[2], v[3], v[4], v[5], tol,
-                            guess_o == Py_None ? NULL : &guess, &tau, &g, &it);
+    int status = c_tau_star(j % 2 != 0, (double)j, v[0], v[1], v[2] * c_alpha(v[0]),
+                            v[3] * c_alpha(v[1]), v[4], v[5], tol,
+                            guess_o == Py_None ? NULL : &guess, &tau, &g, &it, sins);
     if (status != SOLVED)
         return raise_status(status);
     return Py_BuildValue("(ddl)", tau, g, it);
@@ -293,80 +316,465 @@ struct flow {
     double j, a1, a2, om1, om2, mu1, mu2;
 };
 
-#define RKF78_DIM 4
+/* The arguments j, a1, a2, a3, om1, om2 as a flow; 0 where they leave the
+ * fast path (as_double's; j an int of magnitude <= 2**53) or a3 == 0. */
+static int
+parse_flow(PyObject *const *args, struct flow *p)
+{
+    double a3;
+    long long j;
+    int overflow;
+    if (!PyLong_CheckExact(args[0]))
+        return 0;
+    j = PyLong_AsLongLongAndOverflow(args[0], &overflow);
+    if (overflow || j > EXACT_INT || j < -EXACT_INT)
+        return 0;
+    if (!as_double(args[1], &p->a1) || !as_double(args[2], &p->a2) || !as_double(args[3], &a3)
+            || !as_double(args[4], &p->om1) || !as_double(args[5], &p->om2) || a3 == 0.0)
+        return 0;
+    p->odd = j % 2 != 0;
+    p->j = (double)j;
+    p->mu1 = p->a1 / a3;
+    p->mu2 = p->a2 / a3;
+    return 1;
+}
+
+/* A state of four numbers, a list or a tuple, as doubles; 0 where it leaves the fast path. */
+static int
+parse_state(PyObject *ys, double *y)
+{
+    if (!(PyList_CheckExact(ys) || PyTuple_CheckExact(ys)) || PySequence_Fast_GET_SIZE(ys) != 4)
+        return 0;
+    for (int c = 0; c < 4; c++)
+        if (!as_double(PySequence_Fast_GET_ITEM(ys, c), &y[c]))
+            return 0;
+    return 1;
+}
 
 /* pure.flow_rhs(j, a1, a2, a3, om1, om2, *y)[:4], with no guess, through
  * lstar_grad's lines; L itself is not formed (a cos of the finite tau* cannot
- * raise).  0 where pure.py raises, which is in the solve only: a solved tau
- * is one at which c_tau_star took sin(t_i - tau*w_i), so ps1 and ps2 below
- * are finite and their sin and cos raise nothing in Python. */
+ * raise).  Each sinh(pi*w_i/2) is taken once for alpha and _coeffs, and
+ * sin(psi_i) is the solve's own (tau*w_i == w_i*tau).  0 where pure.py
+ * raises, which is in the solve only: a solved tau is one at which
+ * c_tau_star took sin(t_i - tau*w_i), so ps1 and ps2 below are finite and
+ * their cos raises nothing in Python. */
 static int
-rkf78_rhs(const void *ctx, const double *y, double *dy)
+flow_rhs(const void *ctx, const double *y, double *dy)
 {
     const struct flow *p = ctx;
     double w1 = p->om1 * y[0];
     double w2 = p->om2 * y[1];
-    double tau, g, A1, dA1, A2, dA2;
+    double x1 = 0.5 * M_PI * w1, x2 = 0.5 * M_PI * w2;
+    double sh1 = fabs(x1) > X_OVERFLOW ? 0.0 : sinh(x1);
+    double sh2 = fabs(x2) > X_OVERFLOW ? 0.0 : sinh(x2);
+    double tau, g, A1, dA1, A2, dA2, s[2];
     long it;
-    if (c_tau_star(p->odd, p->j, w1, w2, p->mu1, p->mu2, y[2], y[3], 1e-14, NULL,
-                   &tau, &g, &it) != SOLVED)
+    if (c_tau_star(p->odd, p->j, w1, w2, p->mu1 * alpha_of(w1, x1, sh1),
+                   p->mu2 * alpha_of(w2, x2, sh2), y[2], y[3], 1e-14, NULL,
+                   &tau, &g, &it, s) != SOLVED)
         return 0;
     double ps1 = y[2] - w1 * tau;
     double ps2 = y[3] - w2 * tau;
-    c_coeffs(w1, p->a1, &A1, &dA1);
-    c_coeffs(w2, p->a2, &A2, &dA2);
-    double s1 = sin(ps1), s2 = sin(ps2), c1 = cos(ps1), c2 = cos(ps2);
-    dy[0] = -A1 * s1;
-    dy[1] = -A2 * s2;
-    dy[2] = -(p->om1 * (dA1 * c1 + tau * A1 * s1));
-    dy[3] = -(p->om2 * (dA2 * c2 + tau * A2 * s2));
+    coeffs_of(w1, p->a1, x1, sh1, &A1, &dA1);
+    coeffs_of(w2, p->a2, x2, sh2, &A2, &dA2);
+    double c1 = cos(ps1), c2 = cos(ps2);
+    dy[0] = -A1 * s[0];
+    dy[1] = -A2 * s[1];
+    dy[2] = -(p->om1 * (dA1 * c1 + tau * A1 * s[0]));
+    dy[3] = -(p->om2 * (dA2 * c2 + tau * A2 * s[1]));
     return 1;
 }
 
-/* rkf78_step(ctx, y, h, y8, err), written by ode.c_step_source from the
- * tableau when the leaves are built. */
+/* ode._henon_step's landing system for the section y[k] = const: the
+ * state (y, t) in s = y[k], d(y, t)/ds = (f, 1) / f_k, with IEEE's
+ * division by a signed zero as the Python g spells it. */
+struct henon {
+    const struct flow *flow;
+    int k;
+};
+
+static int
+henon_rhs(const void *ctx, const double *z, double *dz)
+{
+    const struct henon *q = ctx;
+    double dy[4];
+    if (!flow_rhs(q->flow, z, dy))
+        return 0;
+    double fk = dy[q->k];
+    if (fk == 0.0) {
+        double inv = copysign(INFINITY, fk);
+        for (int c = 0; c < 4; c++)
+            dz[c] = dy[c] * inv;
+        dz[4] = inv;
+    }
+    else {
+        for (int c = 0; c < 4; c++)
+            dz[c] = dy[c] / fk;
+        dz[4] = 1.0 / fk;
+    }
+    return 1;
+}
+
+typedef int (*rkf78_rhs_fn)(const void *ctx, const double *y, double *dy);
+#define RKF78_MAX_DIM 5
+
+/* rkf78_step(rhs, ctx, n, y, h, y8, err) and the RKF78_* step-size
+ * constants, written by ode.c_step_source from the tableau when the leaves
+ * are built. */
 #include "rkf78_step.h"
 
 /* flow_step(j, a1, a2, a3, om1, om2, y, h) -> (y8, err): one
  * ode.rkf78_step of scattering.flow_rhs(j, params) from the state y (a list
  * or tuple of four numbers), in one call.  It never raises: it returns None
- * for an argument outside the fast path (as_double's; j an int of magnitude
- * <= 2**53), for a3 == 0, and at a stage where pure.py would raise, and its
- * caller then redoes the step in Python, which gives the same numbers or
- * raises. */
+ * for an argument outside the fast path (parse_flow's and parse_state's)
+ * and at a stage where pure.py would raise. */
 static PyObject *
 leaf_flow_step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
                PyObject *kwnames)
 {
     struct flow p;
-    double a3, h, y[RKF78_DIM], y8[RKF78_DIM], err[RKF78_DIM];
-    long long j;
-    int overflow;
+    double h, y[4], y8[4], err[4];
 
-    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 8 || !PyLong_CheckExact(args[0]))
-        Py_RETURN_NONE;
-    j = PyLong_AsLongLongAndOverflow(args[0], &overflow);
-    if (overflow || j > EXACT_INT || j < -EXACT_INT)
-        Py_RETURN_NONE;
-    if (!as_double(args[1], &p.a1) || !as_double(args[2], &p.a2) || !as_double(args[3], &a3)
-            || !as_double(args[4], &p.om1) || !as_double(args[5], &p.om2)
-            || !as_double(args[7], &h) || a3 == 0.0)
-        Py_RETURN_NONE;
-    PyObject *ys = args[6];
-    if (!(PyList_CheckExact(ys) || PyTuple_CheckExact(ys))
-            || PySequence_Fast_GET_SIZE(ys) != RKF78_DIM)
-        Py_RETURN_NONE;
-    for (int c = 0; c < RKF78_DIM; c++)
-        if (!as_double(PySequence_Fast_GET_ITEM(ys, c), &y[c]))
-            Py_RETURN_NONE;
-    p.odd = j % 2 != 0;
-    p.j = (double)j;
-    p.mu1 = p.a1 / a3;
-    p.mu2 = p.a2 / a3;
-    if (!rkf78_step(&p, y, h, y8, err))
+    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 8 || !parse_flow(args, &p)
+            || !parse_state(args[6], y) || !as_double(args[7], &h)
+            || !rkf78_step(flow_rhs, &p, 4, y, h, y8, err))
         Py_RETURN_NONE;
     return Py_BuildValue("([dddd][dddd])", y8[0], y8[1], y8[2], y8[3],
                          err[0], err[1], err[2], err[3]);
+}
+
+/* What ode._integrate reads of its cfg, section and record arguments. */
+struct run {
+    double atol, rtol, h_init, h_min, h_max;
+    long long max_steps, max_crossings;
+    int record;
+    int k;                      /* the section's component; -1 for no section */
+    double value, direction;
+};
+
+/* obj.name through as_double; 0, with no exception set, where the Python
+ * loop must read it instead. */
+static int
+attr_double(PyObject *obj, const char *name, double *x)
+{
+    PyObject *v = PyObject_GetAttrString(obj, name);
+    if (v == NULL) {
+        PyErr_Clear();
+        return 0;
+    }
+    int ok = as_double(v, x);
+    Py_DECREF(v);
+    return ok;
+}
+
+/* An exact int that fits a long long; 0 otherwise, with no exception set. */
+static int
+as_count(PyObject *o, long long *n)
+{
+    int overflow;
+    if (o == NULL || !PyLong_CheckExact(o))
+        return 0;
+    *n = PyLong_AsLongLongAndOverflow(o, &overflow);
+    return !overflow;
+}
+
+static int
+parse_run(PyObject *cfg, PyObject *record, PyObject *section, PyObject *max_crossings,
+          struct run *r)
+{
+    long long k;
+    int ok;
+    if (!attr_double(cfg, "abs_tol", &r->atol) || !attr_double(cfg, "rel_tol", &r->rtol)
+            || !attr_double(cfg, "h_init", &r->h_init) || !attr_double(cfg, "h_min", &r->h_min)
+            || !attr_double(cfg, "h_max", &r->h_max) || !PyBool_Check(record))
+        return 0;
+    PyObject *steps = PyObject_GetAttrString(cfg, "max_steps");
+    ok = as_count(steps, &r->max_steps);
+    Py_XDECREF(steps);
+    PyErr_Clear();
+    if (!ok)
+        return 0;
+    r->record = record == Py_True;
+    r->k = -1;
+    if (section == Py_None)
+        return 1;
+    PyObject *component = PyObject_GetAttrString(section, "component");
+    ok = as_count(component, &k) && 0 <= k && k < 4;
+    Py_XDECREF(component);
+    PyErr_Clear();
+    if (!ok)
+        return 0;
+    r->k = (int)k;
+    return as_count(max_crossings, &r->max_crossings)
+        && attr_double(section, "value", &r->value)
+        && attr_double(section, "direction", &r->direction);
+}
+
+/* ode._error_norm over n components; 0 where Python divides by zero. */
+static int
+error_norm(const double *err, const double *y0, const double *y1, int n, const struct run *r,
+           double *out)
+{
+    double worst = 0.0;
+    for (int c = 0; c < n; c++) {
+        double a = fabs(y0[c]), b = fabs(y1[c]);
+        double den = r->atol + r->rtol * (a > b ? a : b);
+        if (den == 0.0)
+            return 0;
+        double q = fabs(err[c]) / den;
+        if (q != q || a != a) {
+            *out = Py_NAN;
+            return 1;
+        }
+        if (q > worst)
+            worst = q;
+    }
+    *out = worst;
+    return 1;
+}
+
+/* Section.crossed(y0, y1) */
+static int
+crossed(const struct run *r, const double *y0, const double *y1)
+{
+    double g0 = y0[r->k] - r->value;
+    double g1 = y1[r->k] - r->value;
+    if (g0 == 0.0 || g0 * g1 > 0.0)
+        return 0;
+    return r->direction == 0.0 || (g0 < 0.0) == (r->direction > 0.0);
+}
+
+enum { HIT, MISS, DEFER };
+
+/* ode._henon_step from (t, y): HIT with (*t_hit, y_hit); MISS where it
+ * returns None for a non-finite landing; DEFER where Python must decide
+ * (a stage that raises, a failed error check and so the adaptive
+ * integration in s). */
+static int
+henon_step(const struct flow *p, const struct run *r, double t, const double *y,
+           double *t_hit, double *y_hit)
+{
+    struct henon q = {p, r->k};
+    double z[5] = {y[0], y[1], y[2], y[3], t}, z_hit[5], err[5], enorm;
+    if (!rkf78_step(henon_rhs, &q, 5, z, r->value - y[r->k], z_hit, err)
+            || !error_norm(err, z, z_hit, 5, r, &enorm) || !(enorm <= 1.0))
+        return DEFER;
+    for (int c = 0; c < 5; c++)
+        if (!isfinite(z_hit[c]))
+            return MISS;
+    for (int c = 0; c < 4; c++)
+        y_hit[c] = z_hit[c];
+    y_hit[r->k] = r->value;
+    *t_hit = z_hit[4];
+    return HIT;
+}
+
+/* ode._land on the accepted step (t0, y0) -> (t1, y1): 1 with the landing
+ * (*t_hit, y_hit), 0 where Python must land (henon_step's DEFER, a
+ * right-hand side that raises at an end, or a step to be halved). */
+static int
+land(const struct flow *p, const struct run *r, double t0, const double *y0, double t1,
+     const double *y1, double *t_hit, double *y_hit)
+{
+    int k = r->k;
+    if (y1[k] == r->value) {
+        *t_hit = t1;
+        memcpy(y_hit, y1, 4 * sizeof(double));
+        return 1;
+    }
+    double ts[2] = {t1, t0};
+    const double *ys[2] = {y1, y0};
+    if (fabs(y0[k] - r->value) < fabs(y1[k] - r->value)) {
+        ts[0] = t0, ts[1] = t1;
+        ys[0] = y0, ys[1] = y1;
+    }
+    double rate = (y1[k] - y0[k]) * (t1 - t0);
+    for (int e = 0; e < 2; e++) {
+        double dy[4];
+        if (!flow_rhs(p, ys[e], dy))
+            return 0;
+        if (dy[k] * rate > 0.0) {
+            int hit = henon_step(p, r, ts[e], ys[e], t_hit, y_hit);
+            if (hit == DEFER)
+                return 0;
+            if (hit == HIT && py_min(t0, t1) <= *t_hit && *t_hit <= py_max(t0, t1))
+                return 1;
+        }
+    }
+    return 0;
+}
+
+/* A new list or tuple of n floats. */
+static PyObject *
+float_row(const double *y, int n, int tuple)
+{
+    PyObject *row = tuple ? PyTuple_New(n) : PyList_New(n);
+    if (row == NULL)
+        return NULL;
+    for (int c = 0; c < n; c++) {
+        PyObject *v = PyFloat_FromDouble(y[c]);
+        if (v == NULL) {
+            Py_DECREF(row);
+            return NULL;
+        }
+        if (tuple)
+            PyTuple_SET_ITEM(row, c, v);
+        else
+            PyList_SET_ITEM(row, c, v);
+    }
+    return row;
+}
+
+/* list.append(item), stealing item; -1 on failure. */
+static int
+append(PyObject *list, PyObject *item)
+{
+    if (item == NULL)
+        return -1;
+    int rc = PyList_Append(list, item);
+    Py_DECREF(item);
+    return rc;
+}
+
+/* ode._integrate(f, y, t0, t1, ...) on the flow, line for line: a tuple
+ * (ts, ys, n_accepted, n_rejected, crossings), NULL with
+ * MaxStepsExceeded or StepSizeUnderflow set as _integrate raises them, or
+ * None where the Python loop must run the orbit (a stage that raises, a
+ * landing that land() leaves to Python). */
+static PyObject *
+c_integrate(const struct flow *p, const struct run *r, double t0, double t1, double *y)
+{
+    double direction = t1 > t0 ? 1.0 : -1.0;
+    double t = t0, t_prev, enorm;
+    double h = direction * py_min(py_min(r->h_init, r->h_max), fabs(t1 - t0));
+    double y_new[4], y_prev[4], err[4];
+    long long attempts = 0, n_acc = 0, n_rej = 0, n_cross = 0;
+    PyObject *ts = PyList_New(0), *ys = PyList_New(0), *crossings = PyList_New(0);
+    PyObject *landing = NULL;     /* the landing row that ends the orbit */
+
+    if (ts == NULL || ys == NULL || crossings == NULL
+            || append(ts, PyFloat_FromDouble(t0)) < 0 || append(ys, float_row(y, 4, 0)) < 0)
+        goto fail;
+    while ((t1 - t) * direction > 0.0) {
+        if (++attempts > r->max_steps) {
+            PyObject *at = PyFloat_FromDouble(t);
+            if (at != NULL)
+                PyErr_Format(MaxStepsExceeded, "exceeded %lld step attempts at t=%R",
+                             r->max_steps, at);
+            Py_XDECREF(at);
+            goto fail;
+        }
+        int clipped = fabs(h) >= fabs(t1 - t);
+        if (clipped)
+            h = t1 - t;
+        if (!rkf78_step(flow_rhs, p, 4, y, h, y_new, err)
+                || !error_norm(err, y, y_new, 4, r, &enorm))
+            goto defer;
+        if (enorm <= 1.0) {
+            t_prev = t;
+            memcpy(y_prev, y, sizeof y_prev);
+            /* a step clipped to the span end lands on it exactly */
+            t = clipped ? t1 : t + h;
+            memcpy(y, y_new, sizeof y_new);
+            n_acc++;
+            if (r->record && (append(ts, PyFloat_FromDouble(t)) < 0
+                              || append(ys, float_row(y, 4, 0)) < 0))
+                goto fail;
+            if (r->k >= 0 && crossed(r, y_prev, y)) {
+                double t_hit, y_hit[4];
+                if (!land(p, r, t_prev, y_prev, t, y, &t_hit, y_hit))
+                    goto defer;
+                PyObject *row = float_row(y_hit, 4, 1);
+                if (row == NULL || append(crossings, Py_BuildValue("(dO)", t_hit, row)) < 0) {
+                    Py_XDECREF(row);
+                    goto fail;
+                }
+                if (++n_cross == r->max_crossings) {
+                    t = t_hit;
+                    landing = row;
+                    if (r->record) {
+                        Py_ssize_t last = PyList_GET_SIZE(ts) - 1;
+                        PyObject *at = PyFloat_FromDouble(t);
+                        if (at == NULL || PyList_SetItem(ts, last, at) < 0)
+                            goto fail;
+                        Py_INCREF(landing);   /* SetItem steals it */
+                        if (PyList_SetItem(ys, last, landing) < 0)
+                            goto fail;
+                    }
+                    break;
+                }
+                Py_DECREF(row);
+            }
+            double factor = enorm == 0.0 ? RKF78_GROW : py_min(
+                RKF78_GROW, py_max(RKF78_SHRINK, RKF78_SAFETY * pow(enorm, RKF78_ORDER_EXP)));
+            h *= factor;
+            if (fabs(h) > r->h_max)
+                h = direction * r->h_max;
+        }
+        else {
+            n_rej++;
+            h *= py_max(RKF78_SHRINK, RKF78_SAFETY * pow(enorm, RKF78_ORDER_EXP));
+        }
+        if (fabs(h) < r->h_min && (t1 - t) * direction > 0.0) {
+            /* f"step size {abs(h):.3e} below h_min at t={t}" */
+            PyObject *size = PyFloat_FromDouble(fabs(h)), *at = PyFloat_FromDouble(t);
+            PyObject *spec = PyUnicode_FromString(".3e"), *text = NULL;
+            if (size != NULL && at != NULL && spec != NULL)
+                text = PyObject_Format(size, spec);
+            if (text != NULL)
+                PyErr_Format(StepSizeUnderflow, "step size %U below h_min at t=%R", text, at);
+            Py_XDECREF(size);
+            Py_XDECREF(at);
+            Py_XDECREF(spec);
+            Py_XDECREF(text);
+            goto fail;
+        }
+    }
+    if (!r->record) {
+        if (landing != NULL)
+            Py_INCREF(landing);
+        if (append(ts, PyFloat_FromDouble(t)) < 0
+                || append(ys, landing != NULL ? landing : float_row(y, 4, 0)) < 0)
+            goto fail;
+    }
+    Py_XDECREF(landing);
+    return Py_BuildValue("(NNLLN)", ts, ys, n_acc, n_rej, crossings);
+
+defer:
+    Py_XDECREF(ts);
+    Py_XDECREF(ys);
+    Py_XDECREF(crossings);
+    Py_RETURN_NONE;
+fail:
+    Py_XDECREF(ts);
+    Py_XDECREF(ys);
+    Py_XDECREF(crossings);
+    Py_XDECREF(landing);
+    return NULL;
+}
+
+/* flow_orbit(j, a1, a2, a3, om1, om2, y0, t0, t1, cfg, record, section,
+ * max_crossings) -> (t, y, n_accepted, n_rejected, crossings), the fields
+ * of the ode.Trajectory that ode._integrate returns for
+ * scattering.flow_rhs(j, params) on the same arguments; or None where the
+ * Python loop must run (an argument outside the fast path: parse_flow's,
+ * parse_state's, t0 and t1 exact floats, record a bool, cfg's fields and
+ * the section's through as_double, max_steps, max_crossings and the
+ * component exact ints, the component in 0..3; or c_integrate's None). */
+static PyObject *
+leaf_flow_orbit(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
+                PyObject *kwnames)
+{
+    struct flow p;
+    struct run r;
+    double y[4];
+
+    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 13 || !parse_flow(args, &p)
+            || !parse_state(args[6], y) || !PyFloat_CheckExact(args[7])
+            || !PyFloat_CheckExact(args[8])
+            || !parse_run(args[9], args[10], args[11], args[12], &r))
+        Py_RETURN_NONE;
+    return c_integrate(&p, &r, PyFloat_AS_DOUBLE(args[7]), PyFloat_AS_DOUBLE(args[8]), y);
 }
 
 /* path_distance(segments, scale, p0, p1): every segment of the table
@@ -440,27 +848,38 @@ static PyMethodDef leaves_methods[] = {
      " see kernels.pure.path_distance."},
     {"flow_step", (PyCFunction)(void (*)(void))leaf_flow_step, METH_FASTCALL | METH_KEYWORDS,
      "flow_step(j, a1, a2, a3, om1, om2, y, h) -> (y8, err), or None where the Python"
-     " step must run; see scattering.flow_rhs."},
+     " step must run; see kernels/__init__.py."},
+    {"flow_orbit", (PyCFunction)(void (*)(void))leaf_flow_orbit, METH_FASTCALL | METH_KEYWORDS,
+     "flow_orbit(j, a1, a2, a3, om1, om2, y0, t0, t1, cfg, record, section, max_crossings)"
+     " -> (t, y, n_accepted, n_rejected, crossings), or None where the Python loop must"
+     " run; see scattering.flow_rhs."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef leaves_module = {
     PyModuleDef_HEAD_INIT, "arnolddiff.kernels._leaves",
     "Compiled alpha, _coeffs, tau_star and path_distance, bit for bit with kernels.pure,"
-    " and the fused scattering-flow step flow_step.", -1, leaves_methods,
+    " and the scattering flow's fused step flow_step and whole orbit flow_orbit.", -1,
+    leaves_methods,
     NULL, NULL, NULL, NULL,
 };
 
-/* The Python leaves, SINH_HALF_PI and the two error classes come from
- * kernels.pure, whose leaves must not have been rebound to this module's
- * functions yet. */
+/* The Python leaves, SINH_HALF_PI and the kernels' two error classes come
+ * from kernels.pure, whose leaves must not have been rebound to this
+ * module's functions yet; the integrator's two from arnolddiff.errors. */
 PyMODINIT_FUNC
 PyInit__leaves(void)
 {
-    PyObject *pure = PyImport_ImportModule("arnolddiff.kernels.pure");
-    if (pure == NULL)
+    PyObject *sh = NULL, *pure = NULL, *errors = PyImport_ImportModule("arnolddiff.errors");
+    if (errors == NULL)
         return NULL;
-    PyObject *sh = PyObject_GetAttrString(pure, "SINH_HALF_PI");
+    MaxStepsExceeded = PyObject_GetAttrString(errors, "MaxStepsExceeded");
+    StepSizeUnderflow = PyObject_GetAttrString(errors, "StepSizeUnderflow");
+    Py_DECREF(errors);
+    pure = PyImport_ImportModule("arnolddiff.kernels.pure");
+    if (pure == NULL)
+        goto fail;
+    sh = PyObject_GetAttrString(pure, "SINH_HALF_PI");
     py_alpha = PyObject_GetAttrString(pure, "alpha");
     py_coeffs = PyObject_GetAttrString(pure, "_coeffs");
     py_tau_star = PyObject_GetAttrString(pure, "tau_star");
@@ -469,13 +888,17 @@ PyInit__leaves(void)
     NoConvergence = PyObject_GetAttrString(pure, "NoConvergence");
     Py_DECREF(pure);
     if (sh == NULL || py_alpha == NULL || py_coeffs == NULL || py_tau_star == NULL
-            || py_path_distance == NULL || NotHorizontal == NULL || NoConvergence == NULL)
+            || py_path_distance == NULL || NotHorizontal == NULL || NoConvergence == NULL
+            || MaxStepsExceeded == NULL || StepSizeUnderflow == NULL)
         goto fail;
     if (!PyFloat_CheckExact(sh) || !PyFunction_Check(py_alpha)
             || !PyFunction_Check(py_coeffs) || !PyFunction_Check(py_tau_star)
             || !PyFunction_Check(py_path_distance)
-            || !PyExceptionClass_Check(NotHorizontal) || !PyExceptionClass_Check(NoConvergence)) {
-        PyErr_SetString(PyExc_ImportError, "kernels.pure no longer holds the Python leaves");
+            || !PyExceptionClass_Check(NotHorizontal) || !PyExceptionClass_Check(NoConvergence)
+            || !PyExceptionClass_Check(MaxStepsExceeded)
+            || !PyExceptionClass_Check(StepSizeUnderflow)) {
+        PyErr_SetString(PyExc_ImportError,
+                        "kernels.pure or errors no longer holds what the leaves need");
         goto fail;
     }
     SINH_HALF_PI = PyFloat_AS_DOUBLE(sh);
@@ -490,5 +913,7 @@ fail:
     Py_CLEAR(py_path_distance);
     Py_CLEAR(NotHorizontal);
     Py_CLEAR(NoConvergence);
+    Py_CLEAR(MaxStepsExceeded);
+    Py_CLEAR(StepSizeUnderflow);
     return NULL;
 }

@@ -22,17 +22,25 @@ every number a function of the inputs alone (it equals what numpy gives
 under ``OPENBLAS_CORETYPE=Sandybridge``).  Plain float arithmetic is also
 about twice as fast as numpy scalars on four- to nine-component states.
 
-The same generator writes the step in C (``c_step_source``), which the
-compiled kernels include as the fused scattering-flow step: a right-hand
-side from ``scattering.flow_rhs`` carries it as ``f.step(t, y, h)``, with
-the bits of ``rkf78_step(f, t, y, h)``, and redoes the step with
-``rkf78_step`` wherever the C step declines.  ``_integrate`` takes
-``f.step`` for every step of the orbit when it is there.  The dispatch lives
-in ``_integrate`` and not in ``rkf78_step`` because a caller may wrap
-``rkf78_step`` and the ``f`` it is handed (the benchmark's span tracer
-does): behind ``rkf78_step`` the wrapped f carries no ``step``, so traced
-runs would stay on the Python step.  Landings (``_land``, ``_henon_step``)
-and ``_error_norm`` stay in Python.
+The same generator writes the step in C (``c_step_source``), in any
+dimension and with the step-size constants, and the compiled kernels
+translate ``_integrate`` around it: a right-hand side from
+``scattering.flow_rhs`` carries ``f.orbit(y0, t0, t1, cfg, record,
+section, max_crossings)``, the whole orbit in one C call, with its
+step-size control, ``_error_norm``, ``Section.crossed`` and the common
+landing (``_land``'s choice of end and one ``_henon_step`` in s), and with
+the bits, rows and counts of the loop below.  ``_integrate`` takes it once,
+at its top.  Where it returns None (an argument outside its fast path, a
+stage at which the Python kernels raise, a landing that needs halving or
+the adaptive integration in s) ``_integrate`` runs the loop below from the
+start, which is deterministic and so returns the same ``Trajectory`` or
+raises the same error; ``MaxStepsExceeded`` and ``StepSizeUnderflow`` come
+from the C orbit itself, so a run over budget is not made twice.  The
+dispatch lives in ``_integrate``, which every orbit passes through, and
+not behind ``rkf78_step``, because a caller may wrap ``rkf78_step`` and the
+``f`` it is handed (the benchmark's span tracer does): a wrapped f carries
+no ``orbit``, and a traced portrait run on the Python step took three
+times as long.
 """
 
 import linecache
@@ -178,32 +186,40 @@ def _step_source():
 
 
 def c_step_source():
-    """C text of ``rkf78_step``, the fused step that ``kernels/_leaves.c`` includes.
+    """C text of ``rkf78_step`` and the step-size constants, for ``kernels/_leaves.c``.
 
-    ``static int rkf78_step(ctx, y, h, y8, err)`` takes RKF78_DIM doubles
-    and calls ``rkf78_rhs(ctx, state, k)``, both defined by the including
-    file, for the 13 stages; it returns 0 as soon as a right-hand side does
-    and 1 once ``y8`` and ``err`` hold what the Python ``rkf78_step`` returns.
-    The flow is autonomous there, so no stage time is formed.  The sums are
-    ``_stage_sums``' and ``_error_sum``'s, the Python step's text with k_r[c]
-    for x_r; the compiler flags keep them unfused and unreordered.
+    ``static int rkf78_step(rhs, ctx, n, y, h, y8, err)`` takes n doubles
+    (n at most RKF78_MAX_DIM, which the including file defines, as it
+    defines the right-hand-side type ``rkf78_rhs_fn``) and calls
+    ``rhs(ctx, state, k)`` for the 13 stages; it returns 0 as soon as a
+    right-hand side does and 1 once ``y8`` and ``err`` hold what the Python
+    ``rkf78_step`` returns.  The flows are autonomous there, so no stage
+    time is formed.  The sums are ``_stage_sums``' and ``_error_sum``'s, the
+    Python step's text with k_r[c] for x_r; the compiler flags keep them
+    unfused and unreordered.  ``_SAFETY``, ``_SHRINK``, ``_GROW`` and
+    ``_ORDER_EXP`` become ``RKF78_SAFETY`` ... ``RKF78_ORDER_EXP``.
     """
     sums = _stage_sums(lambda r: f"k{r}[c]")
-    loop = "    for (c = 0; c < RKF78_DIM; c++)\n"
+    loop = "    for (c = 0; c < n; c++)\n"
     lines = [
         "/* Emitted by arnolddiff.ode.c_step_source from the Fehlberg tableau. */",
+        *(f"#define RKF78_{name} ({float(value)!r})" for name, value in (
+            ("SAFETY", _SAFETY), ("SHRINK", _SHRINK), ("GROW", _GROW),
+            ("ORDER_EXP", _ORDER_EXP))),
         "static int",
-        "rkf78_step(const void *ctx, const double *y, double h, double *y8, double *err)",
+        "rkf78_step(rkf78_rhs_fn rhs, const void *ctx, int n, const double *y, double h,",
+        "           double *y8, double *err)",
         "{",
-        "    double " + ", ".join(f"k{r}[RKF78_DIM]" for r in range(13)) + ", s[RKF78_DIM], he;",
+        "    double " + ", ".join(f"k{r}[RKF78_MAX_DIM]" for r in range(13))
+        + ", s[RKF78_MAX_DIM], he;",
         "    int c;",
-        "    if (!rkf78_rhs(ctx, y, k0))",
+        "    if (!rhs(ctx, y, k0))",
         "        return 0;",
     ]
     for i in range(1, 13):
         lines += [
             loop + f"        s[c] = y[c] + h * ({sums[i - 1]});",
-            f"    if (!rkf78_rhs(ctx, s, k{i}))",
+            f"    if (!rhs(ctx, s, k{i}))",
             "        return 0;",
         ]
     lines += [
@@ -261,8 +277,12 @@ def integrate(f, y0, t_span, cfg=IntegratorConfig(), record=True, section=None, 
 
 
 def _integrate(f, y0, t0, t1, cfg, record, section, max_crossings):
+    orbit = getattr(f, "orbit", None)   # the whole orbit in C; see the module docstring
+    if orbit is not None:
+        traj = orbit(y0, t0, t1, cfg, record, section, max_crossings)
+        if traj is not None:
+            return traj
     direction = 1.0 if t1 > t0 else -1.0
-    step = getattr(f, "step", None)   # a fused step; see the module docstring
     y = list(map(float, y0))
     t = t0
     h = direction * min(cfg.h_init, cfg.h_max, abs(t1 - t0))
@@ -279,7 +299,7 @@ def _integrate(f, y0, t0, t1, cfg, record, section, max_crossings):
         clipped = abs(h) >= abs(t1 - t)
         if clipped:
             h = t1 - t
-        y_new, err = rkf78_step(f, t, y, h) if step is None else step(t, y, h)
+        y_new, err = rkf78_step(f, t, y, h)
         enorm = _error_norm(err, y, y_new, cfg)
         if enorm <= 1.0:
             t_prev, y_prev = t, y

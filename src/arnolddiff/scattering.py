@@ -49,32 +49,36 @@ def scattering_map(j, state, params, eps=None):
 
 
 def flow_rhs(j, params):
-    """Scattering flow as f(t, y) for the integrator, with its fused step.
+    """Scattering flow as f(t, y) for the integrator, with its compiled orbit.
 
-    When the compiled leaves loaded, f also carries ``f.step(t, y, h)``:
-    ``ode.rkf78_step(f, t, y, h)`` with the same bits in one call of
-    ``kernels.flow_step``, which runs the 13 stages in C.  Where that call
-    returns None (an argument outside its fast path, or a stage at which
-    the Python kernels raise), ``f.step`` runs ``ode.rkf78_step`` itself,
-    looked up on the module, and returns or raises what it does.
-    ``ode._integrate`` takes ``f.step`` for the orbit's steps, rather than
-    ``rkf78_step`` taking it from its ``f``, which a tracer may have wrapped;
-    a landing's steps stay in Python.
+    When the compiled leaves loaded, f also carries
+    ``f.orbit(y0, t0, t1, cfg, record, section, max_crossings)``: the
+    ``ode.Trajectory`` that ``ode._integrate`` returns for f on those
+    arguments, with the same bits, from one call of ``kernels.flow_orbit``,
+    which runs the step loop, its error control and the common landing in
+    C.  Where that call returns None (an argument outside its fast path, a
+    stage at which the Python kernels raise, a landing that needs halving
+    or the adaptive integration in s), so does ``f.orbit``, and
+    ``_integrate`` runs its Python loop from the start; ``MaxStepsExceeded``
+    and ``StepSizeUnderflow`` are raised by the C orbit itself.
+    ``_integrate`` takes ``f.orbit`` once per orbit, at its top, rather than
+    a step taking it from its ``f``, which a tracer may have wrapped (see
+    ``ode``).
     """
     a1, a2, a3 = params.a1, params.a2, params.a3
     om1, om2 = params.Omega1, params.Omega2
     frhs = kernels.flow_rhs
-    fused = kernels.flow_step
+    fused = kernels.flow_orbit
 
     def f(t, y):
         return frhs(j, a1, a2, a3, om1, om2, y[0], y[1], y[2], y[3])[:4]
 
-    def step(t, y, h):
-        out = fused(j, a1, a2, a3, om1, om2, y, h)
-        return ode.rkf78_step(f, t, y, h) if out is None else out
+    def orbit(y0, t0, t1, cfg, record, section, max_crossings):
+        out = fused(j, a1, a2, a3, om1, om2, y0, t0, t1, cfg, record, section, max_crossings)
+        return None if out is None else ode.Trajectory(*out)
 
     if fused is not None:
-        f.step = step
+        f.orbit = orbit
     return f
 
 

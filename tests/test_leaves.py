@@ -12,12 +12,19 @@ odd branches, ``guess`` and ``tol`` by position and by keyword, and calls
 that Python rejects.  ``path_distance`` runs on ``ActionPath``'s segment
 tables: stairstepped paths, zero-length segments, coordinates at and beyond
 the pruning limit, non-finite and subnormal points, and the argument kinds
-that must go to the Python leaf.  The fused scattering-flow step
-``f.step`` of ``scattering.flow_rhs`` is compared with ``ode.rkf78_step``
-on the same ``f`` in the same way, on every branch from -3 to 3, int and
-float parameters, steps of both signs from subnormal to 1e300, non-finite
-and huge states, states outside the horizontal regime, and tuple or numpy
-components; every step it defers must run ``ode.rkf78_step``.
+that must go to the Python leaf.  The scattering flow's compiled step
+``kernels.flow_step`` is compared with ``ode.rkf78_step`` on
+``scattering.flow_rhs`` in the same way, on every branch from -3 to 3, int
+and float parameters, steps of both signs from subnormal to 1e300,
+non-finite and huge states, states outside the horizontal regime, and
+tuple or numpy components.  The compiled orbit ``f.orbit`` is compared with
+``ode._integrate``'s Python loop on the same ``f``: equal ``Trajectory``
+reprs over both workloads' parameter sets, branches -2 to 2, both time
+directions, sections on every component in every direction and up to six
+landings; each path it leaves to the Python loop (a halving landing, an
+adaptive landing, a stage that raises, an argument off the fast path)
+gives the same result, and its own MaxStepsExceeded and StepSizeUnderflow
+carry ``_integrate``'s messages.
 """
 
 import contextlib
@@ -31,9 +38,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arnolddiff import diffusion, highway, kernels, melnikov, ode, scattering
-from arnolddiff.errors import NoConvergence, NotHorizontal
+from arnolddiff.errors import (MaxStepsExceeded, NoConvergence, NotHorizontal,
+                               StepSizeUnderflow)
 from arnolddiff.kernels import pure
 from arnolddiff.model import ModelParams
+from arnolddiff.ode import IntegratorConfig, Section
 from test_kernels_parity import ANGLES, J_GRID, W_GRID, _angle, _guess, _guesses, _w
 
 LEAVES = tuple(kernels.PYTHON_LEAVES)
@@ -54,6 +63,7 @@ def test_compiled_backend_whenever_a_compiler_exists():
         assert getattr(pure, name) is not kernels.PYTHON_LEAVES[name]
     assert kernels.tau_star is kernels._leaves.tau_star
     assert kernels.flow_step is kernels._leaves.flow_step
+    assert kernels.flow_orbit is kernels._leaves.flow_orbit
 
 
 @contextlib.contextmanager
@@ -306,7 +316,7 @@ def test_path_distance_argument_kinds():
     _check("path_distance", segments=segments, scale=scale, p0=2.0, p1=1.5)
 
 
-# ---- the fused scattering-flow step against the Python step ----
+# ---- the scattering flow's compiled step against the Python step ----
 
 FLOW_PARAMS = (
     ModelParams(0.2, 0.3, 1.0),              # the portrait's set
@@ -331,23 +341,32 @@ FLOW_STATES = (
 FLOW_STEPS = (0.5, -0.5, 3.0, -7.0, 1e-300, -5e-324, 0.0, 1e3, -1e300)
 
 
-def _check_step(f, t, y, h):
-    """f.step against ode.rkf78_step(f, ...): the same repr, or the same error and message."""
-    fused = _outcome(f.step, t, y, h)
+def _check_step(j, params, t, y, h):
+    """kernels.flow_step against ode.rkf78_step on scattering.flow_rhs(j, params).
+
+    Where the compiled step gives a result it has the Python step's repr.
+    Returns the Python step's outcome and whether the compiled step declined.
+    """
+    f = scattering.flow_rhs(j, params)
+    out = kernels.flow_step(j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
+                            y, h)
     ref = _outcome(ode.rkf78_step, f, t, y, h)
-    assert fused == ref, f"step{(t, y, h)}: Python {ref}, fused {fused}"
-    return ref
+    if out is not None:
+        assert repr(out) == ref, f"step{(j, params, t, y, h)}: Python {ref}, fused {out!r}"
+    return ref, out is None
 
 
 def test_flow_step_on_grid():
     errors = set()
     for params in FLOW_PARAMS:
         for j in range(-3, 4):
-            f = scattering.flow_rhs(j, params)
             for y in FLOW_STATES:
                 for h in FLOW_STEPS:
-                    ref = _check_step(f, 0.0, y, h)
-                    if isinstance(ref, tuple):
+                    ref, declined = _check_step(j, params, 0.0, y, h)
+                    # every argument is on the fast path: it declines exactly
+                    # where the Python step raises
+                    assert declined == isinstance(ref, tuple), (j, params, y, h, ref)
+                    if declined:
                         errors.add(ref)
     # every way the Python step raises was met
     assert {err for err, _msg in errors} == {NotHorizontal, NoConvergence, ValueError}
@@ -357,46 +376,19 @@ def test_flow_step_on_grid():
 
 def test_flow_step_argument_kinds():
     y = FLOW_STATES[0]
-    f = scattering.flow_rhs(1, FLOW_PARAMS[0])
+    params = FLOW_PARAMS[0]
     states = [tuple(y), [np.float64(y[0]), *y[1:]], [*y[:3], np.float32(y[3])],
               [0, 1, 3, 4], [2**53, 1.0, 3.0, 4.0], [2**60, 1.0, 3.0, 4.0], [True, 1.0, 3.0, 4.0],
               [*y, 1.0], y[:3], (), None, "abcd", np.array(y)]
     for ys in states:
         for h in (0.5, -2, np.float64(0.5), 2**60, True, None):
             for t in (0.0, 3, np.float64(1.5)):
-                _check_step(f, t, ys, h)
+                _check_step(1, params, t, ys, h)
     for j in (np.int64(1), 1.0, 2**53, 2**53 + 1, True):
-        _check_step(scattering.flow_rhs(j, FLOW_PARAMS[0]), 0.0, y, 0.5)
+        _check_step(j, params, 0.0, y, 0.5)
     for params in (ModelParams(np.float64(0.2), 0.3, 1.0), ModelParams(0.2, 0.3, 2**60),
                    ModelParams(0.2, 0.3, 1.0, np.float64(1.0)), ModelParams(0.2, 0.3, True)):
-        _check_step(scattering.flow_rhs(0, params), 0.0, y, 0.5)
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # numpy scalar states
-def test_every_deferral_runs_the_python_step(monkeypatch):
-    # the flows are built first: the step looks ode.rkf78_step up when it defers
-    flows = [(j, params, scattering.flow_rhs(j, params))
-             for params in FLOW_PARAMS + (ModelParams(np.float64(0.2), 0.3, 1.0),)
-             for j in (-3, 0, 1)]
-    calls = []
-    step = ode.rkf78_step
-
-    def recording(f, t, y, h):
-        calls.append(h)
-        return step(f, t, y, h)
-
-    monkeypatch.setattr(ode, "rkf78_step", recording)
-    deferred = 0
-    for j, params, f in flows:
-        for y in (*FLOW_STATES, tuple(FLOW_STATES[0]), [np.float64(0.1), *FLOW_STATES[0][1:]]):
-            for h in FLOW_STEPS:
-                calls.clear()
-                fused = kernels.flow_step(j, params.a1, params.a2, params.a3, params.Omega1,
-                                          params.Omega2, y, h)
-                _outcome(f.step, 0.0, y, h)
-                assert calls == ([h] if fused is None else [])
-                deferred += fused is None
-    assert 0 < deferred
+        _check_step(0, params, 0.0, y, 0.5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -407,13 +399,258 @@ def test_every_deferral_runs_the_python_step(monkeypatch):
     h=st.one_of(st.floats(-20.0, 20.0), st.floats(), st.sampled_from([5e-324, -1e-300])),
 )
 def test_flow_step_property(j, a1, a2, a3, om1, i1, i2, t1, t2, h):
-    f = scattering.flow_rhs(j, ModelParams(a1, a2, a3, om1, 1.0))
-    _check_step(f, 0.0, [i1, i2, t1, t2], h)
+    ref, declined = _check_step(j, ModelParams(a1, a2, a3, om1, 1.0), 0.0, [i1, i2, t1, t2], h)
+    assert declined == isinstance(ref, tuple)
+
+
+# ---- the compiled orbit against ode._integrate's Python loop ----
+
+PORTRAIT = ModelParams(0.2, 0.3, 1.0, eps=1e-3)
+HIGHWAY = ModelParams(0.3, 0.1, 1.0, eps=1e-3)
+ORBIT_PARAMS = (
+    (PORTRAIT, scattering.SECTION_INTEGRATOR),
+    (HIGHWAY, highway.TRACE_INTEGRATOR),
+    (ModelParams(0, 1, 3, 2, 1), IntegratorConfig(h_max=0.5)),   # int amplitudes; h_max binds
+)
+
+
+def _python_loop(f):
+    """f without its compiled orbit, so that ode._integrate runs its Python loop."""
+    return lambda t, y: f(t, y)
+
+
+def _check_orbit(f, *args):
+    """f.orbit and ode._integrate(f, ...) against the Python loop on f.
+
+    ``args`` are ``_integrate``'s after f.  The reprs (t, the rows and
+    their types, the counts, the crossings) must be equal, or the same
+    error with the same message be raised.  Returns the Python loop's
+    outcome and whether the compiled orbit declined.
+    """
+    ref = _outcome(ode._integrate, _python_loop(f), *args)
+    raw = _outcome(f.orbit, *args)
+    assert raw in ("None", ref), f"orbit{args}: Python {ref}, compiled {raw}"
+    assert _outcome(ode._integrate, f, *args) == ref
+    return ref, raw == "None"
+
+
+def test_flow_orbit_matches_the_python_loop():
+    y0 = [0.3, -0.4, 3.9269908169872414, 3.85]
+    n = 0
+    for params, cfg in ORBIT_PARAMS:
+        for j in range(-2, 3):
+            f = scattering.flow_rhs(j, params)
+            for t1 in (20.0, -20.0):
+                ref, declined = _check_orbit(f, y0, 0.0, t1, cfg, True, None, 1)
+                assert not declined
+                free = f.orbit(y0, 0.0, t1, cfg, True, None, 1)
+                for k in range(4):
+                    # the median of a component over the orbit: crossed both ways
+                    column = sorted(row[k] for row in free.y)
+                    value = column[len(column) // 2]
+                    for direction in (-1, 0, 1):
+                        section = Section(k, value, direction)
+                        ref, declined = _check_orbit(f, y0, 0.0, t1, cfg, (n // 6) % 2 == 0,
+                                                     section, 1 + n % 6)
+                        assert not declined and not isinstance(ref, tuple)
+                        n += 1
+    # one clipped step to a span end that t0 + (t1 - t0) rounds past lands on it
+    loose = IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, h_init=5.0)
+    ref, declined = _check_orbit(scattering.flow_rhs(0, PORTRAIT), y0, 1.1, -0.3, loose, True,
+                                 None, 1)
+    assert not declined and ref.startswith("Trajectory(t=[1.1, -0.3], ")
+    # the workloads' own orbits: a portrait seed to six crossings, a Highway trace
+    level = melnikov.reduced_poincare(0, (0.0, 0.0, 3.9269908169872414, 3.9269908169872414),
+                                      PORTRAIT)
+    seed = scattering.adjust_seed_to_level(0, 0.0, 0.0, 3.9269908169872414, 3.9, level, PORTRAIT)
+    for record in (False, True):
+        ref, declined = _check_orbit(scattering.flow_rhs(0, PORTRAIT), seed, 0.0, 400.0,
+                                     scattering.SECTION_INTEGRATOR, record, Section(0, 0.0, 1), 6)
+        assert not declined and ref.count("(") > 6
+    seed, _ = highway.highway_seed(7.0, -7.0, HIGHWAY)
+    ref, declined = _check_orbit(scattering.flow_rhs(0, HIGHWAY), seed, 0.0, 1e12,
+                                 highway.TRACE_INTEGRATOR, True, Section(1, 0.0, 1), 1)
+    assert not declined
+
+
+@pytest.fixture
+def landing_paths(monkeypatch):
+    """How often the Python loop halves a step to land, lands adaptively in s, or
+    refuses a Henon landing outside its step."""
+    seen = {"halving": 0, "adaptive landing": 0, "outside the step": 0}
+    landing_of = []
+    land, henon, step, integrate = ode._land, ode._henon_step, ode.rkf78_step, ode._integrate
+
+    def landing(f, section, t0, y0, t1, y1, cfg):
+        landing_of.append((f, min(t0, t1), max(t0, t1)))
+        try:
+            return land(f, section, t0, y0, t1, y1, cfg)
+        finally:
+            landing_of.pop()
+
+    def henon_step(f, *args):
+        hit = henon(f, *args)
+        _f, lo, hi = landing_of[-1]
+        seen["outside the step"] += hit is not None and not lo <= hit[0] <= hi
+        return hit
+
+    def stepping(f, t, y, h):
+        if landing_of and f is landing_of[-1][0]:
+            seen["halving"] += 1     # a step of the orbit's own f inside a landing
+        return step(f, t, y, h)
+
+    def integrating(f, *args):
+        if landing_of:
+            seen["adaptive landing"] += 1
+        return integrate(f, *args)
+
+    monkeypatch.setattr(ode, "_land", landing)
+    monkeypatch.setattr(ode, "_henon_step", henon_step)
+    monkeypatch.setattr(ode, "rkf78_step", stepping)
+    monkeypatch.setattr(ode, "_integrate", integrating)
+    return seen
+
+
+# Landings that the compiled orbit leaves to the Python loop: a halving
+# (loose tolerances and long steps, found by a random search over states and
+# sections) and a Henon step that fails its error check at the default
+# tolerances, on a section of theta2
+RARE_LANDINGS = {
+    "halving": (
+        ModelParams(0.3, -0.4, 1.0), 0,
+        [-0.12574529912908972, -1.2538642971181502, 2.5438733159133857, 0.9229900837624831],
+        60.0, IntegratorConfig(abs_tol=0.07673680957567697, rel_tol=0.07673680957567697,
+                               h_init=20.0, h_max=20.0),
+        Section(1, -1.1776853145452466, 0), 3),
+    "adaptive landing": (
+        ModelParams(0.3, 0.1, 1.0), 1, [1.2, -0.4, 5.0, 1.0], 30.0, IntegratorConfig(),
+        Section(3, 1.5, 0), 4),
+}
+
+
+@pytest.mark.parametrize("path", sorted(RARE_LANDINGS))
+def test_rare_landings_run_the_python_loop(landing_paths, path):
+    params, j, y0, t1, cfg, section, max_crossings = RARE_LANDINGS[path]
+    f = scattering.flow_rhs(j, params)
+    args = (y0, 0.0, t1, cfg, False, section, max_crossings)
+    assert kernels.flow_orbit(j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
+                              *args) is None
+    ref, declined = _check_orbit(f, *args)
+    assert declined and not isinstance(ref, tuple) and landing_paths[path] > 0
+
+
+def test_landing_outside_the_step_is_refused_in_c(landing_paths):
+    # a Henon step from the nearer end lands outside the accepted step; the
+    # compiled orbit refuses it and lands from the other end, as _land does
+    params = ModelParams(0.2, 0.3, 1.0)
+    f = scattering.flow_rhs(-2, params)
+    y0 = [-1.2021236432681435, 0.778019259846638, 0.5322410821108118, 6.033114233120487]
+    cfg = IntegratorConfig(abs_tol=0.9391446605266579, rel_tol=0.9391446605266579, h_init=1.0,
+                           h_max=20.0)
+    ref, declined = _check_orbit(f, y0, 0.0, 60.0, cfg, False, Section(3, 6.191701040637306, 1),
+                                 3)
+    assert not declined and not isinstance(ref, tuple)
+    assert landing_paths["outside the step"] > 0 and landing_paths["halving"] == 0
+
+
+def test_stage_errors_run_the_python_loop():
+    # the orbit declines at a stage where the Python kernels raise, and the
+    # Python loop then raises it: mid-orbit into the non-horizontal region,
+    # a solve that does not converge, sin of an infinite angle
+    cases = [
+        (ModelParams(0.7, 0.3, 1.0), 0, [-1.63, 2.67, 5.68, 0.19], 100.0),
+        (ModelParams(*UNCONVERGED[3:5], 1.0), 2, [*UNCONVERGED[1:3], *UNCONVERGED[5:]], 10.0),
+        (PORTRAIT, 0, [0.5, 0.5, 1.0, math.inf], 10.0),
+    ]
+    raised = []
+    for params, j, y0, t1 in cases:
+        f = scattering.flow_rhs(j, params)
+        for record, section in ((False, None), (True, Section(3, -100.0, 0))):
+            ref, declined = _check_orbit(f, y0, 0.0, t1, scattering.SECTION_INTEGRATOR, record,
+                                         section, 2)
+            assert declined
+        raised.append(ref)
+    assert [err for err, _msg in raised] == [NotHorizontal, NoConvergence, ValueError]
+    assert raised[2][1] == "math domain error"
+
+
+def test_integrator_errors_are_raised_by_the_orbit():
+    # MaxStepsExceeded and StepSizeUnderflow come from the compiled orbit
+    # itself, with _integrate's class and message, so no run is made twice
+    f = scattering.flow_rhs(0, PORTRAIT)
+    y0 = [0.3, -0.4, 3.9269908169872414, 3.85]
+    cases = [
+        (IntegratorConfig(max_steps=5), MaxStepsExceeded),
+        (IntegratorConfig(h_init=1.0, h_min=0.5, h_max=10.0), StepSizeUnderflow),
+        (IntegratorConfig(abs_tol=1e-16, rel_tol=1e-16, h_init=1.0, h_min=0.5), StepSizeUnderflow),
+    ]
+    for cfg, error in cases:
+        for t1, record in ((50.0, True), (-50.0, False)):
+            ref, declined = _check_orbit(f, y0, 0.0, t1, cfg, record, Section(0, 0.0, 0), 2)
+            assert not declined and ref[0] is error, ref
+
+
+def test_flow_orbit_argument_kinds():
+    # an argument outside the fast path is left to the Python loop, which
+    # gives what it gives (numpy, ints where Python keeps them, bad types)
+    f = scattering.flow_rhs(1, PORTRAIT)
+    y0 = [0.3, -0.4, 3.9269908169872414, 3.85]
+    cfg = scattering.SECTION_INTEGRATOR
+    section = Section(0, 0.3, 0)
+    fast = (y0, 0.0, 30.0, cfg, True, section, 2)
+    kinds = [
+        (0, tuple(y0)), (0, [0, 0, 4, 4]), (0, [np.float64(0.3), *y0[1:]]), (0, y0[:3]),
+        (0, np.array(y0)), (1, 0), (2, 30), (2, np.float64(30.0)), (4, 1), (4, None),
+        (3, IntegratorConfig(h_init=1, h_max=10)), (3, IntegratorConfig(max_steps=10**20)),
+        (3, IntegratorConfig(h_max=np.float64(10.0))), (5, Section(0, 0, 1)),
+        (5, Section(-1, 4.0, 0)), (5, Section(4, 0.3, 0)), (5, Section(0, 0.3, 1.0)),
+        (5, Section(np.int64(0), 0.3, 1)), (5, Section(0, np.float64(0.3), 1)), (6, 2.0),
+        (6, 10**30), (6, np.int64(2)),
+    ]
+    for i, value in kinds:
+        args = list(fast)
+        args[i] = value
+        _check_orbit(f, *args)
+    ref, declined = _check_orbit(f, *fast)
+    assert not declined
+    for j in (np.int64(1), 1.0, 2**53 + 1, True):
+        _check_orbit(scattering.flow_rhs(j, PORTRAIT), *fast)
+    for params in (ModelParams(np.float64(0.2), 0.3, 1.0), ModelParams(0.2, 0.3, 2**60),
+                   ModelParams(0.2, 0.3, True)):
+        _check_orbit(scattering.flow_rhs(0, params), *fast)
+
+
+def test_every_deferral_runs_the_python_step(monkeypatch):
+    # ode._integrate runs its Python loop, and so calls ode.rkf78_step,
+    # exactly where the compiled orbit returned None
+    cases = [(j, params, y0)
+             for params in (PORTRAIT, ModelParams(0.6, 0.5, 1.0), ModelParams(0.3, 0.1, 0.0))
+             for j in (-3, 0, 1)
+             for y0 in ([0.3, -0.4, 3.9, 3.85], [1.2, 1.2, 0.5, 2.0], [0.5, 0.5, math.nan, 2.0],
+                        (0.3, -0.4, 3.9, 3.85), [np.float64(0.3), -0.4, 3.9, 3.85])]
+    flows = {(j, params): scattering.flow_rhs(j, params) for j, params, _y0 in cases}
+    calls = []
+    step = ode.rkf78_step
+
+    def recording(f, t, y, h):
+        calls.append(h)
+        return step(f, t, y, h)
+
+    monkeypatch.setattr(ode, "rkf78_step", recording)
+    deferred = 0
+    for j, params, y0 in cases:
+        args = (y0, 0.0, 20.0, scattering.SECTION_INTEGRATOR, False, Section(2, 4.0, 0), 2)
+        raw = _outcome(kernels.flow_orbit, j, params.a1, params.a2, params.a3, params.Omega1,
+                       params.Omega2, *args)
+        calls.clear()
+        _outcome(ode._integrate, flows[j, params], *args)
+        assert bool(calls) == (raw == "None"), (j, params, y0, raw)
+        deferred += raw == "None"
+    assert 0 < deferred < len(cases)
 
 
 def test_orbits_take_the_fused_step(monkeypatch):
-    # portraits and Highway traces run no Python step of the orbit itself:
-    # what remains are the landings' steps in s
+    # portraits and Highway traces, landings included, run no Python step
     stepped = []
     step = ode.rkf78_step
 
@@ -422,12 +659,10 @@ def test_orbits_take_the_fused_step(monkeypatch):
         return step(f, t, y, h)
 
     monkeypatch.setattr(ode, "rkf78_step", recording)
-    params = ModelParams(0.2, 0.3, 1.0, eps=1e-3)
     lp = (0.0, 0.0, 3.9269908169872414, 3.9269908169872414)
-    pts = scattering.poincare_section(0, melnikov.reduced_poincare(0, lp, params), 0.0,
-                                      [(0.0, 0.0, lp[2], 3.9)], 400.0, params, max_crossings=4)
-    params = ModelParams(0.3, 0.1, 1.0, eps=1e-3)
-    seed, _ = highway.highway_seed(7.0, -7.0, params)
-    orb = highway.highway_trace(seed, params, stop=(1, 0.0, +1), drift_tol=1e-6)
+    pts = scattering.poincare_section(0, melnikov.reduced_poincare(0, lp, PORTRAIT), 0.0,
+                                      [(0.0, 0.0, lp[2], 3.9)], 400.0, PORTRAIT, max_crossings=4)
+    seed, _ = highway.highway_seed(7.0, -7.0, HIGHWAY)
+    orb = highway.highway_trace(seed, HIGHWAY, stop=(1, 0.0, +1), drift_tol=1e-6)
     assert len(pts) == 4 and len(orb.t) > 20
-    assert stepped and not any(hasattr(f, "step") for f in stepped)
+    assert stepped == []

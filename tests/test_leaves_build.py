@@ -5,9 +5,12 @@ these tests call each leaf many times and watch the reference counts, and
 build the extension cold in copies of the package: two builds at once, a
 build with no compiler on the path, and a build with
 ``PYTHONDONTWRITEBYTECODE=1`` followed by a warm import that must not
-start the compiler.  The copy without a compiler also runs the golden
-``poincare`` and ``highway`` files, whose orbits then take the Python step,
-and their outputs must keep the bytes of ``tests/golden/hashes.json``.
+start the compiler; a cold build removes the builds of other sources, a
+warm import removes nothing.  The copy without a compiler also runs the
+golden ``poincare`` and ``highway`` files, whose orbits then take the
+Python loop, and their outputs must keep the bytes of
+``tests/golden/hashes.json``; its probe orbit, landings included, must
+print what the compiled orbit prints.
 """
 
 import gc
@@ -17,28 +20,33 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
 
 import arnolddiff
-from arnolddiff import diffusion, kernels
+from arnolddiff import diffusion, kernels, ode
+from arnolddiff.errors import MaxStepsExceeded, StepSizeUnderflow
 
 CC = sysconfig.get_config_var("CC")
 HAVE_CC = bool(CC) and shutil.which(CC.split()[0]) is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler: nothing is compiled")
 
-# the last value integrates a scattering-flow orbit, by the fused step when
-# it is compiled and by the Python step otherwise
+# the last values integrate a scattering-flow orbit to four landings on a
+# section, by the compiled orbit when it is compiled and by the Python loop
+# otherwise
 PROBE = ("import sys; from arnolddiff import diffusion, kernels, ode, scattering; "
          "from arnolddiff.model import ModelParams; "
          "path = diffusion.ActionPath([(0.3, 1.0), (2.0, 1.0), (2.0, 2.7), (-1.1, 2.7)], 0.1); "
+         "traj = ode.integrate(scattering.flow_rhs(1, ModelParams(0.3, 0.1, 1.0)), "
+         "(1.2, -0.4, 5.0, 1.0), (0.0, 30.0), record=True, section=ode.Section(2, 5.5, 0), "
+         "max_crossings=4); "
          "print(kernels.BACKEND, kernels.__file__.startswith(sys.argv[1]), "
          "repr(kernels.tau_star(-3, 1.3, 0.7, 0.3, 0.1, 2.0, 4.0)), "
          "repr(kernels.flow_rhs(1, 0.3, 0.1, 1.0, 1.0, 1.0, 1.2, -0.4, 5.0, 1.0)), "
          "repr(path.distance_to((1.1, 1.9))), "
-         "repr(ode.integrate(scattering.flow_rhs(1, ModelParams(0.3, 0.1, 1.0)), "
-         "(1.2, -0.4, 5.0, 1.0), (0.0, 3.0), record=False).final))")
+         "len(traj.t), traj.n_accepted, traj.n_rejected, repr(traj.crossings))")
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # runs the golden poincare and highway files and prints the SHA-256 of what
@@ -67,8 +75,9 @@ def test_reference_counts_do_not_drift():
     path = diffusion.ActionPath([(0.3, 1.0), (2.0, 1.0), (2.0, 2.7), (-1.1, 2.7)], 0.1)
     segments, scale = path._segments, path._scale
     y, h = [1.2, -0.4, 5.0, 1.0], 0.5
-    objs = (None, w1, w2, mu1, t1, guess, tol, segments, segments[1], segments[1][2], scale,
-            y, y[0], h)
+    cfg, section, t_end = ode.IntegratorConfig(), ode.Section(2, 5.5, 0), 3.0
+    objs = (None, True, False, w1, w2, mu1, t1, guess, tol, segments, segments[1],
+            segments[1][2], scale, y, y[0], h, cfg, section, section.value, t_end)
     # garbage left by earlier tests holds references to None too: collect
     # it first, and keep the collector from freeing more during the loops
     gc.collect()
@@ -76,6 +85,7 @@ def test_reference_counts_do_not_drift():
     try:
         before = [sys.getrefcount(o) for o in objs]
         _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale, y, h)
+        _call_every_orbit(leaves, mu1, mu2, y, cfg, section, t_end)
         drift = [sys.getrefcount(o) - b for o, b in zip(objs, before)]
     finally:
         gc.enable()
@@ -119,6 +129,41 @@ def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, sca
                      (0, mu1, mu2, 1.0, 1.0, 1.0, y)):
             assert leaves.flow_step(*args) is None
         assert leaves.flow_step(0, mu1, mu2, 1.0, 1.0, 1.0, y=y, h=h) is None
+
+
+def _call_every_orbit(leaves, mu1, mu2, y, cfg, section, t_end):
+    flow = (1, mu1, mu2, 1.0, 1.0, 1.0)
+    halving = (0, 0.3, -0.4, 1.0, 1.0, 1.0,
+               [-0.12574529912908972, -1.2538642971181502, 2.5438733159133857, 0.9229900837624831],
+               0.0, 60.0, ode.IntegratorConfig(abs_tol=0.07673680957567697,
+                                               rel_tol=0.07673680957567697, h_init=20.0,
+                                               h_max=20.0),
+               False, ode.Section(1, -1.1776853145452466, 0), 3)
+    tight = ode.IntegratorConfig(abs_tol=1e-16, rel_tol=1e-16, h_init=1.0, h_min=0.5)
+    for _ in range(300):
+        for record in (True, False):
+            # to the span end, to the second landing, and backward with no section
+            assert leaves.flow_orbit(*flow, y, 0.0, t_end, cfg, record, section, 9) is not None
+            assert len(leaves.flow_orbit(*flow, y, 0.0, 30.0, cfg, record, section, 2)[4]) == 2
+            assert leaves.flow_orbit(*flow, tuple(y), 0.0, -t_end, cfg, record, None, 1)[2] > 0
+        with pytest.raises(MaxStepsExceeded):
+            leaves.flow_orbit(*flow, y, 0.0, t_end, ode.IntegratorConfig(max_steps=3), True,
+                              section, 1)
+        with pytest.raises(StepSizeUnderflow):
+            leaves.flow_orbit(*flow, y, 0.0, t_end, tight, False, None, 1)
+        # the None returns: a halving landing, a stage that raises, a
+        # non-float state, a bad cfg, section or count, a bad arity
+        assert leaves.flow_orbit(*halving) is None
+        for args in ((0, 1.0, 1.0, 1.0, 1.0, 1.0, [1.2, 1.2, 0.5, 2.0], 0.0, t_end, cfg, True,
+                      section, 1),
+                     (*flow, [*y[:3], None], 0.0, t_end, cfg, True, section, 1),
+                     (*flow, y, 0, t_end, cfg, True, section, 1),
+                     (*flow, y, 0.0, t_end, None, True, section, 1),
+                     (*flow, y, 0.0, t_end, cfg, 1, section, 1),
+                     (*flow, y, 0.0, t_end, cfg, True, ode.Section(4, 0.0, 0), 1),
+                     (*flow, y, 0.0, t_end, cfg, True, section, 1.0),
+                     (*flow, y, 0.0, t_end, cfg, True, section)):
+            assert leaves.flow_orbit(*args) is None
 
 
 @pytest.fixture
@@ -191,3 +236,20 @@ def test_cache_ignores_dont_write_bytecode_and_warm_import_never_compiles(packag
     warm = _probe(root, dict(env, PATH=str(tmp_path / "empty")))
     assert warm.stdout == cold.stdout and warm.stderr == ""
     assert len(_cache(root)) == 1
+
+
+@needs_cc
+def test_cold_build_removes_stale_builds_and_warm_import_removes_nothing(package_copy):
+    root, env = package_copy
+    cache = root / "arnolddiff" / "kernels" / "__pycache__"
+    cache.mkdir()
+    stale = cache / f"_leaves.0123456789abcdef{EXTENSION_SUFFIXES[0]}"
+    stale.write_bytes(b"an earlier build")
+    cold = _probe(root, env)
+    assert cold.returncode == 0 and cold.stdout.startswith("c True ") and cold.stderr == ""
+    assert not stale.exists() and len(_cache(root)) == 1
+    stale.write_bytes(b"an earlier build")
+    before = sorted(p.name for p in cache.iterdir())
+    warm = _probe(root, env)
+    assert warm.stdout == cold.stdout and warm.stderr == ""
+    assert sorted(p.name for p in cache.iterdir()) == before
