@@ -13,16 +13,12 @@ place.  Then the pseudo-orbit builder's two other costs: the path distance
 of the ``pseudo_orbit`` benchmark's paths, and on an 80-segment one, with
 either leaf; and the CSV writer on 25 000 ``diffuse``-shaped rows, its
 %-format fast path (``cli._write_csv``) against ``csv.writer`` on every
-row (median of 5).  Then one RKF78 step of the scattering flow on the
-steps of a portrait orbit (the golden ``poincare`` run's first seed): the
-compiled step ``kernels.flow_step`` against ``ode.rkf78_step`` on
-``scattering.flow_rhs``, after checking that the two give equal reprs on
-every step.  Then whole orbits, a portrait orbit and a Highway trace, on
-the compiled orbit (``f.orbit``, which ``ode._integrate`` takes) against
-``_integrate``'s Python loop, after checking equal ``Trajectory`` reprs.
-Last, one integrated workload (a Highway trace between action sections)
-with the compiled leaves.  The per-call figures quoted in the README come
-from this script.
+row (median of 5).  Then whole scattering-flow orbits, a portrait orbit
+and a Highway trace, on the compiled orbit (``f.orbit``, which
+``ode._integrate`` takes) against ``_integrate``'s Python loop, after
+checking equal ``Trajectory`` reprs.  Last, one integrated workload (a
+Highway trace between action sections) with the compiled leaves.  The
+per-call figures quoted in the README come from this script.
 """
 
 import contextlib
@@ -121,40 +117,6 @@ def _bench_csv(rng, n_rows=25_000, repeats=5):
     return out
 
 
-def _bench_step(repeats=3):
-    """Median seconds per step, fused and Python, over a portrait orbit's steps."""
-    from arnolddiff import melnikov, ode, scattering
-    from arnolddiff.model import ModelParams
-
-    params = ModelParams(0.2, 0.3, 1.0, eps=1e-3)
-    lp = (0.0, 0.0, 3.9269908169872414, 3.9269908169872414)
-    level = melnikov.reduced_poincare(0, lp, params)
-    f = scattering.flow_rhs(0, params)
-    y0 = scattering.adjust_seed_to_level(0, 0.0, 0.0, lp[2], 3.85, level, params)
-    traj = ode.integrate(f, y0, (0.0, 400.0), scattering.SECTION_INTEGRATOR)
-    steps = [(y, t1 - t0) for t0, t1, y in zip(traj.t, traj.t[1:], traj.y)]
-    if kernels.flow_step is None:
-        return None, len(steps)
-
-    def fused(t, y, h):
-        return kernels.flow_step(0, params.a1, params.a2, params.a3, params.Omega1,
-                                 params.Omega2, y, h)
-
-    for y, h in steps:
-        assert repr(fused(0.0, y, h)) == repr(ode.rkf78_step(f, 0.0, y, h)), (y, h)
-    out = {}
-    for name, step in (("C step", fused), ("Python step",
-                                             lambda t, y, h: ode.rkf78_step(f, t, y, h))):
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for y, h in steps:
-                step(0.0, y, h)
-            times.append((time.perf_counter() - t0) / len(steps))
-        out[name] = statistics.median(times)
-    return out, len(steps)
-
-
 def _bench_orbits(repeats=5):
     """Median seconds per orbit, compiled orbit and Python loop.
 
@@ -238,15 +200,6 @@ def main():
     print("\nCSV writer, 25 000 diffuse_orbit.csv-shaped rows (median of 5, ms):")
     for label, t in secs.items():
         print(f"{label:>16}{t * 1e3:>12.1f}")
-
-    step, n_steps = _bench_step()
-    print(f"\nRKF78 step of the scattering flow, {n_steps} steps of a portrait orbit"
-          " (median of 3, microseconds per step):")
-    if step is None:
-        print("  no compiled step: the compiled leaves did not load")
-    else:
-        for label, t in step.items():
-            print(f"{label:>16}{t * 1e6:>12.2f}")
 
     orbits = _bench_orbits()
     print("\nscattering-flow orbits, compiled orbit against the Python loop"

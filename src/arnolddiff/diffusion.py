@@ -270,7 +270,7 @@ def build_pseudo_orbit(path, start, params, j=0, eps=None, on_event=None):
         steps.append(PseudoStep("S", z, 0.0, ps, d))
         if not d <= delta:
             raise Stuck(
-                f"tracking contract violated: deviation {d:.4f} > delta={delta} "
+                f"tracking contract violated: deviation {d!r} > delta={delta} "
                 f"at {z}"
             )
     else:

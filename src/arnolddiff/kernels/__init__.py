@@ -12,35 +12,33 @@ compiled leaves and sets ``BACKEND = "c"``.  A warm cache only loads the
 file.  Without a compiler, or when the build fails, the Python leaves
 stay, one line on stderr says so, and ``BACKEND`` is ``"python"``.
 
-The build also compiles the scattering flow's integration:
-``flow_step``, one RKF78 step in one C call, and ``flow_orbit``, a whole
-orbit of ``ode._integrate``.  ``_leaves.c`` translates ``flow_rhs`` on the
-compiled leaves, ``_integrate``'s loop, ``_error_norm``, ``Section.crossed``
-and the common landing (one Henon step in five dimensions), and includes
-``rkf78_step.h``, which ``ode.c_step_source`` writes from the tableau and
-step-size constants behind ``ode.rkf78_step`` and ``_integrate``
-(``STEP_HEADER``, emitted at every import because it is part of the cache
-key).  ``scattering.flow_rhs`` attaches the orbit to its right-hand side as
-``f.orbit``, and ``ode._integrate`` calls that once per orbit (there, not
-behind ``ode.rkf78_step``, whose ``f`` the span tracer wraps); where
-``flow_orbit`` returns None (an argument outside its fast path, a stage at
-which the Python kernels raise, a landing that needs halving or an adaptive
-integration in s) ``_integrate`` runs its Python loop from the start, which
-gives the same ``Trajectory`` or raises the same error.  ``flow_step``
-serves the step's parity tests and the per-step benchmark; nothing in the
-package calls it.  Both are None without the compiled leaves, and every
-orbit runs in Python.  A build that succeeds removes the ``_leaves.*``
-files of other keys from the cache; a warm import removes nothing.
+The build also compiles the scattering flow's integration, ``flow_orbit``: a
+whole orbit of ``ode._integrate`` in one C call.  ``_leaves.c`` translates
+``flow_rhs`` on the compiled leaves, ``_integrate``'s loop, ``_error_norm``,
+``Section.crossed`` and the common landing (one Henon step in five
+dimensions), and includes ``rkf78_step.h``, which ``ode.c_step_source``
+writes from the tableau and step-size constants behind ``ode.rkf78_step``
+and ``_integrate`` (``STEP_HEADER``, emitted at every import because it is
+part of the cache key).  ``scattering.flow_rhs`` attaches the orbit to its
+right-hand side as ``f.orbit``, and ``ode._integrate`` calls that once per
+orbit (there, not behind ``ode.rkf78_step``, whose ``f`` the span tracer
+wraps), with the state as the list of floats its Python loop starts from;
+where ``flow_orbit`` returns None (an argument outside its fast path, a
+stage at which the Python kernels raise, a landing that needs halving or an
+adaptive integration in s) ``_integrate`` runs its Python loop from the
+start, which gives the same ``Trajectory`` or raises the same error.
+``flow_orbit`` is None without the compiled leaves, and every orbit runs in
+Python.  A build that succeeds removes the ``_leaves.*`` files of other keys
+from the cache; a warm import removes nothing.
 
 Everything else (``lstar``, ``lstar_grad``, ``flow_rhs``, ``coeff`` and
 ``coeff_deriv``) stays in Python and reaches the leaves through ``pure``'s
-module globals, because the span tracer in ``perfbench/spans.py`` counts
-the solves made inside them by rebinding ``kernels.pure.tau_star``; and
+module globals, because the span tracer in ``perfbench/spans.py`` counts the
+solves made inside them by rebinding ``kernels.pure.tau_star``; and
 ``diffusion.ActionPath.distance_to``, the method the tracer counts, looks
-``pure.path_distance`` up on every call.  The solves inside ``flow_step``
-and ``flow_orbit`` are not seen there: a traced run counts the right-hand
-sides and solves of the orbits that stay in Python only (none on portrait
-or highway_family).
+``pure.path_distance`` up on every call.  The solves inside ``flow_orbit``
+are not seen there: a traced run counts the right-hand sides and solves of
+the orbits that stay in Python only (none on portrait or highway_family).
 ``PYTHON_LEAVES`` holds the Python leaves, the specification that
 ``tests/test_leaves.py`` compares the compiled ones with.
 """
@@ -147,8 +145,7 @@ if _leaves is not None:
     for _name in PYTHON_LEAVES:
         setattr(pure, _name, getattr(_leaves, _name))
 BACKEND = "python" if _leaves is None else "c"
-# the scattering flow's compiled step and orbit; None without the compiled leaves
-flow_step = None if _leaves is None else _leaves.flow_step
+# the scattering flow's compiled orbit; None without the compiled leaves
 flow_orbit = None if _leaves is None else _leaves.flow_orbit
 
 from .pure import (  # noqa: E402  (re-exported after the rebinding above)

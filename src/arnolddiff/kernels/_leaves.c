@@ -1,6 +1,6 @@
 /* Compiled leaves of the scalar kernels: alpha, _coeffs, tau_star and
- * path_distance; and the scattering flow's RKF78 integration: flow_step,
- * one step, and flow_orbit, a whole orbit of ode._integrate.
+ * path_distance; and the scattering flow's RKF78 integration: flow_orbit,
+ * a whole orbit of ode._integrate.
  *
  * Each function is a line-for-line translation of its namesake in pure.py,
  * the specification: the same float operations in the same order (built
@@ -19,18 +19,18 @@
  * path_distance takes floats only: its point, its scale and every entry of
  * its segment table must be exact floats, or the Python leaf runs.
  *
- * flow_step runs ode.rkf78_step on pure.flow_rhs in C: the right-hand side
- * is lstar_grad's lines on c_tau_star and coeffs_of, and the stage sums are
- * the file rkf78_step.h, which ode.c_step_source emits from the Fehlberg
- * tableau at build time (kernels/__init__.py), so the tableau, its
- * summation order and the step-size constants exist once.  flow_orbit
- * translates ode._integrate in the same way: its step-size control,
- * _error_norm, Section.crossed, _land's choice of end and one _henon_step
- * of the landing system (the emitted step in five dimensions), with the
- * recording of the Python loop and its MaxStepsExceeded and
- * StepSizeUnderflow.  Neither raises anything else: where their inputs, a
- * stage or a landing leave the fast path they return None, and the
- * Python step or loop runs instead (scattering.flow_rhs, ode._integrate).
+ * flow_orbit translates ode._integrate on pure.flow_rhs: its step is
+ * ode.rkf78_step, whose right-hand side is lstar_grad's lines on
+ * c_tau_star and coeffs_of and whose stage sums are the file rkf78_step.h,
+ * which ode.c_step_source emits from the Fehlberg tableau at build time
+ * (kernels/__init__.py), so the tableau, its summation order and the
+ * step-size constants exist once; around it, _integrate's step-size
+ * control, _error_norm, Section.crossed, _land's choice of end and one
+ * _henon_step of the landing system (the emitted step in five
+ * dimensions), with the recording of the Python loop and its
+ * MaxStepsExceeded and StepSizeUnderflow.  It raises nothing else: where
+ * its inputs, a stage or a landing leave the fast path it returns None,
+ * and the Python loop runs instead (scattering.flow_rhs, ode._integrate).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -77,8 +77,8 @@ as_double(PyObject *o, double *x)
 }
 
 /* What a solve raised, if anything: c_tau_star's result, which
- * raise_status turns into pure.py's exception and the compiled step and
- * orbit into a None return. */
+ * raise_status turns into pure.py's exception and the compiled orbit into
+ * a None return. */
 enum { SOLVED, NOT_HORIZONTAL, NO_CONVERGENCE, DOMAIN_ERROR };
 
 static PyObject *
@@ -339,18 +339,6 @@ parse_flow(PyObject *const *args, struct flow *p)
     return 1;
 }
 
-/* A state of four numbers, a list or a tuple, as doubles; 0 where it leaves the fast path. */
-static int
-parse_state(PyObject *ys, double *y)
-{
-    if (!(PyList_CheckExact(ys) || PyTuple_CheckExact(ys)) || PySequence_Fast_GET_SIZE(ys) != 4)
-        return 0;
-    for (int c = 0; c < 4; c++)
-        if (!as_double(PySequence_Fast_GET_ITEM(ys, c), &y[c]))
-            return 0;
-    return 1;
-}
-
 /* pure.flow_rhs(j, a1, a2, a3, om1, om2, *y)[:4], with no guess, through
  * lstar_grad's lines; L itself is not formed (a cos of the finite tau* cannot
  * raise).  Each sinh(pi*w_i/2) is taken once for alpha and _coeffs, and
@@ -422,26 +410,6 @@ typedef int (*rkf78_rhs_fn)(const void *ctx, const double *y, double *dy);
  * constants, written by ode.c_step_source from the tableau when the leaves
  * are built. */
 #include "rkf78_step.h"
-
-/* flow_step(j, a1, a2, a3, om1, om2, y, h) -> (y8, err): one
- * ode.rkf78_step of scattering.flow_rhs(j, params) from the state y (a list
- * or tuple of four numbers), in one call.  It never raises: it returns None
- * for an argument outside the fast path (parse_flow's and parse_state's)
- * and at a stage where pure.py would raise. */
-static PyObject *
-leaf_flow_step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
-               PyObject *kwnames)
-{
-    struct flow p;
-    double h, y[4], y8[4], err[4];
-
-    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 8 || !parse_flow(args, &p)
-            || !parse_state(args[6], y) || !as_double(args[7], &h)
-            || !rkf78_step(flow_rhs, &p, 4, y, h, y8, err))
-        Py_RETURN_NONE;
-    return Py_BuildValue("([dddd][dddd])", y8[0], y8[1], y8[2], y8[3],
-                         err[0], err[1], err[2], err[3]);
-}
 
 /* What ode._integrate reads of its cfg, section and record arguments. */
 struct run {
@@ -758,9 +726,10 @@ fail:
  * of the ode.Trajectory that ode._integrate returns for
  * scattering.flow_rhs(j, params) on the same arguments; or None where the
  * Python loop must run (an argument outside the fast path: parse_flow's,
- * parse_state's, t0 and t1 exact floats, record a bool, cfg's fields and
- * the section's through as_double, max_steps, max_crossings and the
- * component exact ints, the component in 0..3; or c_integrate's None). */
+ * y0 a list of four exact floats, as ode._integrate hands it, t0 and t1
+ * exact floats, record a bool, cfg's fields and the section's through
+ * as_double, max_steps, max_crossings and the component exact ints, the
+ * component in 0..3; or c_integrate's None). */
 static PyObject *
 leaf_flow_orbit(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
                 PyObject *kwnames)
@@ -770,10 +739,16 @@ leaf_flow_orbit(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     double y[4];
 
     if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 13 || !parse_flow(args, &p)
-            || !parse_state(args[6], y) || !PyFloat_CheckExact(args[7])
-            || !PyFloat_CheckExact(args[8])
+            || !PyList_CheckExact(args[6]) || PyList_GET_SIZE(args[6]) != 4
+            || !PyFloat_CheckExact(args[7]) || !PyFloat_CheckExact(args[8])
             || !parse_run(args[9], args[10], args[11], args[12], &r))
         Py_RETURN_NONE;
+    for (int c = 0; c < 4; c++) {
+        PyObject *v = PyList_GET_ITEM(args[6], c);
+        if (!PyFloat_CheckExact(v))
+            Py_RETURN_NONE;
+        y[c] = PyFloat_AS_DOUBLE(v);
+    }
     return c_integrate(&p, &r, PyFloat_AS_DOUBLE(args[7]), PyFloat_AS_DOUBLE(args[8]), y);
 }
 
@@ -846,9 +821,6 @@ static PyMethodDef leaves_methods[] = {
      METH_FASTCALL | METH_KEYWORDS,
      "path_distance(segments, scale, p0, p1) -> sup-norm distance to the segments;"
      " see kernels.pure.path_distance."},
-    {"flow_step", (PyCFunction)(void (*)(void))leaf_flow_step, METH_FASTCALL | METH_KEYWORDS,
-     "flow_step(j, a1, a2, a3, om1, om2, y, h) -> (y8, err), or None where the Python"
-     " step must run; see kernels/__init__.py."},
     {"flow_orbit", (PyCFunction)(void (*)(void))leaf_flow_orbit, METH_FASTCALL | METH_KEYWORDS,
      "flow_orbit(j, a1, a2, a3, om1, om2, y0, t0, t1, cfg, record, section, max_crossings)"
      " -> (t, y, n_accepted, n_rejected, crossings), or None where the Python loop must"
@@ -859,7 +831,7 @@ static PyMethodDef leaves_methods[] = {
 static struct PyModuleDef leaves_module = {
     PyModuleDef_HEAD_INIT, "arnolddiff.kernels._leaves",
     "Compiled alpha, _coeffs, tau_star and path_distance, bit for bit with kernels.pure,"
-    " and the scattering flow's fused step flow_step and whole orbit flow_orbit.", -1,
+    " and the scattering flow's whole orbit flow_orbit.", -1,
     leaves_methods,
     NULL, NULL, NULL, NULL,
 };

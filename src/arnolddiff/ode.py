@@ -30,9 +30,11 @@ section, max_crossings)``, the whole orbit in one C call, with its
 step-size control, ``_error_norm``, ``Section.crossed`` and the common
 landing (``_land``'s choice of end and one ``_henon_step`` in s), and with
 the bits, rows and counts of the loop below.  ``_integrate`` takes it once,
-at its top.  Where it returns None (an argument outside its fast path, a
-stage at which the Python kernels raise, a landing that needs halving or
-the adaptive integration in s) ``_integrate`` runs the loop below from the
+at its top, on ``y0`` converted to the list of floats that the loop starts
+from, so the container and number types of ``y0`` do not pick the path.
+Where it returns None (an argument outside its fast path, a stage at
+which the Python kernels raise, a landing that needs halving or the
+adaptive integration in s) ``_integrate`` runs the loop below from the
 start, which is deterministic and so returns the same ``Trajectory`` or
 raises the same error; ``MaxStepsExceeded`` and ``StepSizeUnderflow`` come
 from the C orbit itself, so a run over budget is not made twice.  The
@@ -103,6 +105,10 @@ class IntegratorConfig:
         # written so that NaN fails too
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances abs_tol and rel_tol must be > 0")
+        # inf passes both checks above, and a run on it could not be recorded in JSON
+        for name in ("abs_tol", "rel_tol", "h_init", "h_min", "h_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -277,13 +283,13 @@ def integrate(f, y0, t_span, cfg=IntegratorConfig(), record=True, section=None, 
 
 
 def _integrate(f, y0, t0, t1, cfg, record, section, max_crossings):
+    y = list(map(float, y0))
     orbit = getattr(f, "orbit", None)   # the whole orbit in C; see the module docstring
     if orbit is not None:
-        traj = orbit(y0, t0, t1, cfg, record, section, max_crossings)
+        traj = orbit(y, t0, t1, cfg, record, section, max_crossings)
         if traj is not None:
             return traj
     direction = 1.0 if t1 > t0 else -1.0
-    y = list(map(float, y0))
     t = t0
     h = direction * min(cfg.h_init, cfg.h_max, abs(t1 - t0))
     ts = [t0]

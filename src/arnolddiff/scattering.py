@@ -54,9 +54,9 @@ def flow_rhs(j, params):
     When the compiled leaves loaded, f also carries
     ``f.orbit(y0, t0, t1, cfg, record, section, max_crossings)``: the
     ``ode.Trajectory`` that ``ode._integrate`` returns for f on those
-    arguments, with the same bits, from one call of ``kernels.flow_orbit``,
-    which runs the step loop, its error control and the common landing in
-    C.  Where that call returns None (an argument outside its fast path, a
+    arguments (y0 the list of four floats that ``_integrate`` hands it),
+    with the same bits, from one call of ``kernels.flow_orbit``, which runs
+    the step loop, its error control and the common landing in C.  Where that call returns None (an argument outside its fast path, a
     stage at which the Python kernels raise, a landing that needs halving
     or the adaptive integration in s), so does ``f.orbit``, and
     ``_integrate`` runs its Python loop from the start; ``MaxStepsExceeded``

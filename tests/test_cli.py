@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arnolddiff
 from arnolddiff import config, melnikov, scattering
 from arnolddiff.cli import COMMANDS, main
 from arnolddiff.config import RunConfig, write_json
@@ -549,6 +550,15 @@ PROBES = [
     ("check", ONE_STEP, 3, "MaxStepsExceeded:"),
     # above the section integrator's h_max = 10
     ("poincare", SECTIONS["poincare"] + "[integrator]\nh_init = 50\n", 2, "config error:"),
+    # infinite settings pass the order checks, and once ran to a metadata record
+    # that could not be written
+    ("poincare", SECTIONS["poincare"] + "[integrator]\nabs_tol = inf\n", 2, "config error:"),
+    ("poincare", SECTIONS["poincare"] + "[integrator]\nrel_tol = inf\n", 2, "config error:"),
+    ("poincare", SECTIONS["poincare"] + "[integrator]\nh_max = inf\n", 2, "config error:"),
+    ("poincare", SECTIONS["poincare"] + "[integrator]\nh_init = inf\nh_max = inf\n", 2,
+     "config error:"),
+    ("poincare", SECTIONS["poincare"] + "[integrator]\nh_min = inf\nh_init = inf\n"
+     "h_max = inf\n", 2, "config error:"),
 ]
 
 
@@ -693,3 +703,53 @@ def test_write_csv_header_only_and_single_columns(tmp_path):
         _reference_csv(tmp_path / f"ref{k}.csv", header, rows)
         _write_csv(str(tmp_path / f"fast{k}.csv"), header, iter(rows))
         assert (tmp_path / f"fast{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
+
+
+# What the parser printed when main built it on every call, at COLUMNS=80
+USAGE = """\
+usage: arnolddiff [-h] [--version]
+                  {crest,tau,poincare,highway,diffuse,melnikov-verify,time-estimate,check}
+                  ...
+"""
+PARSER_OUTPUT = [
+    (["--help"], 0, USAGE + """
+Crest, scattering-map, Highway and pseudo-orbit experiments for the pendulum +
+two-rotor system
+
+positional arguments:
+  {crest,tau,poincare,highway,diffuse,melnikov-verify,time-estimate,check}
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""", ""),
+    (["--version"], 0, f"{arnolddiff.__version__}\n", ""),
+    (["nosuch", "x.ini"], 2, "", USAGE + "arnolddiff: error: argument command: invalid choice: "
+     "'nosuch' (choose from 'crest', 'tau', 'poincare', 'highway', 'diffuse', "
+     "'melnikov-verify', 'time-estimate', 'check')\n"),
+    ([], 2, "", USAGE + "arnolddiff: error: the following arguments are required: command\n"),
+    (["poincare", "--help"], 0, """\
+usage: arnolddiff poincare [-h] [--output-dir OUTPUT_DIR] config
+
+positional arguments:
+  config                run configuration file (INI sections)
+
+options:
+  -h, --help            show this help message and exit
+  --output-dir OUTPUT_DIR
+                        override the output directory
+""", ""),
+    (["poincare"], 2, "", "usage: arnolddiff poincare [-h] [--output-dir OUTPUT_DIR] config\n"
+     "arnolddiff poincare: error: the following arguments are required: config\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSER_OUTPUT)
+def test_parser_built_once_prints_what_it_always_printed(capsys, monkeypatch, argv, code, out,
+                                                         err):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):      # the parser of the first call is reused by the second
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == code
+        assert capsys.readouterr() == (out, err)

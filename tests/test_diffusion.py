@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -368,6 +369,15 @@ class TestBuilder:
         path = diffusion.ActionPath(np.array([[1.0, 1.0], [1.6, 1.0]]), 0.1)
         with pytest.raises(Stuck, match="deviation nan"):
             diffusion.build_pseudo_orbit(path, np.array([1.0, 1.0, 2.0, 4.4]), params)
+
+    def test_stuck_reports_the_deviation_in_full(self, params):
+        # the first jump leaves a delta of 1e-9 by less than 1e-7, which a
+        # four-decimal message printed as a deviation of 0.0000
+        path = diffusion.ActionPath([(1.0, 1.0), (1.0, 1.01)], 1e-9)
+        with pytest.raises(Stuck, match="deviation") as info:
+            diffusion.build_pseudo_orbit(path, (1.0, 1.0, 2.0, 4.4), params, eps=1e-8)
+        deviation, delta = re.search(r"deviation (\S+) > delta=(\S+) ", str(info.value)).groups()
+        assert float(deviation) > float(delta) == 1e-9
 
     def test_kernels_get_python_floats(self, params, monkeypatch):
         # jumps, rotation waits and detours all hand plain floats to the

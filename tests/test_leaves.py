@@ -12,24 +12,26 @@ odd branches, ``guess`` and ``tol`` by position and by keyword, and calls
 that Python rejects.  ``path_distance`` runs on ``ActionPath``'s segment
 tables: stairstepped paths, zero-length segments, coordinates at and beyond
 the pruning limit, non-finite and subnormal points, and the argument kinds
-that must go to the Python leaf.  The scattering flow's compiled step
-``kernels.flow_step`` is compared with ``ode.rkf78_step`` on
-``scattering.flow_rhs`` in the same way, on every branch from -3 to 3, int
+that must go to the Python leaf.  The scattering flow's compiled orbit
+``f.orbit`` is compared with ``ode._integrate``'s Python loop on the same
+``f``: equal ``Trajectory`` reprs over both workloads' parameter sets,
+branches -2 to 2, both time directions, sections on every component in
+every direction and up to six landings; each path it leaves to the Python
+loop (a halving landing, an adaptive landing, a stage that raises, an
+argument off the fast path) gives the same result, and its own
+MaxStepsExceeded and StepSizeUnderflow carry ``_integrate``'s messages.
+Single RKF78 steps are compared as orbits of one step, and their error
+estimates through the step that follows: on every branch from -3 to 3, int
 and float parameters, steps of both signs from subnormal to 1e300,
 non-finite and huge states, states outside the horizontal regime, and
-tuple or numpy components.  The compiled orbit ``f.orbit`` is compared with
-``ode._integrate``'s Python loop on the same ``f``: equal ``Trajectory``
-reprs over both workloads' parameter sets, branches -2 to 2, both time
-directions, sections on every component in every direction and up to six
-landings; each path it leaves to the Python loop (a halving landing, an
-adaptive landing, a stage that raises, an argument off the fast path)
-gives the same result, and its own MaxStepsExceeded and StepSizeUnderflow
-carry ``_integrate``'s messages.
+states held in tuples, ndarrays or numpy and int components, which
+``_integrate`` converts to a list of floats before the orbit sees them.
 """
 
 import contextlib
 import math
 import shutil
+import sys
 import sysconfig
 
 import numpy as np
@@ -62,7 +64,6 @@ def test_compiled_backend_whenever_a_compiler_exists():
         assert getattr(pure, name) is getattr(kernels._leaves, name)
         assert getattr(pure, name) is not kernels.PYTHON_LEAVES[name]
     assert kernels.tau_star is kernels._leaves.tau_star
-    assert kernels.flow_step is kernels._leaves.flow_step
     assert kernels.flow_orbit is kernels._leaves.flow_orbit
 
 
@@ -316,7 +317,43 @@ def test_path_distance_argument_kinds():
     _check("path_distance", segments=segments, scale=scale, p0=2.0, p1=1.5)
 
 
-# ---- the scattering flow's compiled step against the Python step ----
+# ---- the compiled orbit against ode._integrate's Python loop ----
+
+PORTRAIT = ModelParams(0.2, 0.3, 1.0, eps=1e-3)
+HIGHWAY = ModelParams(0.3, 0.1, 1.0, eps=1e-3)
+ORBIT_PARAMS = (
+    (PORTRAIT, scattering.SECTION_INTEGRATOR),
+    (HIGHWAY, highway.TRACE_INTEGRATOR),
+    (ModelParams(0, 1, 3, 2, 1), IntegratorConfig(h_max=0.5)),   # int amplitudes; h_max binds
+)
+
+
+def _python_loop(f):
+    """f without its compiled orbit, so that ode._integrate runs its Python loop."""
+    return lambda t, y: f(t, y)
+
+
+def _check_orbit(f, y0, *args):
+    """f.orbit and ode._integrate(f, ...) against the Python loop on f.
+
+    ``y0, *args`` are ``_integrate``'s arguments after f; f.orbit is handed
+    y0 as ``_integrate`` hands it, a list of floats.  The reprs (t, the rows
+    and their types, the counts, the crossings) must be equal, or the same
+    error with the same message be raised.  Returns the Python loop's
+    outcome and whether the compiled orbit declined.
+    """
+    ref = _outcome(ode._integrate, _python_loop(f), y0, *args)
+    try:
+        y = [*map(float, y0)]
+    except (TypeError, ValueError):
+        y = y0      # _integrate raises before it reaches f.orbit
+    raw = _outcome(f.orbit, y, *args)
+    assert raw in ("None", ref), f"orbit{(y0, *args)}: Python {ref}, compiled {raw}"
+    assert _outcome(ode._integrate, f, y0, *args) == ref
+    return ref, raw == "None"
+
+
+# ---- one RKF78 step of the scattering flow, as an orbit of one step ----
 
 FLOW_PARAMS = (
     ModelParams(0.2, 0.3, 1.0),              # the portrait's set
@@ -338,57 +375,88 @@ FLOW_STATES = (
     [0.5, -1e300, 1.0, 2.0],
     [0.5, 0.5, 1e300, -1e300],
 )
-FLOW_STEPS = (0.5, -0.5, 3.0, -7.0, 1e-300, -5e-324, 0.0, 1e3, -1e300)
+FLOW_STEPS = (0.5, -0.5, 3.0, -7.0, 1e-300, -5e-324, 1e3, -1e300)
+STAGE_ERRORS = (NotHorizontal, NoConvergence, ValueError)
 
 
-def _check_step(j, params, t, y, h):
-    """kernels.flow_step against ode.rkf78_step on scattering.flow_rhs(j, params).
+def _one_step(h):
+    """Settings under which an orbit over a span of length |h| takes exactly
+    the step h: h_init = h_min = h_max = |h|, and tolerances that every
+    finite error estimate meets.  The step is accepted, and its y8 is the
+    last row, or rejected for an error estimate that is not finite, and the
+    orbit ends in StepSizeUnderflow."""
+    size, loose = abs(h), sys.float_info.max
+    return IntegratorConfig(abs_tol=loose, rel_tol=loose, h_init=size, h_min=size, h_max=size)
 
-    Where the compiled step gives a result it has the Python step's repr.
-    Returns the Python step's outcome and whether the compiled step declined.
+
+def _check_step(f, y, h, t0=0.0):
+    """One step h of the flow f from (t0, y), by the compiled orbit.
+
+    The orbit over (t0, t0 + h) under ``_one_step(h)`` takes exactly the
+    step h.  Where the Python step's error estimate e is finite and not
+    zero, orbits over (t0, t0 + 2h) follow, with tolerances that put the
+    step's error norm near 0.5 and near 0.9: each accepts h, and its next
+    step, h * 0.9 * norm**(-1/8), falls short of the span end, so the
+    recorded times carry e through the step-size decision.  Returns the
+    one-step orbit's Python outcome and whether the compiled orbit declined
+    it.
     """
-    f = scattering.flow_rhs(j, params)
-    out = kernels.flow_step(j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
-                            y, h)
-    ref = _outcome(ode.rkf78_step, f, t, y, h)
-    if out is not None:
-        assert repr(out) == ref, f"step{(j, params, t, y, h)}: Python {ref}, fused {out!r}"
-    return ref, out is None
+    ref, declined = _check_orbit(f, y, t0, t0 + h, _one_step(h), True, None, 1)
+    if isinstance(ref, tuple):
+        return ref, declined
+    y_float = [*map(float, y)]      # the state that the loop steps from
+    y8, err = ode.rkf78_step(f, t0, y_float, h)
+    scale = max(abs(e) / (1.0 + max(abs(a), abs(b))) for e, a, b in zip(err, y_float, y8))
+    for norm in (0.5, 0.9):
+        tol = scale / norm
+        if 0.0 < tol < math.inf:
+            cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol, h_init=abs(h), h_min=5e-324,
+                                   h_max=abs(h), max_steps=3)
+            _check_orbit(f, y, t0, t0 + 2 * h, cfg, True, None, 1)
+    return ref, declined
 
 
-def test_flow_step_on_grid():
+def test_one_step_orbit_on_grid():
     errors = set()
     for params in FLOW_PARAMS:
         for j in range(-3, 4):
             for y in FLOW_STATES:
                 for h in FLOW_STEPS:
-                    ref, declined = _check_step(j, params, 0.0, y, h)
+                    ref, declined = _check_step(scattering.flow_rhs(j, params), y, h)
                     # every argument is on the fast path: it declines exactly
-                    # where the Python step raises
-                    assert declined == isinstance(ref, tuple), (j, params, y, h, ref)
+                    # where a stage of the Python step raises
+                    assert declined == (isinstance(ref, tuple) and ref[0] in STAGE_ERRORS), (
+                        j, params, y, h, ref)
                     if declined:
                         errors.add(ref)
     # every way the Python step raises was met
-    assert {err for err, _msg in errors} == {NotHorizontal, NoConvergence, ValueError}
+    assert {err for err, _msg in errors} == set(STAGE_ERRORS)
     assert (ValueError, "math domain error") in errors
     assert (NotHorizontal, "crest is not a horizontal graph at a3 = 0") in errors
 
 
-def test_flow_step_argument_kinds():
+# an np.float64 step makes the Python loop's error norm a numpy scalar, and
+# _one_step's tolerance of float_info.max overflows it to inf (r = 0, as
+# with Python floats), which numpy reports
+@pytest.mark.filterwarnings("ignore:overflow encountered in scalar:RuntimeWarning")
+def test_one_step_orbit_argument_kinds():
+    # _integrate hands the orbit y0 as a list of floats, whatever held it;
+    # the span ends and step sizes off the fast path go to the Python loop
     y = FLOW_STATES[0]
     params = FLOW_PARAMS[0]
+    f = scattering.flow_rhs(1, params)
     states = [tuple(y), [np.float64(y[0]), *y[1:]], [*y[:3], np.float32(y[3])],
               [0, 1, 3, 4], [2**53, 1.0, 3.0, 4.0], [2**60, 1.0, 3.0, 4.0], [True, 1.0, 3.0, 4.0],
               [*y, 1.0], y[:3], (), None, "abcd", np.array(y)]
     for ys in states:
-        for h in (0.5, -2, np.float64(0.5), 2**60, True, None):
-            for t in (0.0, 3, np.float64(1.5)):
-                _check_step(1, params, t, ys, h)
+        for h in (0.5, -2, np.float64(0.5), 2**60, True):
+            for t0 in (0.0, 3, np.float64(1.5)):
+                _check_step(f, ys, h, t0)
     for j in (np.int64(1), 1.0, 2**53, 2**53 + 1, True):
-        _check_step(j, params, 0.0, y, 0.5)
+        _check_step(scattering.flow_rhs(j, params), y, 0.5)
     for params in (ModelParams(np.float64(0.2), 0.3, 1.0), ModelParams(0.2, 0.3, 2**60),
                    ModelParams(0.2, 0.3, 1.0, np.float64(1.0)), ModelParams(0.2, 0.3, True)):
-        _check_step(0, params, 0.0, y, 0.5)
+        _check_step(scattering.flow_rhs(0, params), y, 0.5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -396,42 +464,13 @@ def test_flow_step_argument_kinds():
     j=st.integers(-3, 3), a1=st.floats(-0.6, 0.6), a2=st.floats(-0.6, 0.6),
     a3=st.sampled_from([1.0, -0.7, 2.0]), om1=st.floats(0.1, 2.0),
     i1=_w, i2=_w, t1=_angle, t2=_angle,
-    h=st.one_of(st.floats(-20.0, 20.0), st.floats(), st.sampled_from([5e-324, -1e-300])),
+    h=st.one_of(st.floats(-20.0, 20.0), st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([5e-324, -1e-300])).filter(bool),
 )
-def test_flow_step_property(j, a1, a2, a3, om1, i1, i2, t1, t2, h):
-    ref, declined = _check_step(j, ModelParams(a1, a2, a3, om1, 1.0), 0.0, [i1, i2, t1, t2], h)
-    assert declined == isinstance(ref, tuple)
-
-
-# ---- the compiled orbit against ode._integrate's Python loop ----
-
-PORTRAIT = ModelParams(0.2, 0.3, 1.0, eps=1e-3)
-HIGHWAY = ModelParams(0.3, 0.1, 1.0, eps=1e-3)
-ORBIT_PARAMS = (
-    (PORTRAIT, scattering.SECTION_INTEGRATOR),
-    (HIGHWAY, highway.TRACE_INTEGRATOR),
-    (ModelParams(0, 1, 3, 2, 1), IntegratorConfig(h_max=0.5)),   # int amplitudes; h_max binds
-)
-
-
-def _python_loop(f):
-    """f without its compiled orbit, so that ode._integrate runs its Python loop."""
-    return lambda t, y: f(t, y)
-
-
-def _check_orbit(f, *args):
-    """f.orbit and ode._integrate(f, ...) against the Python loop on f.
-
-    ``args`` are ``_integrate``'s after f.  The reprs (t, the rows and
-    their types, the counts, the crossings) must be equal, or the same
-    error with the same message be raised.  Returns the Python loop's
-    outcome and whether the compiled orbit declined.
-    """
-    ref = _outcome(ode._integrate, _python_loop(f), *args)
-    raw = _outcome(f.orbit, *args)
-    assert raw in ("None", ref), f"orbit{args}: Python {ref}, compiled {raw}"
-    assert _outcome(ode._integrate, f, *args) == ref
-    return ref, raw == "None"
+def test_one_step_orbit_property(j, a1, a2, a3, om1, i1, i2, t1, t2, h):
+    f = scattering.flow_rhs(j, ModelParams(a1, a2, a3, om1, 1.0))
+    ref, declined = _check_step(f, [i1, i2, t1, t2], h)
+    assert declined == (isinstance(ref, tuple) and ref[0] in STAGE_ERRORS)
 
 
 def test_flow_orbit_matches_the_python_loop():
@@ -622,7 +661,8 @@ def test_flow_orbit_argument_kinds():
 
 def test_every_deferral_runs_the_python_step(monkeypatch):
     # ode._integrate runs its Python loop, and so calls ode.rkf78_step,
-    # exactly where the compiled orbit returned None
+    # exactly where the compiled orbit returns None for the state as
+    # _integrate hands it, a list of floats
     cases = [(j, params, y0)
              for params in (PORTRAIT, ModelParams(0.6, 0.5, 1.0), ModelParams(0.3, 0.1, 0.0))
              for j in (-3, 0, 1)
@@ -641,12 +681,34 @@ def test_every_deferral_runs_the_python_step(monkeypatch):
     for j, params, y0 in cases:
         args = (y0, 0.0, 20.0, scattering.SECTION_INTEGRATOR, False, Section(2, 4.0, 0), 2)
         raw = _outcome(kernels.flow_orbit, j, params.a1, params.a2, params.a3, params.Omega1,
-                       params.Omega2, *args)
+                       params.Omega2, [*map(float, y0)], *args[1:])
         calls.clear()
         _outcome(ode._integrate, flows[j, params], *args)
         assert bool(calls) == (raw == "None"), (j, params, y0, raw)
         deferred += raw == "None"
     assert 0 < deferred < len(cases)
+
+
+def test_any_state_container_takes_the_compiled_orbit(monkeypatch):
+    # an ndarray, a numpy component, a tuple, int components: _integrate
+    # converts the state as its Python loop does, so the compiled orbit runs
+    # each of them and gives the loop's Trajectory
+    f = scattering.flow_rhs(0, PORTRAIT)
+    y0 = [0.3, -0.4, 3.9269908169872414, 3.85]
+    args = (0.0, 40.0, scattering.SECTION_INTEGRATOR, True, Section(0, 0.0, 0), 2)
+    states = (np.array(y0), [np.float64(y0[0]), *y0[1:]], tuple(y0), [1, -1, 4, 4])
+    refs = [repr(ode._integrate(_python_loop(f), y, *args)) for y in states]
+    stepped = []
+    step = ode.rkf78_step
+
+    def recording(f, t, y, h):
+        stepped.append(h)
+        return step(f, t, y, h)
+
+    monkeypatch.setattr(ode, "rkf78_step", recording)
+    for y, ref in zip(states, refs):
+        assert repr(ode._integrate(f, y, *args)) == ref
+    assert stepped == [] and all("crossings=[(" in ref for ref in refs)
 
 
 def test_orbits_take_the_fused_step(monkeypatch):

@@ -371,6 +371,13 @@ def test_config_validation():
         IntegratorConfig(abs_tol=math.nan)
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=math.nan)
+    with pytest.raises(ValueError, match="abs_tol must be finite, not inf"):
+        IntegratorConfig(abs_tol=math.inf)
+    for name in ("rel_tol", "h_init", "h_min", "h_max"):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{name: math.inf})
+    with pytest.raises(ValueError, match="h_init must be finite, not inf"):
+        IntegratorConfig(h_init=math.inf, h_max=math.inf)
 
 
 def _bits(values):
