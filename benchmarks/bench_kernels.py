@@ -16,8 +16,11 @@ either leaf; and the CSV writer on 25 000 ``diffuse``-shaped rows, its
 row (median of 5).  Then whole scattering-flow orbits, a portrait orbit
 and a Highway trace, on the compiled orbit (``f.orbit``, which
 ``ode._integrate`` takes) against ``_integrate``'s Python loop, after
-checking equal ``Trajectory`` reprs.  Last, one integrated workload (a
-Highway trace between action sections) with the compiled leaves.  The
+checking equal ``Trajectory`` reprs.  Then the pseudo-orbit builder: a
+``pseudo_orbit``-shaped build on the compiled jump run and probe sweep
+against the Python loops, and one ``ergodize`` sweep on each, after checking
+equal reprs.  Last, one integrated workload (a Highway trace between action
+sections) with the compiled leaves.  The
 per-call figures quoted in the README come from this script.
 """
 
@@ -160,6 +163,59 @@ def _bench_orbits(repeats=5):
     return out
 
 
+@contextlib.contextmanager
+def _python_builder():
+    """The builder's loop and ergodize's sweep in Python, as without a compiler."""
+    saved = kernels.jump_run, kernels.probe_sweep
+    kernels.jump_run = kernels.probe_sweep = None
+    try:
+        yield
+    finally:
+        kernels.jump_run, kernels.probe_sweep = saved
+
+
+def _bench_builder(repeats=5):
+    """Median seconds per pseudo-orbit build and per ergodize sweep, compiled
+    and Python.
+
+    The build is a path shaped like the ``pseudo_orbit`` benchmark's (a 0.4
+    climb in I2 with a 0.02 drift in I1 at delta = 0.1, stairstepped into 16
+    segments; 3 137 jumps and 29 rotation waits), with the compiled jump run
+    and probe sweep against both set to None; the sweep is one rotation wait
+    of 103 probes, ``kernels.probe_sweep`` against ``ergodize``'s Python
+    loop.  Each pair is checked first: equal ``repr`` of the steps and of the
+    ``ErgodizeResult``.
+    """
+    from arnolddiff import diffusion, inner
+    from arnolddiff.model import ModelParams
+
+    if kernels.jump_run is None:
+        return None
+    params = ModelParams(0.3, 0.1, 1.0, eps=1e-3)
+    path = diffusion.stairstep(diffusion.ActionPath([(1.3, 1.1), (1.32, 1.5)], 0.1))
+    window = ((math.pi + 0.3, 2.0 * math.pi - 0.3), (0.3, math.pi - 0.3))
+    calls = {
+        "pseudo-orbit build": lambda: diffusion.build_pseudo_orbit(
+            path, (1.3, 1.1, 0.5, 5.0), params).steps,
+        "ergodize sweep": lambda: inner.ergodize((1.3, 1.2, 0.5, 5.0), window, params=params),
+    }
+    out = {}
+    for name, call in calls.items():
+        with _python_builder():
+            python = repr(call())
+        assert repr(call()) == python, name
+        out[name] = {}
+        for label, ctx in (("compiled", contextlib.nullcontext), ("Python loop", _python_builder)):
+            times = []
+            with ctx():
+                for _ in range(repeats):
+                    t0 = time.perf_counter()
+                    call()
+                    times.append(time.perf_counter() - t0)
+            out[name][label] = statistics.median(times)
+    return out
+
+
 def _bench_trace(params):
     from arnolddiff import highway
 
@@ -211,6 +267,17 @@ def main():
         print(f"{'':>16}" + "".join(f"{k:>14}" for k in labels))
         for name, vals in orbits.items():
             print(f"{name:>16}" + "".join(f"{vals[k] * 1e3:>14.2f}" for k in labels))
+
+    builder = _bench_builder()
+    print("\npseudo-orbit builder, compiled jump run and probe sweep against the Python"
+          " loops (median of 5, ms):")
+    if builder is None:
+        print("  no compiled builder: the compiled leaves did not load")
+    else:
+        labels = list(next(iter(builder.values())))
+        print(f"{'':>20}" + "".join(f"{k:>14}" for k in labels))
+        for name, vals in builder.items():
+            print(f"{name:>20}" + "".join(f"{vals[k] * 1e3:>14.3f}" for k in labels))
 
     from arnolddiff.model import ModelParams
 

@@ -207,6 +207,14 @@ def build_pseudo_orbit(path, start, params, j=0, eps=None, on_event=None):
     Each jump costs one tau* solve: the L* gradient taken before the window
     test also supplies the pulled-back angles psi, and it is recomputed only
     when a rotation wait has moved the angles.
+
+    The loop below is the specification.  Where the compiled leaves loaded,
+    ``kernels.jump_run`` runs its iterations in C, line for line, up to the
+    first one that needs a rotation wait, which it hands over after the
+    window test with ``u`` and the window (that iteration's budget counted),
+    and up to the first that moves to the next ball, ends the orbit, raises
+    or meets a solve that raises, which this loop runs itself.  Every
+    ``PseudoStep``, count and error is the Python loop's.
     """
     params.require_diffusion_regime()
     eps = params.eps if eps is None else eps
@@ -231,21 +239,42 @@ def build_pseudo_orbit(path, start, params, j=0, eps=None, on_event=None):
 
     end = path.end
     k = 0
-    target = centers[k]
+    target = next(centers)
+    after = next(centers, None)   # one centre of look-ahead: None on the final ball
     guard = max(delta, params.eps**GUARD_EXPONENT)
-    for _ in range(STEP_BUDGET):
-        if max(abs(z[0] - end[0]), abs(z[1] - end[1])) <= delta and k == len(centers) - 1:
-            break  # inside the final ball
-        u = (target[0] - z[0], target[1] - z[1])
-        if max(abs(u[0]), abs(u[1])) <= 0.5 * delta and k < len(centers) - 1:
-            k += 1
-            target = centers[k]
-            continue
-        if max(abs(z[0]), abs(z[1])) < guard:
-            raise Stuck(f"entered the origin guard region at state {z}")
-        window = _window_for(u, delta, params)
-        ps, dI, dTH = _jump_data(j, z, params)
-        if not inner.in_window(ps, window):
+    run = kernels.jump_run
+    left = STEP_BUDGET            # iterations the budget still allows
+    while True:
+        wait = None               # (u, window) of an iteration that needs a rotation wait
+        if run is not None:
+            out = run(j, params.a1, params.a2, params.a3, params.Omega1, params.Omega2,
+                      path._segments, end, delta, guard, eps, DEADBAND_FACTOR * delta,
+                      WINDOW_MARGIN, z, target, after is None, left, steps, PseudoStep)
+            if out is None:       # an argument off its fast path: the rest runs here
+                run = None
+            else:
+                z, jumps, used, wait = out
+                orbit.n_scatter += jumps
+                left -= used
+        if wait is None:
+            if left <= 0:
+                raise Stuck(f"step budget exhausted before reaching {path.end}")
+            left -= 1
+            if max(abs(z[0] - end[0]), abs(z[1] - end[1])) <= delta and after is None:
+                break  # inside the final ball
+            u = (target[0] - z[0], target[1] - z[1])
+            if max(abs(u[0]), abs(u[1])) <= 0.5 * delta and after is not None:
+                k += 1
+                target, after = after, next(centers, None)
+                continue
+            if max(abs(z[0]), abs(z[1])) < guard:
+                raise Stuck(f"entered the origin guard region at state {z}")
+            window = _window_for(u, delta, params)
+            ps, dI, dTH = _jump_data(j, z, params)
+            if not inner.in_window(ps, window):
+                wait = u, window
+        if wait is not None:
+            u, window = wait
             try:
                 res = inner.ergodize(z, window, j=j, params=params)
             except UseScatteringDetour:
@@ -273,10 +302,8 @@ def build_pseudo_orbit(path, start, params, j=0, eps=None, on_event=None):
                 f"tracking contract violated: deviation {d!r} > delta={delta} "
                 f"at {z}"
             )
-    else:
-        raise Stuck(f"step budget exhausted before reaching {path.end}")
     orbit.meta.update(
-        n_balls=len(centers),
+        n_balls=k + 1,
         final_gap=max(abs(z[0] - end[0]), abs(z[1] - end[1])),
         margin=WINDOW_MARGIN,
     )
@@ -352,20 +379,20 @@ def _detour(z, j, params, eps, orbit, steps, path, on_event):
 
 
 def _ball_centers(path):
-    """Centers gamma(t_i) spaced delta apart along the stairstepped path."""
-    centers = []
+    """Centers gamma(t_i) spaced delta apart along the stairstepped path, one
+    at a time; a center within 1e-12 (per component) of the last one yielded
+    is skipped."""
+    last = None
     wp = path.waypoints
     for (a0, a1), (b0, b1) in zip(wp, wp[1:]):
         s0, s1 = b0 - a0, b1 - a1
         n = max(1, int(math.ceil((abs(s0) + abs(s1)) / path.delta)))
         for kk in range(1, n + 1):
             frac = kk / n
-            centers.append((a0 + s0 * frac, a1 + s1 * frac))
-    out = [centers[0]]
-    for c in centers[1:]:
-        if abs(c[0] - out[-1][0]) > 1e-12 or abs(c[1] - out[-1][1]) > 1e-12:
-            out.append(c)
-    return out
+            c = (a0 + s0 * frac, a1 + s1 * frac)
+            if last is None or abs(c[0] - last[0]) > 1e-12 or abs(c[1] - last[1]) > 1e-12:
+                last = c
+                yield c
 
 
 def epsilon_threshold(path, delta, R, params, remainder_const=None):

@@ -133,15 +133,23 @@ def ergodize(
             abs(w1) if w1 != 0.0 else wmax, abs(w2) if w2 != 0.0 else wmax
         )
 
-    t = 0.0
-    probes = 0
-    while t < t_bound:
-        t += dt
-        cand = (i1, i2, th1 + t * w1, th2 + t * w2)
-        ps, ts = melnikov.psi(j, cand, params, guess=ts.value)
-        probes += 1
-        if in_window(ps, window):
-            return ErgodizeResult(t, cand, ps, probes)
+    # the sweep below in C, line for line, where the compiled leaves loaded:
+    # the entry's fields, False at t_bound, None where the sweep must run here
+    sweep = kernels.probe_sweep
+    found = None if sweep is None else sweep(j, w1, w2, params.mu1, params.mu2, state,
+                                             ts.value, dt, t_bound, window)
+    if found:
+        return ErgodizeResult(*found)
+    if found is None:
+        t = 0.0
+        probes = 0
+        while t < t_bound:
+            t += dt
+            cand = (i1, i2, th1 + t * w1, th2 + t * w2)
+            ps, ts = melnikov.psi(j, cand, params, guess=ts.value)
+            probes += 1
+            if in_window(ps, window):
+                return ErgodizeResult(t, cand, ps, probes)
     raise WindowUnreachable(f"no window entry within t_bound={t_bound:.3g}")
 
 

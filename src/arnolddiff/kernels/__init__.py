@@ -31,14 +31,31 @@ start, which gives the same ``Trajectory`` or raises the same error.
 Python.  A build that succeeds removes the ``_leaves.*`` files of other keys
 from the cache; a warm import removes nothing.
 
+Two more entry points run the pseudo-orbit builder's loops.  ``jump_run``
+runs iterations of ``diffusion.build_pseudo_orbit``'s loop: the final-ball,
+ball and guard tests, ``_window_for``, ``_jump_data`` (``lstar_grad``'s lines
+on the compiled solve, then psi), ``inner.in_window`` with Python's float
+``%``, the jump, the path distance on the segment table and the tracking
+check, appending each jump's ``PseudoStep``.  It returns to the Python loop
+with the state, the jumps made and the iterations used at the first
+iteration that needs a rotation wait (handing over ``u`` and the window), and
+before the first that moves to the next ball, ends the orbit, raises
+``Stuck`` or meets a solve that raises, which Python then runs itself.
+``probe_sweep`` runs ``inner.ergodize``'s probe loop and returns the window
+entry or False; where a probe's solve raises it returns None and the Python
+sweep reruns from its start.  Both are None without the compiled leaves, and
+tests set them to None to run the Python loops.
+
 Everything else (``lstar``, ``lstar_grad``, ``flow_rhs``, ``coeff`` and
 ``coeff_deriv``) stays in Python and reaches the leaves through ``pure``'s
 module globals, because the span tracer in ``perfbench/spans.py`` counts the
 solves made inside them by rebinding ``kernels.pure.tau_star``; and
 ``diffusion.ActionPath.distance_to``, the method the tracer counts, looks
-``pure.path_distance`` up on every call.  The solves inside ``flow_orbit``
-are not seen there: a traced run counts the right-hand sides and solves of
-the orbits that stay in Python only (none on portrait or highway_family).
+``pure.path_distance`` up on every call.  The solves, gradients and
+distances inside ``flow_orbit``, ``jump_run`` and ``probe_sweep`` are not
+seen there: a traced run counts those of the orbits that stay in Python
+(none on portrait or highway_family) and of the pseudo-orbit builder's
+rotation waits, detours and the jumps after them only.
 ``PYTHON_LEAVES`` holds the Python leaves, the specification that
 ``tests/test_leaves.py`` compares the compiled ones with.
 """
@@ -145,8 +162,11 @@ if _leaves is not None:
     for _name in PYTHON_LEAVES:
         setattr(pure, _name, getattr(_leaves, _name))
 BACKEND = "python" if _leaves is None else "c"
-# the scattering flow's compiled orbit; None without the compiled leaves
+# the scattering flow's compiled orbit, the pseudo-orbit builder's compiled
+# jumps and ergodize's compiled probe sweep; None without the compiled leaves
 flow_orbit = None if _leaves is None else _leaves.flow_orbit
+jump_run = None if _leaves is None else _leaves.jump_run
+probe_sweep = None if _leaves is None else _leaves.probe_sweep
 
 from .pure import (  # noqa: E402  (re-exported after the rebinding above)
     ALPHA_SUP,

@@ -1,6 +1,8 @@
 /* Compiled leaves of the scalar kernels: alpha, _coeffs, tau_star and
- * path_distance; and the scattering flow's RKF78 integration: flow_orbit,
- * a whole orbit of ode._integrate.
+ * path_distance; the scattering flow's RKF78 integration: flow_orbit, a
+ * whole orbit of ode._integrate; and the pseudo-orbit builder's loops:
+ * jump_run, iterations of diffusion.build_pseudo_orbit, and probe_sweep,
+ * inner.ergodize's probe loop.
  *
  * Each function is a line-for-line translation of its namesake in pure.py,
  * the specification: the same float operations in the same order (built
@@ -31,6 +33,19 @@
  * MaxStepsExceeded and StepSizeUnderflow.  It raises nothing else: where
  * its inputs, a stage or a landing leave the fast path it returns None,
  * and the Python loop runs instead (scattering.flow_rhs, ode._integrate).
+ *
+ * jump_run translates build_pseudo_orbit's loop body: the final-ball, ball
+ * and guard tests, _window_for, _jump_data (lstar_grad's lines, shared with
+ * flow_rhs, then psi), inner.in_window with Python's float %, the jump,
+ * ActionPath.distance_to (c_path_distance on the segment table) and the
+ * tracking check, appending one PseudoStep per jump.  It raises nothing of
+ * the builder's: it returns with a rotation wait's u and window after that
+ * iteration's window test, and before any iteration that moves to the next
+ * ball, ends the orbit, raises Stuck, exhausts the budget or meets a solve
+ * that raises, which the Python loop then runs itself.  probe_sweep
+ * translates ergodize's `while t < t_bound` loop (melnikov.psi with the
+ * chained guess, then in_window) and returns None where a solve raises, so
+ * that the Python sweep reruns and raises it.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -43,6 +58,7 @@ static double SINH_HALF_PI;            /* pure.SINH_HALF_PI */
 static PyObject *py_alpha, *py_coeffs, *py_tau_star, *py_path_distance;   /* the Python leaves */
 static PyObject *NotHorizontal, *NoConvergence;        /* pure's error classes */
 static PyObject *MaxStepsExceeded, *StepSizeUnderflow; /* ode's */
+static PyObject *S_KIND, *ZERO;        /* a jump's PseudoStep kind "S" and its dt 0.0 */
 
 /* Series of x*cosh(x) - sinh(x) = sum_k 2k x^(2k+1) / (2k+1)!, k >= 1. */
 static const double DCOEF[8] = {
@@ -339,37 +355,51 @@ parse_flow(PyObject *const *args, struct flow *p)
     return 1;
 }
 
-/* pure.flow_rhs(j, a1, a2, a3, om1, om2, *y)[:4], with no guess, through
- * lstar_grad's lines; L itself is not formed (a cos of the finite tau* cannot
- * raise).  Each sinh(pi*w_i/2) is taken once for alpha and _coeffs, and
- * sin(psi_i) is the solve's own (tau*w_i == w_i*tau).  0 where pure.py
- * raises, which is in the solve only: a solved tau is one at which
- * c_tau_star took sin(t_i - tau*w_i), so ps1 and ps2 below are finite and
- * their cos raises nothing in Python. */
+/* pure.lstar_grad(j, a1, a2, a3, om1, om2, *y) with no guess, from the solve
+ * on: tau* and d = (dI1, dI2, dth1, dth2); L itself is not formed (a cos of
+ * the finite tau* cannot raise).  Each sinh(pi*w_i/2) is taken once for
+ * alpha and _coeffs, and sin(psi_i) is the solve's own (tau*w_i ==
+ * w_i*tau).  0 where pure.py raises, which is in the solve only: a solved
+ * tau is one at which c_tau_star took sin(t_i - tau*w_i), so ps1 and ps2
+ * below are finite and their cos raises nothing in Python. */
 static int
-flow_rhs(const void *ctx, const double *y, double *dy)
+lstar_grad(const struct flow *p, const double *y, double *tau, double *d)
 {
-    const struct flow *p = ctx;
     double w1 = p->om1 * y[0];
     double w2 = p->om2 * y[1];
     double x1 = 0.5 * M_PI * w1, x2 = 0.5 * M_PI * w2;
     double sh1 = fabs(x1) > X_OVERFLOW ? 0.0 : sinh(x1);
     double sh2 = fabs(x2) > X_OVERFLOW ? 0.0 : sinh(x2);
-    double tau, g, A1, dA1, A2, dA2, s[2];
+    double g, A1, dA1, A2, dA2, s[2];
     long it;
     if (c_tau_star(p->odd, p->j, w1, w2, p->mu1 * alpha_of(w1, x1, sh1),
                    p->mu2 * alpha_of(w2, x2, sh2), y[2], y[3], 1e-14, NULL,
-                   &tau, &g, &it, s) != SOLVED)
+                   tau, &g, &it, s) != SOLVED)
         return 0;
-    double ps1 = y[2] - w1 * tau;
-    double ps2 = y[3] - w2 * tau;
+    double ps1 = y[2] - w1 * *tau;
+    double ps2 = y[3] - w2 * *tau;
     coeffs_of(w1, p->a1, x1, sh1, &A1, &dA1);
     coeffs_of(w2, p->a2, x2, sh2, &A2, &dA2);
     double c1 = cos(ps1), c2 = cos(ps2);
-    dy[0] = -A1 * s[0];
-    dy[1] = -A2 * s[1];
-    dy[2] = -(p->om1 * (dA1 * c1 + tau * A1 * s[0]));
-    dy[3] = -(p->om2 * (dA2 * c2 + tau * A2 * s[1]));
+    d[0] = p->om1 * (dA1 * c1 + *tau * A1 * s[0]);
+    d[1] = p->om2 * (dA2 * c2 + *tau * A2 * s[1]);
+    d[2] = -A1 * s[0];
+    d[3] = -A2 * s[1];
+    return 1;
+}
+
+/* pure.flow_rhs(j, a1, a2, a3, om1, om2, *y)[:4]: lstar_grad's partials as
+ * (dth1, dth2, -dI1, -dI2); 0 where the solve raises. */
+static int
+flow_rhs(const void *ctx, const double *y, double *dy)
+{
+    double tau, d[4];
+    if (!lstar_grad(ctx, y, &tau, d))
+        return 0;
+    dy[0] = d[2];
+    dy[1] = d[3];
+    dy[2] = -d[0];
+    dy[3] = -d[1];
     return 1;
 }
 
@@ -752,35 +782,37 @@ leaf_flow_orbit(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     return c_integrate(&p, &r, PyFloat_AS_DOUBLE(args[7]), PyFloat_AS_DOUBLE(args[8]), y);
 }
 
-/* path_distance(segments, scale, p0, p1): every segment of the table
+/* Whether segments is an ActionPath segment table the compiled scan takes:
+ * a tuple of tuples of nine exact floats. */
+static int
+segments_ok(PyObject *segments)
+{
+    if (!PyTuple_CheckExact(segments))
+        return 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(segments); i++) {
+        PyObject *seg = PyTuple_GET_ITEM(segments, i);
+        if (!PyTuple_CheckExact(seg) || PyTuple_GET_SIZE(seg) != 9)
+            return 0;
+        for (int k = 0; k < 9; k++)
+            if (!PyFloat_CheckExact(PyTuple_GET_ITEM(seg, k)))
+                return 0;
+    }
+    return 1;
+}
+
+/* pure.path_distance on a table that segments_ok accepts: every segment
  * (a0, a1, d0, d1, den, lo0, hi0, lo1, hi1), evaluated with the Python
  * leaf's expressions in its order.  The Python leaf's pruning skips only
  * segments whose residual cannot be below the best so far, so scanning
  * them all gives the same minimum, and scale (which only sets the pruning
- * margin) is not read.  A NaN residual ends the scan with NaN, as in
+ * margin) is not needed.  A NaN residual ends the scan with NaN, as in
  * Python: while scale bounds every |coordinate|, as ActionPath's does, no
  * segment that Python skips can have one. */
-static PyObject *
-leaf_path_distance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
-                   PyObject *kwnames)
+static double
+c_path_distance(PyObject *segments, double p0, double p1)
 {
-    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 4 || !PyTuple_CheckExact(args[0])
-            || !PyFloat_CheckExact(args[1]) || !PyFloat_CheckExact(args[2])
-            || !PyFloat_CheckExact(args[3]))
-        goto python;
-    PyObject *segments = args[0];
-    Py_ssize_t n = PyTuple_GET_SIZE(segments);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *seg = PyTuple_GET_ITEM(segments, i);
-        if (!PyTuple_CheckExact(seg) || PyTuple_GET_SIZE(seg) != 9)
-            goto python;
-        for (int k = 0; k < 9; k++)
-            if (!PyFloat_CheckExact(PyTuple_GET_ITEM(seg, k)))
-                goto python;
-    }
-    double p0 = PyFloat_AS_DOUBLE(args[2]), p1 = PyFloat_AS_DOUBLE(args[3]);
     double best = Py_HUGE_VAL;
-    for (Py_ssize_t i = 0; i < n; i++) {
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(segments); i++) {
         PyObject *seg = PyTuple_GET_ITEM(segments, i);
         double a0 = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(seg, 0));
         double a1 = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(seg, 1));
@@ -798,15 +830,255 @@ leaf_path_distance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t 
         double r0 = fabs(p0 - (a0 + u * d0));
         double r1 = fabs(p1 - (a1 + u * d1));
         if (isnan(r0) || isnan(r1))
-            return PyFloat_FromDouble(Py_NAN);
+            return Py_NAN;
         double r = r0 >= r1 ? r0 : r1;
         if (r < best)
             best = r;
     }
-    return PyFloat_FromDouble(best);
+    return best;
+}
 
-python:
-    return PyObject_Vectorcall(py_path_distance, args, nargsf, kwnames);
+/* path_distance(segments, scale, p0, p1): c_path_distance where the table
+ * and the point are exact floats, the Python leaf otherwise. */
+static PyObject *
+leaf_path_distance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
+                   PyObject *kwnames)
+{
+    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 4 || !segments_ok(args[0])
+            || !PyFloat_CheckExact(args[1]) || !PyFloat_CheckExact(args[2])
+            || !PyFloat_CheckExact(args[3]))
+        return PyObject_Vectorcall(py_path_distance, args, nargsf, kwnames);
+    return PyFloat_FromDouble(c_path_distance(args[0], PyFloat_AS_DOUBLE(args[2]),
+                                              PyFloat_AS_DOUBLE(args[3])));
+}
+
+#define TWO_PI (2.0 * M_PI)    /* model.TWO_PI */
+
+/* Python's float x % m: fmod, then the remainder takes the sign of m, and a
+ * zero remainder is a zero of m's sign. */
+static double
+py_mod(double x, double m)
+{
+    double r = fmod(x, m);
+    if (r != 0.0) {
+        if ((m < 0.0) != (r < 0.0))
+            r += m;
+    }
+    else
+        r = copysign(0.0, m);
+    return r;
+}
+
+/* A window of inner.in_window: per angle an interval (lo, hi), or none. */
+struct window {
+    int on[2];
+    double lo[2], hi[2];
+};
+
+/* inner.in_window(ps, window) */
+static int
+in_window(const double *ps, const struct window *w)
+{
+    for (int c = 0; c < 2; c++) {
+        if (!w->on[c])
+            continue;
+        double m = w->lo[c] + py_mod(ps[c] - w->lo[c], TWO_PI);
+        if (!(w->lo[c] < m && m < w->hi[c]))
+            return 0;
+    }
+    return 1;
+}
+
+/* A window as ergodize reads it: a tuple of two entries, each None or a
+ * tuple of two exact floats; 0 where the Python sweep must read it. */
+static int
+parse_window(PyObject *o, struct window *w)
+{
+    if (!PyTuple_CheckExact(o) || PyTuple_GET_SIZE(o) != 2)
+        return 0;
+    for (int c = 0; c < 2; c++) {
+        PyObject *iv = PyTuple_GET_ITEM(o, c);
+        w->on[c] = iv != Py_None;
+        if (!w->on[c])
+            continue;
+        if (!PyTuple_CheckExact(iv) || PyTuple_GET_SIZE(iv) != 2
+                || !PyFloat_CheckExact(PyTuple_GET_ITEM(iv, 0))
+                || !PyFloat_CheckExact(PyTuple_GET_ITEM(iv, 1)))
+            return 0;
+        w->lo[c] = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(iv, 0));
+        w->hi[c] = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(iv, 1));
+    }
+    return 1;
+}
+
+/* The window as a Python tuple: None or (lo, hi) per angle. */
+static PyObject *
+window_tuple(const struct window *w)
+{
+    PyObject *out = PyTuple_New(2);
+    for (int c = 0; out != NULL && c < 2; c++) {
+        PyObject *iv = w->on[c] ? Py_BuildValue("(dd)", w->lo[c], w->hi[c]) : Py_NewRef(Py_None);
+        if (iv == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, c, iv);
+    }
+    return out;
+}
+
+/* o as n doubles: a tuple of n exact floats; 0 otherwise. */
+static int
+float_tuple(PyObject *o, int n, double *x)
+{
+    if (!PyTuple_CheckExact(o) || PyTuple_GET_SIZE(o) != n)
+        return 0;
+    for (int c = 0; c < n; c++) {
+        PyObject *v = PyTuple_GET_ITEM(o, c);
+        if (!PyFloat_CheckExact(v))
+            return 0;
+        x[c] = PyFloat_AS_DOUBLE(v);
+    }
+    return 1;
+}
+
+/* probe_sweep(j, w1, w2, mu1, mu2, state, guess, dt, t_bound, window):
+ * inner.ergodize's `while t < t_bound` loop from t = 0 with the first
+ * solve's tau* as the guess, line for line: per probe the candidate
+ * (i1, i2, th1 + t*w1, th2 + t*w2), melnikov.psi's solve with the previous
+ * probe's tau* as its guess, psi = theta - tau*w, and in_window.  Returns
+ * (t, candidate, psi, probes), the fields of the ErgodizeResult at the
+ * window entry; False where the loop ends at t_bound without one; None where
+ * the Python sweep must run: an argument off the fast path (j an exact int
+ * of magnitude <= 2**53, the numbers through as_double, state a tuple of
+ * four exact floats, guess an exact float, the window parse_window's) or a
+ * solve that raises, which the Python sweep then raises. */
+static PyObject *
+leaf_probe_sweep(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
+                 PyObject *kwnames)
+{
+    double w1, w2, mu1, mu2, z[4], guess, dt, t_bound, tau, g, sins[2];
+    long long j;
+    long it;
+    int overflow;
+    struct window win;
+
+    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 10 || !PyLong_CheckExact(args[0]))
+        Py_RETURN_NONE;
+    j = PyLong_AsLongLongAndOverflow(args[0], &overflow);
+    if (overflow || j > EXACT_INT || j < -EXACT_INT
+            || !as_double(args[1], &w1) || !as_double(args[2], &w2)
+            || !as_double(args[3], &mu1) || !as_double(args[4], &mu2)
+            || !float_tuple(args[5], 4, z) || !PyFloat_CheckExact(args[6])
+            || !as_double(args[7], &dt) || !as_double(args[8], &t_bound)
+            || !parse_window(args[9], &win))
+        Py_RETURN_NONE;
+    guess = PyFloat_AS_DOUBLE(args[6]);
+    double b1 = mu1 * c_alpha(w1), b2 = mu2 * c_alpha(w2);
+    double t = 0.0;
+    long long probes = 0;
+    while (t < t_bound) {
+        t += dt;
+        double cand[4] = {z[0], z[1], z[2] + t * w1, z[3] + t * w2};
+        if (c_tau_star(j % 2 != 0, (double)j, w1, w2, b1, b2, cand[2], cand[3], 1e-14, &guess,
+                       &tau, &g, &it, sins) != SOLVED)
+            Py_RETURN_NONE;
+        double ps[2] = {cand[2] - tau * w1, cand[3] - tau * w2};
+        probes++;
+        if (in_window(ps, &win))
+            return Py_BuildValue("(dNNL)", t, float_row(cand, 4, 1), float_row(ps, 2, 1),
+                                 probes);
+        guess = tau;
+    }
+    Py_RETURN_FALSE;
+}
+
+/* jump_run(j, a1, a2, a3, om1, om2, segments, end, delta, guard, eps, dead,
+ * margin, z, target, last, left, steps, step): iterations of
+ * diffusion.build_pseudo_orbit's loop from the state z, aiming at the ball
+ * centre target (last: the final ball), line for line: the final-ball, ball
+ * and guard tests, _window_for (dead = DEADBAND_FACTOR * delta, margin =
+ * WINDOW_MARGIN), _jump_data (lstar_grad's lines, then psi), in_window, the
+ * jump, ActionPath.distance_to on the segment table and the tracking
+ * check; each jump appends step("S", z, 0.0, psi, dist) to steps.  It stops
+ * before an iteration that Python must run itself (one that breaks at the
+ * final ball, moves to the next ball or raises Stuck, the budget's end
+ * after left iterations, a solve that raises) with wait None, and after the
+ * window test of an iteration that needs a rotation wait with wait = (u,
+ * window), that iteration counted as used.  Returns (z, jumps, used, wait);
+ * None where an argument leaves the fast path (parse_flow's; the segment
+ * table segments_ok's; end, target and z tuples of exact floats; the
+ * numbers through as_double; last a bool, left an exact int, steps a
+ * list). */
+static PyObject *
+leaf_jump_run(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
+              PyObject *kwnames)
+{
+    struct flow p;
+    struct window win;
+    double end[2], target[2], z[4], delta, guard, eps, dead, margin, tau, d[4];
+    long long left, used = 0, jumps = 0;
+
+    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 19 || !parse_flow(args, &p)
+            || !segments_ok(args[6]) || !float_tuple(args[7], 2, end)
+            || !as_double(args[8], &delta) || !as_double(args[9], &guard)
+            || !as_double(args[10], &eps) || !as_double(args[11], &dead)
+            || !as_double(args[12], &margin) || !float_tuple(args[13], 4, z)
+            || !float_tuple(args[14], 2, target) || !PyBool_Check(args[15])
+            || !as_count(args[16], &left) || !PyList_CheckExact(args[17]))
+        Py_RETURN_NONE;
+    PyObject *segments = args[6], *steps = args[17], *step = args[18], *wait = NULL;
+    int last = args[15] == Py_True;
+    const double amp[2] = {p.a1, p.a2};
+    while (used < left) {
+        if (py_max(fabs(z[0] - end[0]), fabs(z[1] - end[1])) <= delta && last)
+            break;
+        double u[2] = {target[0] - z[0], target[1] - z[1]};
+        if (py_max(fabs(u[0]), fabs(u[1])) <= 0.5 * delta && !last)
+            break;
+        if (py_max(fabs(z[0]), fabs(z[1])) < guard)
+            break;
+        for (int c = 0; c < 2; c++) {
+            win.on[c] = !(fabs(u[c]) <= dead);
+            if ((u[c] > 0.0) == (amp[c] > 0.0)) {
+                win.lo[c] = M_PI + margin;
+                win.hi[c] = TWO_PI - margin;
+            }
+            else {
+                win.lo[c] = margin;
+                win.hi[c] = M_PI - margin;
+            }
+        }
+        if (!lstar_grad(&p, z, &tau, d))
+            break;
+        double ps[2] = {z[2] - tau * (p.om1 * z[0]), z[3] - tau * (p.om2 * z[1])};
+        if (!in_window(ps, &win)) {
+            used++;
+            wait = Py_BuildValue("((dd)N)", u[0], u[1], window_tuple(&win));
+            if (wait == NULL)
+                return NULL;
+            break;
+        }
+        double jumped[4] = {z[0] + eps * d[2], z[1] + eps * d[3], z[2] - eps * d[0],
+                            z[3] - eps * d[1]};
+        double dist = c_path_distance(segments, jumped[0], jumped[1]);
+        if (!(dist <= delta))
+            break;
+        PyObject *row[5] = {S_KIND, float_row(jumped, 4, 1), ZERO, float_row(ps, 2, 1),
+                            PyFloat_FromDouble(dist)};
+        PyObject *made = NULL;
+        if (row[1] != NULL && row[3] != NULL && row[4] != NULL)
+            made = PyObject_Vectorcall(step, row, 5, NULL);
+        Py_XDECREF(row[1]);
+        Py_XDECREF(row[3]);
+        Py_XDECREF(row[4]);
+        if (append(steps, made) < 0)
+            return NULL;
+        memcpy(z, jumped, sizeof jumped);
+        jumps++;
+        used++;
+    }
+    return Py_BuildValue("(NLLN)", float_row(z, 4, 1), jumps, used,
+                         wait != NULL ? wait : Py_NewRef(Py_None));
 }
 
 static PyMethodDef leaves_methods[] = {
@@ -825,13 +1097,22 @@ static PyMethodDef leaves_methods[] = {
      "flow_orbit(j, a1, a2, a3, om1, om2, y0, t0, t1, cfg, record, section, max_crossings)"
      " -> (t, y, n_accepted, n_rejected, crossings), or None where the Python loop must"
      " run; see scattering.flow_rhs."},
+    {"jump_run", (PyCFunction)(void (*)(void))leaf_jump_run, METH_FASTCALL | METH_KEYWORDS,
+     "jump_run(j, a1, a2, a3, om1, om2, segments, end, delta, guard, eps, dead, margin, z,"
+     " target, last, left, steps, step) -> (z, jumps, used, wait), or None where the Python"
+     " loop must run; see diffusion.build_pseudo_orbit."},
+    {"probe_sweep", (PyCFunction)(void (*)(void))leaf_probe_sweep, METH_FASTCALL | METH_KEYWORDS,
+     "probe_sweep(j, w1, w2, mu1, mu2, state, guess, dt, t_bound, window) -> (t, state, psi,"
+     " probes), False without a window entry, or None where the Python sweep must run;"
+     " see inner.ergodize."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef leaves_module = {
     PyModuleDef_HEAD_INIT, "arnolddiff.kernels._leaves",
-    "Compiled alpha, _coeffs, tau_star and path_distance, bit for bit with kernels.pure,"
-    " and the scattering flow's whole orbit flow_orbit.", -1,
+    "Compiled alpha, _coeffs, tau_star and path_distance, bit for bit with kernels.pure;"
+    " the scattering flow's whole orbit flow_orbit; the pseudo-orbit builder's jump_run and"
+    " ergodize's probe_sweep.", -1,
     leaves_methods,
     NULL, NULL, NULL, NULL,
 };
@@ -874,11 +1155,17 @@ PyInit__leaves(void)
         goto fail;
     }
     SINH_HALF_PI = PyFloat_AS_DOUBLE(sh);
-    Py_DECREF(sh);
+    Py_CLEAR(sh);
+    S_KIND = PyUnicode_InternFromString("S");
+    ZERO = PyFloat_FromDouble(0.0);
+    if (S_KIND == NULL || ZERO == NULL)
+        goto fail;
     return PyModule_Create(&leaves_module);
 
 fail:
-    Py_XDECREF(sh);
+    Py_CLEAR(sh);
+    Py_CLEAR(S_KIND);
+    Py_CLEAR(ZERO);
     Py_CLEAR(py_alpha);
     Py_CLEAR(py_coeffs);
     Py_CLEAR(py_tau_star);

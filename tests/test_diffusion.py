@@ -265,7 +265,50 @@ class TestDistanceBits:
         assert path.waypoints[0][0] == 1.0 and path.distance_to((1.0, 1.0)) == 0.0
 
 
+def _python_builder(monkeypatch):
+    """Run the builder's loop and ergodize's sweep in Python: the compiled jump
+    run and probe sweep skip the module globals the tests below patch."""
+    monkeypatch.setattr(kernels, "jump_run", None)
+    monkeypatch.setattr(kernels, "probe_sweep", None)
+
+
+def _ball_centers_list(path):
+    """Every ball center at once: the list _ball_centers built before it
+    yielded them one at a time."""
+    centers = []
+    wp = path.waypoints
+    for (a0, a1), (b0, b1) in zip(wp, wp[1:]):
+        s0, s1 = b0 - a0, b1 - a1
+        n = max(1, int(math.ceil((abs(s0) + abs(s1)) / path.delta)))
+        for kk in range(1, n + 1):
+            frac = kk / n
+            centers.append((a0 + s0 * frac, a1 + s1 * frac))
+    out = [centers[0]]
+    for c in centers[1:]:
+        if abs(c[0] - out[-1][0]) > 1e-12 or abs(c[1] - out[-1][1]) > 1e-12:
+            out.append(c)
+    return out
+
+
+@st.composite
+def _stairstepped_path(draw):
+    """Axis-aligned steps of up to 1, some shorter than 1e-12 or of length 0."""
+    x, y = draw(_coord), draw(_coord)
+    pts = [(x, y)]
+    length = st.one_of(st.floats(-1.0, 1.0), st.floats(-2e-12, 2e-12), st.just(0.0))
+    for axis, step in draw(st.lists(st.tuples(st.integers(0, 1), length), min_size=1,
+                                    max_size=12)):
+        x, y = (x + step, y) if axis == 0 else (x, y + step)
+        pts.append((x, y))
+    return diffusion.ActionPath(pts, draw(st.floats(0.02, 0.2)), stairstepped=True)
+
+
 class TestBuilder:
+    @settings(max_examples=200, deadline=None)
+    @given(_stairstepped_path())
+    def test_ball_centers_one_at_a_time_match_the_list(self, path):
+        assert repr(list(diffusion._ball_centers(path))) == repr(_ball_centers_list(path))
+
     def test_short_path_terminates_quickly(self, params):
         path = diffusion.ActionPath(np.array([[1.0, 1.0], [1.05, 1.0]]), 0.1)
         start = np.array([1.0, 1.0, 2.0, 4.4])
@@ -285,6 +328,7 @@ class TestBuilder:
         assert sum(map(math.sin, psi1)) < 0.0  # psi1 mostly in (pi, 2pi)
 
     def test_one_gradient_per_jump(self, params, monkeypatch):
+        _python_builder(monkeypatch)
         grad, psi = melnikov.reduced_poincare_grad, melnikov.psi
         grad_calls, psi_callers = [], set()
 
@@ -365,6 +409,7 @@ class TestBuilder:
             diffusion.build_pseudo_orbit(path, np.array(start), params)
 
     def test_nan_distance_is_stuck(self, params, monkeypatch):
+        _python_builder(monkeypatch)
         monkeypatch.setattr(diffusion.ActionPath, "distance_to", lambda self, p: math.nan)
         path = diffusion.ActionPath(np.array([[1.0, 1.0], [1.6, 1.0]]), 0.1)
         with pytest.raises(Stuck, match="deviation nan"):
@@ -382,6 +427,7 @@ class TestBuilder:
     def test_kernels_get_python_floats(self, params, monkeypatch):
         # jumps, rotation waits and detours all hand plain floats to the
         # kernels, which run about twice as fast on them as on np.float64
+        _python_builder(monkeypatch)
         tau_star, lstar_grad = kernels.tau_star, kernels.lstar_grad
         seen = []
 

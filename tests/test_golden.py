@@ -152,7 +152,7 @@ def test_points_are_float_tuples(params, params_fig5):
     assert all(len(row) == 4 and all(type(v) is float for v in row) for row in orb.states)
     path = diffusion.stairstep(diffusion.ActionPath(np.array([[1.0, 1.0], [1.3, 1.2]]), 0.1))
     assert type(path.waypoints) is tuple and all(floats(p, 2) for p in path.waypoints)
-    centers = diffusion._ball_centers(path)
+    centers = list(diffusion._ball_centers(path))
     assert centers and all(floats(p, 2) for p in centers)
     check = diffusion.verify_scattering_jump(np.array([1.0, 1.0, c, c]), 0, 1e-3, params)
     assert floats(check.measured, 2) and floats(check.predicted, 2)

@@ -34,8 +34,9 @@ HAVE_CC = bool(CC) and shutil.which(CC.split()[0]) is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler: nothing is compiled")
 
 # the last values integrate a scattering-flow orbit to four landings on a
-# section, by the compiled orbit when it is compiled and by the Python loop
-# otherwise
+# section and build a short pseudo-orbit with waits and detours, by the
+# compiled orbit, jump run and probe sweep when they are compiled and by the
+# Python loops otherwise
 PROBE = ("import sys; from arnolddiff import diffusion, kernels, ode, scattering; "
          "from arnolddiff.model import ModelParams; "
          "path = diffusion.ActionPath([(0.3, 1.0), (2.0, 1.0), (2.0, 2.7), (-1.1, 2.7)], 0.1); "
@@ -46,17 +47,20 @@ PROBE = ("import sys; from arnolddiff import diffusion, kernels, ode, scattering
          "repr(kernels.tau_star(-3, 1.3, 0.7, 0.3, 0.1, 2.0, 4.0)), "
          "repr(kernels.flow_rhs(1, 0.3, 0.1, 1.0, 1.0, 1.0, 1.2, -0.4, 5.0, 1.0)), "
          "repr(path.distance_to((1.1, 1.9))), "
-         "len(traj.t), traj.n_accepted, traj.n_rejected, repr(traj.crossings))")
+         "len(traj.t), traj.n_accepted, traj.n_rejected, repr(traj.crossings), "
+         "repr(diffusion.build_pseudo_orbit(diffusion.ActionPath([(1.0, 1.08), (1.2, 1.08)], 0.1), "
+         "(1.0, 1.0, 0.3, 0.3 + 3.141592653589793), ModelParams(0.3, 0.1, 1.0, eps=1e-3), "
+         "eps=1e-2).steps[-40:]))")
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# runs the golden poincare and highway files and prints the SHA-256 of what
-# they write, keyed as in hashes.json
+# runs the golden poincare, highway and diffuse files and prints the SHA-256
+# of what they write, keyed as in hashes.json
 GOLDEN_RUN = """
 import hashlib, json, os, sys, tempfile
 from arnolddiff.cli import main
 table = {}
 with tempfile.TemporaryDirectory() as tmp:
-    for run in ("poincare", "highway"):
+    for run in ("poincare", "highway", "diffuse"):
         out = os.path.join(tmp, run)
         if main([run, os.path.join(sys.argv[1], run + ".ini"), "--output-dir", out]) != 0:
             sys.exit(run + " failed")
@@ -76,20 +80,28 @@ def test_reference_counts_do_not_drift():
     segments, scale = path._segments, path._scale
     y = [1.2, -0.4, 5.0, 1.0]
     cfg, section, t_end = ode.IntegratorConfig(), ode.Section(2, 5.5, 0), 3.0
+    steps, window = [], ((3.4, 6.0), None)
     objs = (None, True, False, w1, w2, mu1, t1, guess, tol, segments, segments[1],
-            segments[1][2], scale, y, y[0], cfg, section, section.value, t_end)
+            segments[1][2], scale, y, y[0], cfg, section, section.value, t_end, steps,
+            diffusion.PseudoStep, "S", window, window[0], path.end)
     # garbage left by earlier tests holds references to None too: collect
     # it first, and keep the collector from freeing more during the loops
     gc.collect()
+    blocks = sys.getallocatedblocks()
     gc.disable()
     try:
         before = [sys.getrefcount(o) for o in objs]
         _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale)
         _call_every_orbit(leaves, mu1, mu2, y, cfg, section, t_end)
+        _call_every_builder_form(leaves, path, steps, window)
         drift = [sys.getrefcount(o) - b for o, b in zip(objs, before)]
     finally:
         gc.enable()
     assert all(abs(d) < 100 for d in drift), drift
+    # a leaked object that holds none of objs (a result's tuple or float)
+    # stays allocated once the loops' cyclic garbage is collected
+    gc.collect()
+    assert sys.getallocatedblocks() - blocks < 1000, sys.getallocatedblocks() - blocks
 
 
 def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale):
@@ -154,6 +166,78 @@ def _call_every_orbit(leaves, mu1, mu2, y, cfg, section, t_end):
             assert leaves.flow_orbit(*args) is None
 
 
+def _call_every_builder_form(leaves, path, steps, window):
+    """jump_run in each case that returns to Python and each None form, and
+    probe_sweep to a window entry, to t_bound, into a solve that raises and in
+    its None forms."""
+    flow, segments, end, step = (0, 0.3, 0.1, 1.0, 1.0, 1.0), path._segments, path.end, \
+        diffusion.PseudoStep
+    nan_path = diffusion.ActionPath([(1.0, 1.0), (1.6, 1.0), (1.6, 1.7e308), (1.6, -1.7e308)],
+                                    0.1)
+
+    def run(z, target=(1.1, 1.0), last=False, left=5, delta=0.1, guard=0.1, table=segments,
+            kind=step):
+        return leaves.jump_run(*flow, table, end, delta, guard, 1e-3, 0.025 * delta, 0.3, z,
+                               target, last, left, steps, kind)
+
+    def refuse(*args):
+        raise ValueError("no step")
+
+    moving, waiting = (1.0, 1.0, 4.0, 1.0), (1.0, 1.0, 2.0, 4.4)
+    unconverged = (1.7617171395434756, 1.2045946109992596, 933800896895307.6, 1.5731798237561267)
+    entry = (0, 1.0, 1.0, 0.3, 0.1, waiting, -0.1, 0.5, 100.0, window)
+    unconverged_sweep = (2.989112088776157, 1.67565876880612, 7501573148877.606,
+                         4.013347922617337)
+    two_windows = ((3.4, 6.0), (0.3, 2.8))
+    for _ in range(3_000):   # a leak of one reference a call would drift by 3 000
+        # five jumps to the budget's end; a rotation wait; the ball reached;
+        # the final ball; the guard; a tracking failure and a NaN deviation; a
+        # solve that raises
+        assert run(moving)[1:] == (5, 5, None)
+        assert run(waiting)[3] is not None
+        assert run(moving, target=moving[:2])[1:] == (0, 0, None)
+        assert run((end[0] + 0.05, end[1], 4.0, 1.0), last=True)[1:] == (0, 0, None)
+        assert run(moving, guard=10.0)[1:] == (0, 0, None)
+        assert run(moving, delta=1e-9, left=1)[1:] == (0, 0, None)
+        assert run(moving, table=nan_path._segments)[1:] == (0, 0, None)
+        assert run(unconverged, target=(1.7617171395434756, 1.4))[1:] == (0, 0, None)
+        with pytest.raises(ValueError):
+            run(moving, kind=refuse)
+        steps.clear()
+        # the None returns
+        for args in ((*flow, segments, end, 0.1, 0.1, 1e-3, 0.025, 0.3, moving, (1.1, 1.0), False,
+                      5, steps),
+                     (0.0, *flow[1:], segments, end, 0.1, 0.1, 1e-3, 0.025, 0.3, moving,
+                      (1.1, 1.0), False, 5, steps, step),
+                     (*flow[:3], 0.0, *flow[4:], segments, end, 0.1, 0.1, 1e-3, 0.025, 0.3, moving,
+                      (1.1, 1.0), False, 5, steps, step),
+                     (*flow, list(segments), end, 0.1, 0.1, 1e-3, 0.025, 0.3, moving, (1.1, 1.0),
+                      False, 5, steps, step),
+                     (*flow, segments, list(end), 0.1, 0.1, 1e-3, 0.025, 0.3, moving, (1.1, 1.0),
+                      False, 5, steps, step),
+                     (*flow, segments, end, 0.1, 0.1, 1e-3, 0.025, 0.3, list(moving), (1.1, 1.0),
+                      False, 5, steps, step),
+                     (*flow, segments, end, 0.1, 0.1, 1e-3, 0.025, 0.3, (*moving[:3], 1), (1.1,),
+                      False, 5, steps, step),
+                     (*flow, segments, end, 0.1, 0.1, 1e-3, 0.025, 0.3, moving, (1.1, 1.0), 0, 5,
+                      steps, step),
+                     (*flow, segments, end, 0.1, 0.1, 1e-3, 0.025, 0.3, moving, (1.1, 1.0), False,
+                      5.0, steps, step),
+                     (*flow, segments, end, 0.1, 0.1, 1e-3, 0.025, 0.3, moving, (1.1, 1.0), False,
+                      5, (), step)):
+            assert leaves.jump_run(*args) is None
+        # the sweep to a window entry, to t_bound, into a solve that raises,
+        # and its None returns
+        assert leaves.probe_sweep(*entry)[3] > 0
+        assert leaves.probe_sweep(*entry[:8], 1.0, window) is False
+        assert leaves.probe_sweep(0, *unconverged_sweep[:2], 0.3, 0.1, unconverged_sweep,
+                                  0.04303722624774163, 0.3, 100.0, two_windows) is None
+        for k, bad in ((0, 0.0), (5, list(waiting)), (6, 0), (9, list(window)),
+                       (9, ((3.4, 6), None)), (9, (window[0],))):
+            assert leaves.probe_sweep(*entry[:k], bad, *entry[k + 1:]) is None
+        assert leaves.probe_sweep(*entry[:9]) is None
+
+
 @pytest.fixture
 def package_copy(tmp_path):
     """A copy of the package with a cold cache, and the environment that imports it."""
@@ -200,14 +284,15 @@ def test_missing_compiler_keeps_the_python_leaves(package_copy, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("arnolddiff: compiled kernels unavailable")
     assert _cache(root) == []
-    # the Python step writes the golden portrait and Highway family byte for byte
+    # the Python loops write the golden portrait, Highway family and
+    # pseudo-orbit byte for byte
     golden = subprocess.run([sys.executable, "-c", GOLDEN_RUN, str(GOLDEN)],
                             env=dict(env, PATH=str(tmp_path / "empty")),
                             capture_output=True, text=True, timeout=300)
     assert golden.returncode == 0, golden.stderr
     table = json.loads((GOLDEN / "hashes.json").read_text())
     hashes = json.loads(golden.stdout)
-    assert len(hashes) == 5 and hashes == {k: table[k] for k in hashes}
+    assert len(hashes) == 8 and hashes == {k: table[k] for k in hashes}
     assert _cache(root) == []
     if HAVE_CC:   # the Python leaves give the bits the compiled ones give
         assert _probe(root, env).stdout.split(" ", 1)[1] == proc.stdout.split(" ", 1)[1]
