@@ -8,10 +8,7 @@ solve) and the two Python kernels built on them (reduced-function
 gradient, scattering-flow right-hand side) over random states, once with
 the compiled leaves that ``kernels.pure`` is bound to and once with the
 Python leaves (``kernels.PYTHON_LEAVES``, the specification) bound in their
-place.  Then the pseudo-orbit builder's two other costs: the path distance
-(``ActionPath.distance_to``) on a 16-segment stairstepped path, the shape
-of the ``pseudo_orbit`` benchmark's paths, and on an 80-segment one, with
-either leaf; and the CSV writer on 25 000 ``diffuse``-shaped rows, its
+place.  Then the CSV writer on 25 000 ``diffuse``-shaped rows, its
 %-format fast path (``cli._write_csv``) against ``csv.writer`` on every
 row (median of 5).  Then whole scattering-flow orbits, a portrait orbit
 and a Highway trace, on the compiled orbit (``f.orbit``, which
@@ -68,21 +65,6 @@ def _bench_scalar(n, states):
         for s in states[:n]:
             call(*s)
         out[name] = (time.perf_counter() - t0) / n
-    return out
-
-
-def _bench_path_distance(n, rng):
-    """Seconds per distance_to call on a 16- and an 80-segment stairstepped path."""
-    from arnolddiff import diffusion
-
-    out = {}
-    for climb in (0.4, 2.0):   # delta = 0.1 steps every 0.05: 16 and 80 segments
-        path = diffusion.stairstep(diffusion.ActionPath([(1.0, 1.0), (1.02, 1.0 + climb)], 0.1))
-        points = [(rng.uniform(0.9, 1.12), rng.uniform(0.9, 1.1 + climb)) for _ in range(n)]
-        t0 = time.perf_counter()
-        for p in points:
-            path.distance_to(p)
-        out[f"{len(path.waypoints) - 1} segments"] = (time.perf_counter() - t0) / n
     return out
 
 
@@ -242,15 +224,6 @@ def main():
     print(f"{'':>16}" + "".join(f"{k:>12}" for k in names))
     for label, vals in rows.items():
         print(f"{label:>16}" + "".join(f"{vals[k] * 1e6:>12.2f}" for k in names))
-
-    dist = {f"leaves: {kernels.BACKEND}": _bench_path_distance(n, rng)}
-    with _python_leaves():
-        dist["leaves: python"] = _bench_path_distance(n, rng)
-    names = list(next(iter(dist.values())))
-    print(f"\npath distance over {n} points near the path (microseconds per call):")
-    print(f"{'':>16}" + "".join(f"{k:>14}" for k in names))
-    for label, vals in dist.items():
-        print(f"{label:>16}" + "".join(f"{vals[k] * 1e6:>14.2f}" for k in names))
 
     secs = _bench_csv(rng)
     print("\nCSV writer, 25 000 diffuse_orbit.csv-shaped rows (median of 5, ms):")

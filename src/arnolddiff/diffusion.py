@@ -85,9 +85,9 @@ class ActionPath:
         """Sup-norm distance from a point to the polyline.
 
         The least sup-norm residual over the segments, NaN if any residual
-        is NaN: ``kernels.pure.path_distance`` on the segment table, looked
-        up at call time so that the compiled leaf and the Python one it
-        translates (the specification) are both reached through here.
+        is NaN: ``kernels.pure.path_distance`` on the segment table, in
+        Python under both backends.  ``kernels.jump_run`` scans the same
+        table in C for the jumps it makes, with the same bits.
         """
         p0, p1 = map(float, point)
         return pure.path_distance(self._segments, self._scale, p0, p1)
@@ -288,8 +288,9 @@ def build_pseudo_orbit(path, start, params, j=0, eps=None, on_event=None):
             z = res.state
             orbit.n_inner += 1
             orbit.inner_time += res.t_star
-            d = path.distance_to(z[:2])
-            steps.append(PseudoStep("I", z, res.t_star, None, d))
+            # rotation leaves the actions as they were, the same floats, so
+            # the distance is the one recorded for the state waited from
+            steps.append(PseudoStep("I", z, res.t_star, None, steps[-1].dist))
             if on_event:
                 on_event("inner", z, res.t_star)
             ps, dI, dTH = _jump_data(j, z, params)
@@ -500,8 +501,9 @@ def time_estimate(omega_range, orbit, eps, params):
     by a not-a-knot cubic spline; C is the explicit homoclinic-window
     constant built from the amplitude ratios and M(w) = max |w - alpha(w)|
     over the swept range.  Raises RangeNotCovered when the orbit's w1 does
-    not span omega_range or takes fewer than 4 distinct values, and
-    ValueError when omega_range is not increasing.  The samples
+    not span omega_range or takes fewer than 4 distinct values,
+    ValueError when omega_range is not increasing, and EpsilonTooLarge
+    when eps >= C, where T_h would not be positive.  The samples
     are sorted by w1 (stably: of tied samples the first in orbit order
     leads), and one closer than 1e-12 to its sorted predecessor is dropped.
     """
@@ -548,6 +550,9 @@ def time_estimate(omega_range, orbit, eps, params):
         + (2.0 * abs(params.a3 * params.mu1) * sh * mu1 / den) * Mw1
         + (2.0 * abs(params.a3 * params.mu2) * sh * mu1 / den) * Mw2
     )
+    if eps >= C:
+        raise EpsilonTooLarge(f"eps = {eps:g} is not below the window constant C = {C:.6g}: "
+                              "T_h = 2 log(C/eps) would not be positive")
     T_h = 2.0 * math.log(C / eps)
     T_d = (T_s / eps) * T_h
     return TimeEstimate(

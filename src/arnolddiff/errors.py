@@ -65,8 +65,10 @@ class RangeNotCovered(ArnolddiffError):
 
 class EpsilonTooLarge(ArnolddiffError):
     """Perturbation size outside the range a computation is valid for: above
-    the tracking threshold of a path or the jump oracle's calibration, or
-    not positive where the actions must move."""
+    the tracking threshold of a path or the jump oracle's calibration, at or
+    above the drift-time estimate's window constant C (where the homoclinic
+    time 2 log(C/eps) is not positive), or not positive where the actions
+    must move."""
 
 
 class Stuck(ArnolddiffError):

@@ -1,13 +1,11 @@
 """Scalar kernels of the crest/scattering hot path and the pseudo-orbit builder.
 
-A re-export of ``kernels.pure``, the one specification, whose four leaves
-run compiled from ``_leaves.c`` with the same bits: ``alpha``, ``_coeffs``
-and ``tau_star``, and ``path_distance``, the pseudo-orbit builder's
-sup-norm distance from a point to an action path's segment table.
-Importing the package builds ``_leaves.c`` once with sysconfig's C
-compiler into ``kernels/__pycache__/``, under a name keyed by the hash of
-the source, of the emitted step header (below), the flags and the
-extension suffix, then rebinds those four names in ``pure`` to the
+A re-export of ``kernels.pure``, the one specification, whose three leaves
+``alpha``, ``_coeffs`` and ``tau_star`` run compiled from ``_leaves.c``
+with the same bits.  Importing the package builds ``_leaves.c`` once with
+sysconfig's C compiler into ``kernels/__pycache__/``, under a name keyed by
+the hash of the source, of the emitted step header (below), the flags and
+the extension suffix, then rebinds those three names in ``pure`` to the
 compiled leaves and sets ``BACKEND = "c"``.  A warm cache only loads the
 file.  Without a compiler, or when the build fails, the Python leaves
 stay, one line on stderr says so, and ``BACKEND`` is ``"python"``.
@@ -35,7 +33,8 @@ Two more entry points run the pseudo-orbit builder's loops.  ``jump_run``
 runs iterations of ``diffusion.build_pseudo_orbit``'s loop: the final-ball,
 ball and guard tests, ``_window_for``, ``_jump_data`` (``lstar_grad``'s lines
 on the compiled solve, then psi), ``inner.in_window`` with Python's float
-``%``, the jump, the path distance on the segment table and the tracking
+``%``, the jump, the path distance (``pure.path_distance``'s scan of the
+segment table, the builder's only compiled distance) and the tracking
 check, appending each jump's ``PseudoStep``.  It returns to the Python loop
 with the state, the jumps made and the iterations used at the first
 iteration that needs a rotation wait (handing over ``u`` and the window), and
@@ -49,13 +48,15 @@ tests set them to None to run the Python loops.
 Everything else (``lstar``, ``lstar_grad``, ``flow_rhs``, ``coeff`` and
 ``coeff_deriv``) stays in Python and reaches the leaves through ``pure``'s
 module globals, because the span tracer in ``perfbench/spans.py`` counts the
-solves made inside them by rebinding ``kernels.pure.tau_star``; and
-``diffusion.ActionPath.distance_to``, the method the tracer counts, looks
-``pure.path_distance`` up on every call.  The solves, gradients and
-distances inside ``flow_orbit``, ``jump_run`` and ``probe_sweep`` are not
-seen there: a traced run counts those of the orbits that stay in Python
-(none on portrait or highway_family) and of the pseudo-orbit builder's
-rotation waits, detours and the jumps after them only.
+solves made inside them by rebinding ``kernels.pure.tau_star``.
+``pure.path_distance`` stays in Python under both backends:
+``diffusion.ActionPath.distance_to``, the method the tracer counts, calls it
+once per build, per detour jump and per jump after a rotation wait.  The
+solves, gradients and distances inside ``flow_orbit``, ``jump_run`` and
+``probe_sweep`` are not seen there: a traced run counts those of the orbits
+that stay in Python (none on portrait or highway_family) and of the
+pseudo-orbit builder's rotation waits, detours and the jumps after them
+only.
 ``PYTHON_LEAVES`` holds the Python leaves, the specification that
 ``tests/test_leaves.py`` compares the compiled ones with.
 """
@@ -71,7 +72,7 @@ from .. import ode
 from . import pure
 
 PYTHON_LEAVES = {name: getattr(pure, name)
-                 for name in ("alpha", "_coeffs", "tau_star", "path_distance")}
+                 for name in ("alpha", "_coeffs", "tau_star")}
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_leaves.c")
 # -ffp-contract=off: no fused multiply-add; -fno-builtin: no libm call folded
@@ -180,6 +181,5 @@ from .pure import (  # noqa: E402  (re-exported after the rebinding above)
     full_rhs,
     lstar,
     lstar_grad,
-    path_distance,
     tau_star,
 )

@@ -1,7 +1,7 @@
-/* Compiled leaves of the scalar kernels: alpha, _coeffs, tau_star and
- * path_distance; the scattering flow's RKF78 integration: flow_orbit, a
- * whole orbit of ode._integrate; and the pseudo-orbit builder's loops:
- * jump_run, iterations of diffusion.build_pseudo_orbit, and probe_sweep,
+/* Compiled leaves of the scalar kernels: alpha, _coeffs and tau_star; the
+ * scattering flow's RKF78 integration: flow_orbit, a whole orbit of
+ * ode._integrate; and the pseudo-orbit builder's loops: jump_run,
+ * iterations of diffusion.build_pseudo_orbit, and probe_sweep,
  * inner.ergodize's probe loop.
  *
  * Each function is a line-for-line translation of its namesake in pure.py,
@@ -18,8 +18,6 @@
  * tol and guess keywords.  Every other call (numpy scalars, an int guess,
  * bad arguments) goes to the Python leaf, which pure.py keeps, so types
  * and error messages stay those of the specification there too.
- * path_distance takes floats only: its point, its scale and every entry of
- * its segment table must be exact floats, or the Python leaf runs.
  *
  * flow_orbit translates ode._integrate on pure.flow_rhs: its step is
  * ode.rkf78_step, whose right-hand side is lstar_grad's lines on
@@ -37,12 +35,13 @@
  * jump_run translates build_pseudo_orbit's loop body: the final-ball, ball
  * and guard tests, _window_for, _jump_data (lstar_grad's lines, shared with
  * flow_rhs, then psi), inner.in_window with Python's float %, the jump,
- * ActionPath.distance_to (c_path_distance on the segment table) and the
- * tracking check, appending one PseudoStep per jump.  It raises nothing of
- * the builder's: it returns with a rotation wait's u and window after that
- * iteration's window test, and before any iteration that moves to the next
- * ball, ends the orbit, raises Stuck, exhausts the budget or meets a solve
- * that raises, which the Python loop then runs itself.  probe_sweep
+ * ActionPath.distance_to (c_path_distance: pure.path_distance over a
+ * segment table of exact floats, the builder's only compiled distance) and
+ * the tracking check, appending one PseudoStep per jump.  It raises nothing
+ * of the builder's: it returns with a rotation wait's u and window after
+ * that iteration's window test, and before any iteration that moves to the
+ * next ball, ends the orbit, raises Stuck, exhausts the budget or meets a
+ * solve that raises, which the Python loop then runs itself.  probe_sweep
  * translates ergodize's `while t < t_bound` loop (melnikov.psi with the
  * chained guess, then in_window) and returns None where a solve raises, so
  * that the Python sweep reruns and raises it.
@@ -55,7 +54,7 @@
 #define EXACT_INT (1LL << 53)
 
 static double SINH_HALF_PI;            /* pure.SINH_HALF_PI */
-static PyObject *py_alpha, *py_coeffs, *py_tau_star, *py_path_distance;   /* the Python leaves */
+static PyObject *py_alpha, *py_coeffs, *py_tau_star;   /* the Python leaves */
 static PyObject *NotHorizontal, *NoConvergence;        /* pure's error classes */
 static PyObject *MaxStepsExceeded, *StepSizeUnderflow; /* ode's */
 static PyObject *S_KIND, *ZERO;        /* a jump's PseudoStep kind "S" and its dt 0.0 */
@@ -90,6 +89,25 @@ as_double(PyObject *o, double *x)
         return 1;
     }
     return 0;
+}
+
+/* An exact int that fits a long long; 0 otherwise, with no exception set. */
+static int
+as_count(PyObject *o, long long *n)
+{
+    int overflow;
+    if (o == NULL || !PyLong_CheckExact(o))
+        return 0;
+    *n = PyLong_AsLongLongAndOverflow(o, &overflow);
+    return !overflow;
+}
+
+/* The branch j: an exact int of magnitude <= 2**53; 0 otherwise, with no
+ * exception set. */
+static int
+as_branch(PyObject *o, long long *j)
+{
+    return as_count(o, j) && -EXACT_INT <= *j && *j <= EXACT_INT;
 }
 
 /* What a solve raised, if anything: c_tau_star's result, which
@@ -280,7 +298,6 @@ leaf_tau_star(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
     double v[6], tol = 1e-14, guess, tau, g, sins[2];
     long long j;
     long it;
-    int overflow;
 
     if (nargs < 7 || nargs > 9)
         goto python;
@@ -299,10 +316,7 @@ leaf_tau_star(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
                 goto python;
         }
     }
-    if (!PyLong_CheckExact(args[0]))
-        goto python;
-    j = PyLong_AsLongLongAndOverflow(args[0], &overflow);
-    if (overflow || j > EXACT_INT || j < -EXACT_INT)
+    if (!as_branch(args[0], &j))
         goto python;
     for (int k = 0; k < 6; k++)
         if (!as_double(args[k + 1], &v[k]))
@@ -333,20 +347,15 @@ struct flow {
 };
 
 /* The arguments j, a1, a2, a3, om1, om2 as a flow; 0 where they leave the
- * fast path (as_double's; j an int of magnitude <= 2**53) or a3 == 0. */
+ * fast path (as_branch's and as_double's) or a3 == 0. */
 static int
 parse_flow(PyObject *const *args, struct flow *p)
 {
     double a3;
     long long j;
-    int overflow;
-    if (!PyLong_CheckExact(args[0]))
-        return 0;
-    j = PyLong_AsLongLongAndOverflow(args[0], &overflow);
-    if (overflow || j > EXACT_INT || j < -EXACT_INT)
-        return 0;
-    if (!as_double(args[1], &p->a1) || !as_double(args[2], &p->a2) || !as_double(args[3], &a3)
-            || !as_double(args[4], &p->om1) || !as_double(args[5], &p->om2) || a3 == 0.0)
+    if (!as_branch(args[0], &j) || !as_double(args[1], &p->a1) || !as_double(args[2], &p->a2)
+            || !as_double(args[3], &a3) || !as_double(args[4], &p->om1)
+            || !as_double(args[5], &p->om2) || a3 == 0.0)
         return 0;
     p->odd = j % 2 != 0;
     p->j = (double)j;
@@ -463,17 +472,6 @@ attr_double(PyObject *obj, const char *name, double *x)
     int ok = as_double(v, x);
     Py_DECREF(v);
     return ok;
-}
-
-/* An exact int that fits a long long; 0 otherwise, with no exception set. */
-static int
-as_count(PyObject *o, long long *n)
-{
-    int overflow;
-    if (o == NULL || !PyLong_CheckExact(o))
-        return 0;
-    *n = PyLong_AsLongLongAndOverflow(o, &overflow);
-    return !overflow;
 }
 
 static int
@@ -838,20 +836,6 @@ c_path_distance(PyObject *segments, double p0, double p1)
     return best;
 }
 
-/* path_distance(segments, scale, p0, p1): c_path_distance where the table
- * and the point are exact floats, the Python leaf otherwise. */
-static PyObject *
-leaf_path_distance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargsf,
-                   PyObject *kwnames)
-{
-    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 4 || !segments_ok(args[0])
-            || !PyFloat_CheckExact(args[1]) || !PyFloat_CheckExact(args[2])
-            || !PyFloat_CheckExact(args[3]))
-        return PyObject_Vectorcall(py_path_distance, args, nargsf, kwnames);
-    return PyFloat_FromDouble(c_path_distance(args[0], PyFloat_AS_DOUBLE(args[2]),
-                                              PyFloat_AS_DOUBLE(args[3])));
-}
-
 #define TWO_PI (2.0 * M_PI)    /* model.TWO_PI */
 
 /* Python's float x % m: fmod, then the remainder takes the sign of m, and a
@@ -959,13 +943,9 @@ leaf_probe_sweep(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t na
     double w1, w2, mu1, mu2, z[4], guess, dt, t_bound, tau, g, sins[2];
     long long j;
     long it;
-    int overflow;
     struct window win;
 
-    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 10 || !PyLong_CheckExact(args[0]))
-        Py_RETURN_NONE;
-    j = PyLong_AsLongLongAndOverflow(args[0], &overflow);
-    if (overflow || j > EXACT_INT || j < -EXACT_INT
+    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 10 || !as_branch(args[0], &j)
             || !as_double(args[1], &w1) || !as_double(args[2], &w2)
             || !as_double(args[3], &mu1) || !as_double(args[4], &mu2)
             || !float_tuple(args[5], 4, z) || !PyFloat_CheckExact(args[6])
@@ -1089,10 +1069,6 @@ static PyMethodDef leaves_methods[] = {
     {"tau_star", (PyCFunction)(void (*)(void))leaf_tau_star, METH_FASTCALL | METH_KEYWORDS,
      "tau_star(j, w1, w2, mu1, mu2, t1, t2, tol=1e-14, guess=None) -> (tau, g, iterations);"
      " see kernels.pure.tau_star."},
-    {"path_distance", (PyCFunction)(void (*)(void))leaf_path_distance,
-     METH_FASTCALL | METH_KEYWORDS,
-     "path_distance(segments, scale, p0, p1) -> sup-norm distance to the segments;"
-     " see kernels.pure.path_distance."},
     {"flow_orbit", (PyCFunction)(void (*)(void))leaf_flow_orbit, METH_FASTCALL | METH_KEYWORDS,
      "flow_orbit(j, a1, a2, a3, om1, om2, y0, t0, t1, cfg, record, section, max_crossings)"
      " -> (t, y, n_accepted, n_rejected, crossings), or None where the Python loop must"
@@ -1110,9 +1086,9 @@ static PyMethodDef leaves_methods[] = {
 
 static struct PyModuleDef leaves_module = {
     PyModuleDef_HEAD_INIT, "arnolddiff.kernels._leaves",
-    "Compiled alpha, _coeffs, tau_star and path_distance, bit for bit with kernels.pure;"
-    " the scattering flow's whole orbit flow_orbit; the pseudo-orbit builder's jump_run and"
-    " ergodize's probe_sweep.", -1,
+    "Compiled alpha, _coeffs and tau_star, bit for bit with kernels.pure; the scattering"
+    " flow's whole orbit flow_orbit; the pseudo-orbit builder's jump_run and ergodize's"
+    " probe_sweep.", -1,
     leaves_methods,
     NULL, NULL, NULL, NULL,
 };
@@ -1136,17 +1112,15 @@ PyInit__leaves(void)
     py_alpha = PyObject_GetAttrString(pure, "alpha");
     py_coeffs = PyObject_GetAttrString(pure, "_coeffs");
     py_tau_star = PyObject_GetAttrString(pure, "tau_star");
-    py_path_distance = PyObject_GetAttrString(pure, "path_distance");
     NotHorizontal = PyObject_GetAttrString(pure, "NotHorizontal");
     NoConvergence = PyObject_GetAttrString(pure, "NoConvergence");
     Py_DECREF(pure);
     if (sh == NULL || py_alpha == NULL || py_coeffs == NULL || py_tau_star == NULL
-            || py_path_distance == NULL || NotHorizontal == NULL || NoConvergence == NULL
-            || MaxStepsExceeded == NULL || StepSizeUnderflow == NULL)
+            || NotHorizontal == NULL || NoConvergence == NULL || MaxStepsExceeded == NULL
+            || StepSizeUnderflow == NULL)
         goto fail;
     if (!PyFloat_CheckExact(sh) || !PyFunction_Check(py_alpha)
             || !PyFunction_Check(py_coeffs) || !PyFunction_Check(py_tau_star)
-            || !PyFunction_Check(py_path_distance)
             || !PyExceptionClass_Check(NotHorizontal) || !PyExceptionClass_Check(NoConvergence)
             || !PyExceptionClass_Check(MaxStepsExceeded)
             || !PyExceptionClass_Check(StepSizeUnderflow)) {
@@ -1169,7 +1143,6 @@ fail:
     Py_CLEAR(py_alpha);
     Py_CLEAR(py_coeffs);
     Py_CLEAR(py_tau_star);
-    Py_CLEAR(py_path_distance);
     Py_CLEAR(NotHorizontal);
     Py_CLEAR(NoConvergence);
     Py_CLEAR(MaxStepsExceeded);

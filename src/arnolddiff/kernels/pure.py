@@ -277,7 +277,8 @@ def path_distance(segments, scale, p0, p1):
     farther (sup-norm) from p than the best residual so far plus
     ``_SKIP_ULPS`` ulps of m, the largest |coordinate| of p and the
     waypoints; then its residual cannot be below the best, so the result is
-    bit for bit that of evaluating every segment, as the compiled leaf does.
+    bit for bit that of evaluating every segment, as ``kernels.jump_run``'s
+    scan does.
     Nothing is skipped when m >= ``_PRUNE_LIMIT`` or p is not finite.
     """
     m = max(scale, abs(p0), abs(p1))

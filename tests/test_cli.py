@@ -530,6 +530,8 @@ PROBES = [
     ("time-estimate", "[time]\neps = nan\n", 2, "config error:"),
     ("time-estimate", "[time]\nseed_i1 = inf\n", 2, "config error:"),
     ("time-estimate", "[time]\nseed_i1 = 1e3\nseed_i2 = -1e3\n", 3, "AsymptoticsUnreliable:"),
+    # eps above the window constant C = 58.77 made T_h = 2 log(C/eps) negative
+    ("time-estimate", "[time]\neps = 100\n", 3, "EpsilonTooLarge:"),
     # the commands' own checks, made once the output directory exists
     ("time-estimate", "[time]\nomega_lo = 8\nomega_hi = 7\n", 2, "config error:"),
     ("highway", "[highway]\ni2_from = 3\ni2_to = 3\n", 2, "config error:"),
@@ -571,6 +573,7 @@ def test_probe_exit_code(tmp_path, capsys, monkeypatch, command, section, code, 
     assert main([command, str(ini)]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert not list(tmp_path.glob("out/*.csv"))
     if code == 2:
         assert not (tmp_path / "out").exists()
 

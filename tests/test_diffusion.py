@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arnolddiff import diffusion, highway, kernels, melnikov
-from arnolddiff.errors import DegenerateDirection, RangeNotCovered, Stuck
+from arnolddiff.errors import DegenerateDirection, EpsilonTooLarge, RangeNotCovered, Stuck
 from arnolddiff.model import ModelParams
 
 TWO_PI = 2.0 * math.pi
@@ -157,8 +157,8 @@ class TestPaths:
 
 
 class TestDistanceBits:
-    """distance_to (the compiled leaf, or without a compiler the pruned Python
-    one) against the former numpy pass, by repr."""
+    """distance_to (the pruned Python leaf, under both backends) against the
+    former numpy pass, by repr."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -350,6 +350,31 @@ class TestBuilder:
         assert psi_callers and "build_pseudo_orbit" not in psi_callers
         for s in orb.steps:
             assert s.dist == _reference_distance(orb.path, s.state[:2])
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_wait_steps_keep_the_distance_before_them(self, params, monkeypatch, compiled):
+        # a rotation wait leaves the actions as the same floats, so its step
+        # records the actions and dist of the step it waited from: the
+        # start, a jump, a detour jump, and a wait for the major window
+        if not compiled:
+            _python_builder(monkeypatch)
+        builds = [
+            ([(1.0, 1.0), (1.6, 1.0)], (1.0, 1.0, 2.0, 4.4)),
+            ([(1.0, 1.08), (1.45, 1.08)], (1.0, 1.0, 0.3, 0.3 + math.pi)),
+            ([(1.2964474979042044, 1.298885287614924), (1.3164474979042045, 1.698885287614924)],
+             (1.2964474979042044, 1.298885287614924, 3.4288474779363951, 3.9367337894783607)),
+        ]
+        after = set()
+        for waypoints, start in builds:
+            path = diffusion.stairstep(diffusion.ActionPath(waypoints, 0.1))
+            orb = diffusion.build_pseudo_orbit(path, start, params)
+            for before, step in zip(orb.steps, orb.steps[1:]):
+                if step.kind == "I":
+                    assert repr(step.state[:2]) == repr(before.state[:2])
+                    assert repr(step.dist) == repr(before.dist)
+                    assert step.dist == _reference_distance(path, step.state[:2])
+                    after.add(before.kind)
+        assert after == {"I", "S", "D"}
 
     def test_detour_on_resonant_diagonal(self, params):
         # both window components must be active at the blocked state, so aim
@@ -552,6 +577,15 @@ class TestTimeEstimate:
         t_lo = float(np.interp(7.05, w1, orb.t))
         t_hi = float(np.interp(8.2, w1, orb.t))
         assert est.T_s == pytest.approx(t_hi - t_lo, rel=0.01)
+
+    def test_eps_at_or_above_the_window_constant(self, orbit):
+        # T_h = 2 log(C/eps) once went negative there, and T_d with it
+        orb, p = orbit
+        C = diffusion.time_estimate((7.05, 8.2), orb, 1e-3, p).C
+        assert diffusion.time_estimate((7.05, 8.2), orb, math.nextafter(C, 0.0), p).T_h > 0.0
+        for eps in (C, 1e300, math.inf):
+            with pytest.raises(EpsilonTooLarge, match="not below the window constant"):
+                diffusion.time_estimate((7.05, 8.2), orb, eps, p)
 
     def test_range_guard(self, orbit):
         orb, p = orbit

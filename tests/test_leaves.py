@@ -1,7 +1,7 @@
 """The compiled leaves against the Python leaves they translate.
 
-``kernels.PYTHON_LEAVES`` holds pure.py's ``alpha``, ``_coeffs``,
-``tau_star`` and ``path_distance``, the specification; ``kernels._leaves`` holds the compiled
+``kernels.PYTHON_LEAVES`` holds pure.py's ``alpha``, ``_coeffs`` and
+``tau_star``, the specification; ``kernels._leaves`` holds the compiled
 ones that ``pure`` is rebound to.  Every call below is made on both, the
 reference with all of ``pure``'s leaves set back to Python, and must give
 the same ``repr`` (bits, NaN, types and iteration counts) or raise the
@@ -9,14 +9,17 @@ same exception type with the same message.  The inputs reuse
 ``test_kernels_parity``'s grids and strategies and add the argument kinds
 the fast path has to treat as pure.py does: ints, numpy scalars, negative
 odd branches, ``guess`` and ``tol`` by position and by keyword, and calls
-that Python rejects.  ``path_distance`` runs on ``ActionPath``'s segment
-tables: stairstepped paths, zero-length segments, coordinates at and beyond
-the pruning limit, non-finite and subnormal points, and the argument kinds
-that must go to the Python leaf.  The scattering flow's compiled orbit
-``f.orbit`` is compared with ``ode._integrate``'s Python loop on the same
-``f``: equal ``Trajectory`` reprs over both workloads' parameter sets,
-branches -2 to 2, both time directions, sections on every component in
-every direction and up to six landings; each path it leaves to the Python
+that Python rejects.  The path distance that ``kernels.jump_run`` scans in
+C is compared as the ``dist`` of one jump that leaves the point where it
+is, against ``pure.path_distance`` (Python under both backends) there, on
+``ActionPath``'s segment tables: stairstepped paths, zero-length segments,
+coordinates at and beyond the pruning limit, non-finite and subnormal
+points, and the argument kinds that leave the run's fast path.  The
+scattering flow's compiled orbit ``f.orbit`` is compared with
+``ode._integrate``'s Python loop on the same ``f``: equal ``Trajectory``
+reprs over both workloads' parameter sets, branches -2 to 2, both time
+directions, sections on every component in every direction and up to six
+landings; each path it leaves to the Python
 loop (a halving landing, an adaptive landing, a stage that raises, an
 argument off the fast path) gives the same result, and its own
 MaxStepsExceeded and StepSizeUnderflow carry ``_integrate``'s messages.
@@ -65,6 +68,9 @@ def test_compiled_backend_whenever_a_compiler_exists():
         assert getattr(pure, name) is not kernels.PYTHON_LEAVES[name]
     assert kernels.tau_star is kernels._leaves.tau_star
     assert kernels.flow_orbit is kernels._leaves.flow_orbit
+    # the builder's distance is scanned inside jump_run; no leaf rebinds it
+    assert not hasattr(kernels._leaves, "path_distance")
+    assert pure.path_distance.__code__.co_filename == pure.__file__
 
 
 @contextlib.contextmanager
@@ -260,24 +266,70 @@ def _path(draw, stairstepped=True):
     return pts
 
 
+# ---- the path distance that a jump records, as kernels.jump_run scans it ----
+
+# where no ball test can fire: the run's end and target
+FAR = (math.inf, math.inf)
+
+
+def _jump(segments, p0, p1):
+    """kernels.jump_run from the state (p0, p1, 0.0, 0.0): its outcome and steps.
+
+    Under eps = 0 and Omega1 = Omega2 = 0 the solve does not depend on a
+    finite point and the jump adds -0.0, which leaves every action as it
+    was; dead = inf switches both windows off, guard 0 and the end and
+    target FAR keep every ball test false, and delta = float_info.max
+    passes every finite distance.  A budget of 1 makes one iteration:
+    one jump, or none where the distance is inf or NaN.
+    """
+    steps = []
+    out = kernels.jump_run(0, 0.3, 0.1, 1.0, 0.0, 0.0, segments, FAR, sys.float_info.max, 0.0,
+                           0.0, math.inf, 0.3, (p0, p1, 0.0, 0.0), FAR, False, 1, steps,
+                           diffusion.PseudoStep)
+    return out, steps
+
+
+def _check_distance(segments, scale, p0, p1):
+    """The dist that a jump records against the Python leaf at its state.
+
+    Where pure.path_distance is not <= delta (inf, NaN) the run makes no
+    jump: its tracking check stops it, or for a non-finite point its solve.
+    Returns the Python leaf's distance.
+    """
+    out, steps = _jump(segments, p0, p1)
+    ref = pure.path_distance(segments, scale, p0, p1)
+    z = (p0, p1, 0.0, 0.0)
+    made = ref <= sys.float_info.max
+    assert repr(out) == repr((z, int(made), int(made), None)), (segments, z, ref, out)
+    assert len(steps) == made
+    if made:
+        assert repr(steps[0].state) == repr(z)
+        assert repr(steps[0].dist) == repr(ref), (segments, z, ref, steps[0].dist)
+    return ref
+
+
 @settings(max_examples=400, deadline=None)
 @given(pts=st.one_of(_path(), _path(stairstepped=False)), p0=_point, p1=_point, data=st.data())
-def test_path_distance_on_random_paths(pts, p0, p1, data):
+def test_jump_distance_on_random_paths(pts, p0, p1, data):
     segments, scale = _segments(pts)
-    _check("path_distance", segments, scale, p0, p1)
+    _check_distance(segments, scale, p0, p1)
     # a point on or next to the path: many segments tie or nearly tie
     x, y = data.draw(st.sampled_from(pts))
-    _check("path_distance", segments, scale, x, y)
-    _check("path_distance", segments, scale, math.nextafter(x, math.inf), y - 1e-9)
-    _check("path_distance", segments, scale, x + 0.05, y + 0.05)
+    _check_distance(segments, scale, x, y)
+    _check_distance(segments, scale, math.nextafter(x, math.inf), y - 1e-9)
+    _check_distance(segments, scale, x + 0.05, y + 0.05)
 
 
-def test_path_distance_special_segments_and_points():
+def test_jump_distance_special_segments_and_points():
     paths = [
         [(1.0, 1.0), (1.0, 1.0)],                                 # one zero-length segment
         [(1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (2.0, 1.0), (2.0, 3.0)],
         [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (0.0, 0.0)],
         [(-1e300, 0.0), (1e300, 0.0)],                            # d . d overflows
+        # a NaN residual between finite ones: the scan must end with NaN, as
+        # the Python leaf does, not pass on a finite minimum that a jump
+        # would record
+        [(1e300, 1.0), (1e300, 0.0), (-1e300, 0.0), (-1e300, 1.0)],
         [(2.0**500, 0.0), (2.0**500, 1.0), (0.0, 1.0)],           # at the pruning limit
         [(math.nextafter(2.0**500, 0.0), 0.0), (0.0, 0.0), (0.0, 3.0)],
         [(2.0**501, 2.0**501), (-(2.0**501), 2.0**501), (1.0, 1.0)],   # beyond it
@@ -288,33 +340,37 @@ def test_path_distance_special_segments_and_points():
               (-(2.0**500), 2.0**500), (1e308, -1e308), (2e-300, 5e-324), (5e-324, 0.0),
               (-0.0, -0.0), (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
               (math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf), (math.nan, math.inf)]
+    nan_at_finite_points = jumps = 0
     for pts in paths:
         segments, scale = _segments(pts)
         for p0, p1 in points:
-            _check("path_distance", segments, scale, p0, p1)
-    _check("path_distance", (), 1.0, 1.0, 1.0)                    # no segment: inf
+            ref = _check_distance(segments, scale, p0, p1)
+            jumps += ref <= sys.float_info.max
+            nan_at_finite_points += math.isnan(ref) and math.isfinite(p0) and math.isfinite(p1)
+    assert math.isinf(_check_distance((), 1.0, 1.0, 1.0))          # no segment: inf
+    # the scan's NaN residuals are reached by finite points, not only by the
+    # non-finite ones that the solve stops first
+    assert jumps > 60 and nan_at_finite_points > 15, (jumps, nan_at_finite_points)
 
 
-def test_path_distance_argument_kinds():
+def test_jump_distance_argument_kinds():
+    # the run takes a point and a segment table of exact floats only; any
+    # other kind leaves its fast path (None), and the builder's Python loop
+    # then measures with the Python leaf
     segments, scale = _segments([(1.0, 1.0), (3.0, 1.0), (3.0, 2.0)])
     row = segments[0]
+    assert _check_distance(segments, scale, 2.0, 1.5) == 0.5
     for p0, p1 in [(np.float64(2.0), 1.5), (2.0, np.float64(1.5)), (2, 1.5), (2.0, 1),
                    (True, 1.0), (2**60, 1.0), (10**400, 1.0), (np.float32(2.0), 1.0),
                    (None, 1.0), ("2", 1.0)]:
-        _check("path_distance", segments, scale, p0, p1)
-    for scale_arg in (3, np.float64(3.0), None):
-        _check("path_distance", segments, scale_arg, 2.0, 1.5)
+        assert _jump(segments, p0, p1) == (None, []), (p0, p1)
     tables = [
         list(segments), (list(row),), (row[:8],), (row + (0.0,),),
         ((*row[:2], 2, *row[3:]),), ((*row[:8], np.float64(row[8])),),
         (row, (*row[:4], np.float64(row[4]), *row[5:])), (row, None), "segments", None,
     ]
     for table in tables:
-        _check("path_distance", table, scale, 2.0, 1.5)
-    _check("path_distance", segments, scale, 2.0)
-    _check("path_distance", segments, scale, 2.0, 1.5, 0.0)
-    _check("path_distance", segments, scale, 2.0, p1=1.5)
-    _check("path_distance", segments=segments, scale=scale, p0=2.0, p1=1.5)
+        assert _jump(table, 2.0, 1.5) == (None, []), table
 
 
 # ---- the compiled orbit against ode._integrate's Python loop ----

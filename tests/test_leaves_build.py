@@ -77,12 +77,12 @@ def test_reference_counts_do_not_drift():
     leaves = kernels._leaves
     w1, w2, mu1, mu2, t1, t2, guess, tol = 1.3, 0.7, 0.3, 0.1, 2.0, 4.0, 3.0 * 3.14159, 1e-14
     path = diffusion.ActionPath([(0.3, 1.0), (2.0, 1.0), (2.0, 2.7), (-1.1, 2.7)], 0.1)
-    segments, scale = path._segments, path._scale
+    segments = path._segments
     y = [1.2, -0.4, 5.0, 1.0]
     cfg, section, t_end = ode.IntegratorConfig(), ode.Section(2, 5.5, 0), 3.0
     steps, window = [], ((3.4, 6.0), None)
     objs = (None, True, False, w1, w2, mu1, t1, guess, tol, segments, segments[1],
-            segments[1][2], scale, y, y[0], cfg, section, section.value, t_end, steps,
+            segments[1][2], y, y[0], cfg, section, section.value, t_end, steps,
             diffusion.PseudoStep, "S", window, window[0], path.end)
     # garbage left by earlier tests holds references to None too: collect
     # it first, and keep the collector from freeing more during the loops
@@ -91,7 +91,7 @@ def test_reference_counts_do_not_drift():
     gc.disable()
     try:
         before = [sys.getrefcount(o) for o in objs]
-        _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale)
+        _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol)
         _call_every_orbit(leaves, mu1, mu2, y, cfg, section, t_end)
         _call_every_builder_form(leaves, path, steps, window)
         drift = [sys.getrefcount(o) - b for o, b in zip(objs, before)]
@@ -104,10 +104,8 @@ def test_reference_counts_do_not_drift():
     assert sys.getallocatedblocks() - blocks < 1000, sys.getallocatedblocks() - blocks
 
 
-def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, scale):
+def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol):
     for _ in range(100_000):
-        leaves.path_distance(segments, scale, t1, w1)
-        leaves.path_distance(segments, scale, float("nan"), w1)
         leaves.alpha(w1)
         leaves._coeffs(w1, mu1)
         leaves.tau_star(-3, w1, w2, mu1, mu2, t1, t2)
@@ -116,10 +114,6 @@ def _call_every_form(leaves, w1, w2, mu1, mu2, t1, t2, guess, tol, segments, sca
         leaves.tau_star(-3, w1, w2, mu1, mu2, t1, t2, guess=guess)
         leaves.tau_star(-3, w1, w2, mu1, mu2, t1, t2, guess=None, tol=tol)
     for _ in range(10_000):
-        leaves.path_distance(segments, scale, 2, w1)           # the Python leaf's path
-        leaves.path_distance(list(segments), scale, t1, w1)
-        with pytest.raises(TypeError):
-            leaves.path_distance(segments, scale, t1)
         for args in ((0, w1, w2, 1.0, mu2, t1, t2), (0, w1, w2, mu1, mu2, float("inf"), t2)):
             with pytest.raises(ValueError):
                 leaves.tau_star(*args, tol, None)
